@@ -161,6 +161,9 @@ CONFIG_SCHEMA = {
 }
 
 
+_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
+
 def load_config(path) -> dict:
     """Parse and schema-validate a JSON config, with located diagnostics."""
     text = Path(path).read_text()
@@ -170,11 +173,10 @@ def load_config(path) -> dict:
         raise ValueError(
             f"config {path} is not valid JSON: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        where = "$" + "".join(f"[{k!r}]" for k in exc.absolute_path)
-        raise ValueError(f"config {path} rejected at {where}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(config))
+    if error is not None:
+        where = "$" + "".join(f"[{k!r}]" for k in error.absolute_path)
+        raise ValueError(f"config {path} rejected at {where}: {error.message}")
     return config
 
 
@@ -222,7 +224,7 @@ def load_field(path) -> Field:
 def write_trace(trace: np.ndarray, path) -> None:
     lines = ["iter,action,grad_inf,mean_norm"]
     for i, row in enumerate(np.asarray(trace, dtype=float)):
-        lines.append(f"{i},{row[0]!r},{row[1]!r},{row[2]!r}")
+        lines.append(f"{i},{float(row[0])!r},{float(row[1])!r},{float(row[2])!r}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -293,9 +295,9 @@ def run(
     if threads is None:
         env = os.environ.get("TORUS_ACTION_THREADS")
         threads = int(env) if env else None
-    # Kernels run on single-threaded numpy transforms with a fixed reduction
-    # order, so results do not depend on this value; it is echoed for
-    # provenance.
+    # Kernels run on single-threaded scipy.fft transforms with a fixed
+    # reduction order, so results do not depend on this value; it is echoed
+    # for provenance.
 
     if seed is None:
         seed = int(config.get("seed", 0))
@@ -322,8 +324,10 @@ def run(
     exit_code = 0
 
     if command == "solve":
-        solver_spec = dict(config.get("solver", {}))
-        opts = SolverOptions(**solver_spec, seed=seed)
+        try:
+            opts = SolverOptions(**config.get("solver", {}), seed=seed)
+        except ValueError as exc:
+            raise ValueError(f"config {config_path} rejected at $['solver']: {exc}") from exc
         result = solve(grid, pot, op, opts)
         report.update(
             {

@@ -210,7 +210,7 @@ class Field:
     @classmethod
     def from_function(cls, grid: TorusGrid, n: int, fn) -> "Field":
         """Sample fn(t) -> R^n at the grid nodes; fn must broadcast over t."""
-        values = np.asarray(fn(grid.coords()), dtype=float)
+        values = np.array(fn(grid.coords()), dtype=float)
         if values.shape != grid.shape + (int(n),):
             raise ValueError(
                 f"sampled values have shape {values.shape}, "

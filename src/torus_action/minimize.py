@@ -75,6 +75,14 @@ class SolverOptions:
             raise ValueError(f"lbfgs_memory must be positive, got {self.lbfgs_memory}")
         if self.divergence_mean_norm <= 0:
             raise ValueError("divergence_mean_norm must be positive")
+        if self.max_backtracks < 0:
+            raise ValueError(
+                f"max_backtracks must be non-negative, got {self.max_backtracks}"
+            )
+        if not (np.isfinite(self.init_noise) and self.init_noise >= 0.0):
+            raise ValueError(
+                f"init_noise must be finite and non-negative, got {self.init_noise}"
+            )
 
 
 @dataclass
@@ -215,23 +223,25 @@ def solve(
             status = SolveStatus.CONVERGED
             break
 
-        pg = precond(g)
-        if opts.method == "gradient_descent":
-            d = -1.0 * pg
-        elif opts.method == "nonlinear_cg":
-            pg_g = l2_inner(pg, g)
-            if d_prev is None or pg_g_prev is None or pg_g_prev <= 0.0:
+        if opts.method == "lbfgs":
+            d = memory.direction(g)
+        else:
+            pg = precond(g)
+            if opts.method == "gradient_descent":
                 d = -1.0 * pg
             else:
-                beta = max(0.0, l2_inner(pg, g - g_prev) / pg_g_prev)
-                d = -1.0 * pg + beta * d_prev
-            pg_g_prev = pg_g
-        else:
-            d = memory.direction(g)
+                pg_g = l2_inner(pg, g)
+                if d_prev is None or pg_g_prev is None or pg_g_prev <= 0.0:
+                    d = -1.0 * pg
+                else:
+                    beta = max(0.0, l2_inner(pg, g - g_prev) / pg_g_prev)
+                    d = -1.0 * pg + beta * d_prev
+                pg_g_prev = pg_g
 
         gd = l2_inner(g, d)
         if not gd < 0.0:
-            d = -1.0 * pg
+            # steepest-descent fallback
+            d = -1.0 * precond(g)
             gd = l2_inner(g, d)
             if not gd < 0.0:
                 status = SolveStatus.CONVERGED
@@ -302,8 +312,7 @@ def solve(
     )
 
 
-def _hessian_apply(op, pot, u, coords, v: Field) -> Field:
-    hess = pot.hessian(coords, u.values)
+def _hessian_apply(op, hess: np.ndarray, v: Field) -> Field:
     hv = np.einsum("...ij,...j->...i", hess, v.values)
     return Field(op.grid, -laplacian(op, v).values + hv, _check=False)
 
@@ -378,8 +387,9 @@ def newton_krylov_refine(
     while res.inf_norm > tol and newton_steps < max_newton:
         g = action_gradient(u, pot, op)
         b = -1.0 * g
+        hess = pot.hessian(coords, u.values)
         step, ok = _pcg(
-            lambda v: _hessian_apply(op, pot, u, coords, v),
+            lambda v: _hessian_apply(op, hess, v),
             lambda w: h1_precondition(op, w),
             b,
             rel_tol=1e-13,

@@ -1,9 +1,10 @@
 """Discrete derivatives, the action functional, and weak-form pairings.
 
 Both difference schemes are diagonal in the discrete Fourier basis, so one
-frequency-space code path implements the Laplacian, the Dirichlet pairing,
-and the H1 preconditioner for either scheme; only the eigenvalue table
-changes.  Energies and pairings are evaluated through that table, which makes
+real-to-complex transform pair over the half spectrum implements the
+Laplacian, the Dirichlet pairing, the H1 preconditioner and the spectral
+partials for either scheme; only the eigenvalue table changes.  Energies and
+pairings are evaluated through that table, which makes
 discrete integration by parts exact to rounding: the sampled first-derivative
 stencils (spectral with a zeroed Nyquist mode, centered three-point FD2) are
 not exactly adjoint to the Laplacians they accompany, so they are reserved
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import scipy.fft
 
 from .grid import Field, TorusGrid, integrate
 from .potentials import Potential
@@ -32,15 +34,24 @@ class DiffOperator:
     ``eigenvalues`` holds the per-frequency eigenvalues of minus the discrete
     Laplacian (shape ``grid.shape``); the zero mode is exactly zero and every
     other entry is positive.
+
+    Fields are real, so every operator works on the half spectrum of
+    ``scipy.fft.rfftn`` over the grid axes (the last grid axis keeps modes
+    0 .. N/2).  The private tables below are the half-spectrum views the
+    kernel multiplies by; ``_dirichlet`` folds in the Hermitian weights (1 on
+    the first and last half-axis modes, 2 elsewhere) so a half-spectrum sum
+    equals the full one.  Transforms are single-threaded, which keeps the
+    summation order, and with it every result, fixed.
     """
 
     def __init__(self, grid: TorusGrid, scheme):
         self.grid = grid
         self.scheme = Scheme(scheme)
         self._axes = tuple(range(grid.p))
+        half = grid.resolutions[-1] // 2 + 1
         signed = [np.fft.fftfreq(N, 1.0 / N) for N in grid.resolutions]
         table = np.zeros(grid.shape)
-        omegas = []
+        iomegas = []
         for a, (khat, N, T, h) in enumerate(
             zip(signed, grid.resolutions, grid.periods, grid.spacings)
         ):
@@ -53,17 +64,29 @@ class DiffOperator:
             table = table + lam_axis.reshape(shape)
             omega = 2.0 * np.pi * khat / T
             omega[N // 2] = 0.0  # odd-derivative convention keeps samples real
-            omegas.append(omega.reshape(shape))
+            if a == grid.p - 1:
+                omega, shape[a] = omega[:half], half
+            iomegas.append(1j * omega.reshape(shape))
         table[(0,) * grid.p] = 0.0
         table.setflags(write=False)
         self.eigenvalues = table
-        self._omegas = omegas
+        lam = table[..., :half]
+        weights = np.full(half, 2.0)
+        weights[[0, -1]] = 1.0
+        self._lam = lam
+        self._smooth = 1.0 / (1.0 + lam)
+        self._iomegas = iomegas
+        self._dirichlet = weights * lam
 
-    def _fft(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.fftn(values, axes=self._axes)
+    def _rfft(self, values: np.ndarray) -> np.ndarray:
+        return scipy.fft.rfftn(values, s=self.grid.shape, axes=self._axes)
 
-    def _ifft(self, spectrum: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(spectrum, axes=self._axes).real
+    def _irfft(self, spectrum: np.ndarray) -> np.ndarray:
+        return scipy.fft.irfftn(spectrum, s=self.grid.shape, axes=self._axes)
+
+    def _multiply(self, values: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """Apply the diagonal half-spectrum multiplier ``table`` to real samples."""
+        return self._irfft(table[..., None] * self._rfft(values))
 
     def __repr__(self):
         return f"DiffOperator(scheme={self.scheme.value!r}, grid={self.grid!r})"
@@ -120,9 +143,9 @@ def partials(op: DiffOperator, u: Field) -> GradientField:
     grid = op.grid
     out = np.empty(grid.shape + (u.n, grid.p))
     if op.scheme is Scheme.SPECTRAL:
-        spectrum = op._fft(u.values)
+        spectrum = op._rfft(u.values)
         for a in range(grid.p):
-            out[..., a] = op._ifft(1j * op._omegas[a][..., None] * spectrum)
+            out[..., a] = op._irfft(op._iomegas[a][..., None] * spectrum)
     else:
         for a in range(grid.p):
             out[..., a] = (
@@ -134,22 +157,22 @@ def partials(op: DiffOperator, u: Field) -> GradientField:
 def laplacian(op: DiffOperator, u: Field) -> Field:
     """Discrete Laplacian, applied as multiplication by -lambda_k in frequency space."""
     _check_field(op, u)
-    spectrum = op._fft(u.values)
-    return Field(op.grid, op._ifft(-op.eigenvalues[..., None] * spectrum), _check=False)
+    return Field(op.grid, op._multiply(u.values, -op._lam), _check=False)
 
 
 def dirichlet_form(u: Field, v: Field, op: DiffOperator) -> float:
     """Quadrature pairing of first derivatives, evaluated through the eigenvalue table.
 
     Equals integrate(<-laplacian(u), v>) to rounding for either scheme, which
-    is what makes discrete integration by parts exact.
+    is what makes discrete integration by parts exact.  ``dirichlet_form(u, u,
+    op)`` transforms u once.
     """
     _check_field(op, u)
     _check_field(op, v)
     u._check_compatible(v)
-    uhat = op._fft(u.values)
-    vhat = op._fft(v.values)
-    s = np.sum(op.eigenvalues[..., None] * (uhat * np.conj(vhat)).real)
+    uhat = op._rfft(u.values)
+    vhat = uhat if v is u else op._rfft(v.values)
+    s = np.sum(op._dirichlet[..., None] * (uhat * vhat.conj()).real)
     return op.grid.cell_weight * float(s) / op.grid.node_count
 
 
@@ -240,12 +263,7 @@ def mean_decompose(u: Field):
 def h1_precondition(op: DiffOperator, g: Field) -> Field:
     """Divide frequency components by (1 + lambda_k); smooths an L2 gradient."""
     _check_field(op, g)
-    spectrum = op._fft(g.values)
-    return Field(
-        op.grid,
-        op._ifft(spectrum / (1.0 + op.eigenvalues[..., None])),
-        _check=False,
-    )
+    return Field(op.grid, op._multiply(g.values, op._smooth), _check=False)
 
 
 def line_probe(u: Field, v: Field, pot: Potential, op: DiffOperator, lambdas) -> np.ndarray:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .grid import Field, TorusGrid
 from .operators import DiffOperator, action_value, laplacian
@@ -76,9 +75,16 @@ def dense_solve(system: DenseSystem) -> Field:
     pivots consistent with a singular operator, e.g. the constant-mode kernel
     of the potential-free system.
     """
-    matrix = 0.5 * (system.matrix + system.matrix.T)
+    import scipy.linalg  # loaded here, so only the dense oracle pays its import
+
+    matrix = system.matrix + system.matrix.T
+    matrix *= 0.5
     try:
-        factor = scipy.linalg.cho_factor(matrix, lower=True, check_finite=False)
+        # matrix is exactly symmetric, so its transpose is the same matrix in
+        # Fortran order, which LAPACK factors in place without a copy
+        factor = scipy.linalg.cho_factor(
+            matrix.T, lower=True, overwrite_a=True, check_finite=False
+        )
     except scipy.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(
             f"Cholesky factorization failed: {exc}"

@@ -48,6 +48,8 @@ class TrigPath:
     periods: tuple[float, ...]
     n: int
     terms: tuple[TrigTerm, ...] = ()
+    # (coordinates, samples) of the last call on a frozen coordinate array
+    _sample: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "periods", tuple(float(T) for T in self.periods))
@@ -75,7 +77,16 @@ class TrigPath:
         return cls(periods, len(vec), (TrigTerm("cos", zero_freq, vec),))
 
     def __call__(self, t) -> np.ndarray:
-        """Evaluate at coordinates t of shape (..., p); returns (..., n)."""
+        """Evaluate at coordinates t of shape (..., p); returns (..., n).
+
+        A read-only array that owns its data, such as ``grid.coords()``,
+        cannot change, so its samples are kept: calling again with the same
+        array returns the same read-only result.  Copy it to keep or modify it.
+        """
+        sample = self._sample
+        if sample is not None and sample[0] is t:
+            return sample[1]
+        key = t
         t = np.asarray(t, dtype=float)
         out = np.zeros(t.shape[:-1] + (self.n,))
         for term in self.terms:
@@ -85,6 +96,9 @@ class TrigPath:
             phase = t @ omega
             wave = np.cos(phase) if term.trig == "cos" else np.sin(phase)
             out += wave[..., None] * np.asarray(term.coeff)
+        if isinstance(key, np.ndarray) and key.flags.owndata and not key.flags.writeable:
+            out.setflags(write=False)
+            object.__setattr__(self, "_sample", (key, out))
         return out
 
     def _angular_sq(self, term: TrigTerm) -> float:
@@ -361,7 +375,7 @@ def make_manufactured(grid: TorusGrid, n: int, target: TrigPath):
     check_path_resolvable(target, grid)
     g_path = target.laplacian().plus(target.scaled(-1.0))
     base = make_quadratic_form(np.eye(int(n)), g_path)
-    exact = Field(grid, target(grid.coords()))
+    exact = Field(grid, target(grid.coords()).copy())
     pot = Potential(
         n=int(n),
         periods=base.periods,

@@ -1,12 +1,16 @@
+import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from torus_action.cli import dump_field, load_config, load_field, main
+from torus_action.cli import CONFIG_SCHEMA, dump_field, load_config, load_field, main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 TWO_PI = 2.0 * np.pi
 
@@ -76,6 +80,21 @@ def test_solve_writes_report_field_and_trace(tmp_path):
     lines = (out / "trace.csv").read_text().strip().splitlines()
     assert lines[0] == "iter,action,grad_inf,mean_norm"
     assert len(lines) >= 2
+
+
+def test_trace_values_parse_as_floats(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, manufactured_config(out))
+    assert main(["solve", "--config", cfg]) == 0
+    report = json.loads((out / "report.json").read_text())
+    with open(out / "trace.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["iter", "action", "grad_inf", "mean_norm"]
+    assert len(rows) == report["iterations"] + 2
+    for i, row in enumerate(rows[1:]):
+        assert int(row[0]) == i
+        assert all(np.isfinite(float(x)) for x in row[1:])
+    assert float(rows[-1][1]) == report["action"]["total"]
 
 
 def test_solve_reproduces_target(tmp_path):
@@ -309,6 +328,45 @@ def test_command_key_matching_is_accepted(tmp_path):
     assert main(["solve", "--config", cfg]) == 0
 
 
+def test_config_schema_is_a_valid_schema():
+    import jsonschema
+
+    jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda c: c.update(mystery=1),
+    lambda c: c["solver"].update(max_iters="many"),
+    lambda c: c["potential"].update(kind="cubic"),
+    lambda c: c["grid"].pop("periods"),
+])
+def test_rejection_message_matches_full_validation(tmp_path, edit):
+    import jsonschema
+
+    cfg_dict = manufactured_config(tmp_path / "out")
+    edit(cfg_dict)
+    cfg = write_config(tmp_path, cfg_dict)
+    with pytest.raises(jsonschema.ValidationError) as full:
+        jsonschema.validate(cfg_dict, CONFIG_SCHEMA)
+    where = "$" + "".join(f"[{k!r}]" for k in full.value.absolute_path)
+    with pytest.raises(ValueError) as ours:
+        load_config(cfg)
+    assert str(ours.value) == f"config {cfg} rejected at {where}: {full.value.message}"
+
+
+@pytest.mark.parametrize("solver, name", [
+    ({"init_noise": -1.0}, "init_noise"),
+    ({"max_backtracks": -1}, "max_backtracks"),
+])
+def test_out_of_range_solver_options_are_located(tmp_path, capsys, solver, name):
+    cfg_dict = json.loads((CONFIGS / "manufactured_2d.json").read_text())
+    cfg_dict["solver"] = solver
+    cfg = write_config(tmp_path, cfg_dict)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"config {cfg} rejected at $['solver']: {name} must be" in err
+
+
 def test_load_config_round_trip(tmp_path):
     cfg_dict = manufactured_config(tmp_path / "out")
     cfg = write_config(tmp_path, cfg_dict)
@@ -320,6 +378,16 @@ def test_load_config_round_trip(tmp_path):
 # ---------------------------------------------------------------------------
 # module entry point
 # ---------------------------------------------------------------------------
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, torus_action.cli; print('scipy.linalg' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
 
 def test_module_invocation(tmp_path):
     out = tmp_path / "out"

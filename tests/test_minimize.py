@@ -210,6 +210,18 @@ def test_options_validation():
         SolverOptions(max_iters=0)
 
 
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+def test_options_reject_bad_init_noise(value):
+    with pytest.raises(ValueError, match="init_noise"):
+        SolverOptions(init_noise=value)
+
+
+def test_options_reject_negative_max_backtracks():
+    with pytest.raises(ValueError, match="max_backtracks"):
+        SolverOptions(max_backtracks=-1)
+    assert SolverOptions(max_backtracks=0, init_noise=0.0).max_backtracks == 0
+
+
 # ---------------------------------------------------------------------------
 # Newton-Krylov refinement
 # ---------------------------------------------------------------------------
@@ -245,6 +257,33 @@ def test_refine_quadratic_in_one_newton_step():
     refined = newton_krylov_refine(rough, pot, op, tol=1e-10)
     assert refined.status is SolveStatus.CONVERGED
     assert np.max(np.abs(refined.u.values - exact.values)) < 1e-9
+
+
+def test_refine_builds_the_hessian_once_per_newton_step():
+    from dataclasses import replace
+
+    g = TorusGrid((TWO_PI,), (16,))
+    S = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+    offs = [
+        TrigPath((TWO_PI,), 1, (TrigTerm("cos", (1,), (c,)),))
+        for c in (0.5, -0.3, 0.2)
+    ]
+    pot = make_log_sum_exp(S, offs)
+    calls = []
+
+    def counted(t, x):
+        calls.append(1)
+        return pot.hessian(t, x)
+
+    counting = replace(pot, hessian=counted)
+    op = DiffOperator(g, Scheme.SPECTRAL)
+    coarse = solve(g, pot, op, SolverOptions(tol_grad_inf=1e-4,
+                                             tol_residual_inf=1e-4))
+    refined = newton_krylov_refine(coarse, counting, op, tol=1e-12)
+    steps = refined.iterations - coarse.iterations
+    assert refined.status is SolveStatus.CONVERGED
+    assert steps >= 2
+    assert len(calls) == steps
 
 
 def test_refine_leaves_trace_untouched():

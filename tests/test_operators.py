@@ -363,3 +363,110 @@ def test_action_rejects_mismatched_potential_periods():
     pot = make_quadratic_shift(1, TrigPath.zero((4.0,), 1))
     with pytest.raises(ValueError):
         action_value(Field.zeros(g, 1), pot, op)
+
+
+# ---------------------------------------------------------------------------
+# real-FFT kernel against a full complex-spectrum reference
+# ---------------------------------------------------------------------------
+
+KERNEL_GRIDS = {
+    1: ((TWO_PI,), (4,)),
+    2: ((TWO_PI, 3.0), (4, 6)),
+    3: ((1.0, TWO_PI, 2.5), (6, 4, 8)),
+    4: ((TWO_PI, 1.5, 2.0, 3.0), (4, 6, 4, 4)),
+}
+
+
+def reference_symbols(grid, scheme):
+    """Full-spectrum eigenvalues of -laplacian and first-derivative symbols."""
+    mesh = np.meshgrid(
+        *[np.fft.fftfreq(N, 1.0 / N) for N in grid.resolutions], indexing="ij"
+    )
+    lam = np.zeros(grid.shape)
+    derivs = []
+    for m, N, T, h in zip(mesh, grid.resolutions, grid.periods, grid.spacings):
+        if scheme is Scheme.SPECTRAL:
+            lam += (2.0 * np.pi * m / T) ** 2
+            derivs.append(1j * np.where(np.abs(m) == N // 2, 0.0, 2.0 * np.pi * m / T))
+        else:
+            lam += (2.0 / h**2) * (1.0 - np.cos(2.0 * np.pi * m / N))
+            derivs.append(1j * np.sin(2.0 * np.pi * m / N) / h)
+    return lam, derivs
+
+
+def assert_matches(actual, reference):
+    scale = np.abs(reference).max()
+    assert_allclose(actual, reference, rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_kernel_matches_complex_reference(p, n, scheme):
+    grid = TorusGrid(*KERNEL_GRIDS[p])
+    op = DiffOperator(grid, scheme)
+    axes = tuple(range(p))
+    u = random_field(grid, n, 10 * p + n)
+    v = random_field(grid, n, 10 * p + n + 5)
+    lam, derivs = reference_symbols(grid, scheme)
+    uhat = np.fft.fftn(u.values, axes=axes)
+    vhat = np.fft.fftn(v.values, axes=axes)
+
+    def back(spectrum):
+        return np.fft.ifftn(spectrum, axes=axes).real
+
+    assert not op.eigenvalues.flags.writeable
+    assert_matches(op.eigenvalues, lam)
+    assert_matches(laplacian(op, u).values, back(-lam[..., None] * uhat))
+    assert_matches(h1_precondition(op, u).values, back(uhat / (1.0 + lam[..., None])))
+    weight = grid.cell_weight / grid.node_count
+    for a, b, ahat, bhat in ((u, v, uhat, vhat), (u, u, uhat, uhat)):
+        reference = weight * np.sum(lam[..., None] * (ahat * np.conj(bhat)).real)
+        assert_matches(np.array(dirichlet_form(a, b, op)), reference)
+    d = partials(op, u).partials
+    for a in range(p):
+        assert_matches(d[..., a], back(derivs[a][..., None] * uhat))
+
+
+def count_transforms(monkeypatch):
+    import scipy.fft
+
+    counts = {"rfftn": 0, "irfftn": 0, "complex": 0}
+    for name in ("rfftn", "irfftn"):
+        def counted(*args, _name=name, _fn=getattr(scipy.fft, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, counted)
+    for mod in (np.fft, scipy.fft):
+        for name in ("fftn", "ifftn"):
+            def refused(*args, **kwargs):
+                counts["complex"] += 1
+                raise AssertionError("complex transform on the real-data path")
+
+            monkeypatch.setattr(mod, name, refused)
+    return counts
+
+
+def test_dirichlet_form_of_a_field_with_itself_transforms_once(monkeypatch):
+    g = TorusGrid((TWO_PI, 4.0), (8, 6))
+    op = DiffOperator(g, Scheme.SPECTRAL)
+    u = random_field(g, 2, 0)
+    v = random_field(g, 2, 1)
+    counts = count_transforms(monkeypatch)
+    dirichlet_form(u, u, op)
+    assert counts == {"rfftn": 1, "irfftn": 0, "complex": 0}
+    dirichlet_form(u, v, op)
+    assert counts == {"rfftn": 3, "irfftn": 0, "complex": 0}
+
+
+def test_kernel_operators_use_one_real_transform_pair(monkeypatch):
+    g = TorusGrid((TWO_PI, 4.0), (8, 6))
+    op = DiffOperator(g, Scheme.SPECTRAL)
+    u = random_field(g, 2, 0)
+    counts = count_transforms(monkeypatch)
+    laplacian(op, u)
+    h1_precondition(op, u)
+    assert counts == {"rfftn": 2, "irfftn": 2, "complex": 0}
+    partials(op, u)
+    assert counts == {"rfftn": 3, "irfftn": 4, "complex": 0}

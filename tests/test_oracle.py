@@ -76,6 +76,25 @@ def test_dense_solve_matches_minimizer():
         assert gap < 1e-8, scheme
 
 
+def test_dense_solve_factors_without_touching_the_system():
+    import scipy.linalg
+
+    g = TorusGrid((TWO_PI, TWO_PI), (8, 8))
+    A = np.array([[2.0, 0.3], [0.3, 1.0]])
+    path = TrigPath((TWO_PI, TWO_PI), 2, (TrigTerm("sin", (1, 2), (1.0, -0.5)),))
+    system = assemble_quadratic_system(
+        g, DiffOperator(g, Scheme.FD2), A, drift_field(g, path)
+    )
+    before = system.matrix.copy()
+    u = dense_solve(system)
+    assert np.array_equal(system.matrix, before)
+    sym = 0.5 * (before + before.T)
+    expected = scipy.linalg.cho_solve(
+        scipy.linalg.cho_factor(sym, lower=True), system.rhs
+    )
+    assert np.array_equal(u.flat, expected)
+
+
 def test_dense_solve_rejects_singular_system():
     # with no zeroth-order term the constant mode is in the kernel and the
     # factorization must refuse

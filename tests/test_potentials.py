@@ -59,6 +59,29 @@ def test_trig_path_normalizes_container_types():
     assert a.terms == b.terms
 
 
+def test_trig_path_keeps_samples_of_frozen_coordinates():
+    g = TorusGrid((TWO_PI, 3.0), (8, 6))
+    path = TrigPath(g.periods, 2, (TrigTerm("sin", (1, 2), (1.0, -0.5)),))
+    first = path(g.coords())
+    assert path(g.coords()) is first
+    assert not first.flags.writeable
+    writable = g.coords().copy()
+    fresh = path(writable)
+    assert fresh is not first and fresh.flags.writeable
+    assert np.array_equal(fresh, first)
+    writable[0, 0, 0] += 1.0
+    assert path(writable) is not fresh  # a writable array is never cached
+    assert path == TrigPath(g.periods, 2, path.terms)
+
+
+def test_manufactured_exact_field_is_a_private_copy():
+    g = TorusGrid((TWO_PI,), (8,))
+    target = cos_path()
+    _, exact = make_manufactured(g, 1, target)
+    assert exact.values.flags.writeable
+    assert not np.shares_memory(exact.values, target(g.coords()))
+
+
 def test_trig_term_rejects_unknown_kind():
     with pytest.raises(ValueError, match="trig"):
         TrigTerm("tan", (1,), (1.0,))

@@ -15,19 +15,14 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import Field, TorusGrid
+from .grid import Field, TorusGrid, integrate
 from .operators import (
     ActionReport,
     DiffOperator,
-    action_gradient,
-    action_value,
-    eval_action,
-    h1_inner,
-    h1_precondition,
-    l2_inner,
-    laplacian,
+    _check_field,
+    _check_potential,
+    l2_norm,
     mean_decompose,
-    pde_residual,
 )
 from .potentials import Potential
 
@@ -41,6 +36,15 @@ class SolveStatus(str, Enum):
 _METHODS = ("gradient_descent", "nonlinear_cg", "lbfgs")
 
 TRACE_COLUMNS = ("action", "grad_inf", "mean_norm", "fluctuation_h1")
+
+# Action values closer than this, relative to the size of their kinetic and
+# potential parts, tie to rounding in the line search.
+_ACTION_TIE = 1e-13
+# The slope test that breaks such ties asks for at least this sufficient
+# decrease (Hager & Zhang's default).  With the Armijo constant 1e-4 it would
+# take the mirror point 2 alpha* of the ray's minimum wherever the curvature
+# falls along the ray, and the iterates would creep.
+_TIE_DECREASE = 0.1
 
 
 @dataclass
@@ -128,45 +132,59 @@ def divergence_monitor(trace, opts: SolverOptions) -> Optional[SolveStatus]:
     return None
 
 
-def _trace_row(u, f, g, op):
-    mean, fluct = mean_decompose(u)
-    return (
-        f,
-        float(np.abs(g.values).max()),
-        float(np.linalg.norm(mean)),
-        float(np.sqrt(max(h1_inner(fluct, fluct, op), 0.0))),
-    )
+def _fluctuation_h1(uhat: np.ndarray, op: DiffOperator) -> float:
+    """H1 norm of the zero-mean part of a field, from its half spectrum."""
+    return float(np.sqrt(max(op._inner(op._fluct_h1[..., None] * uhat, uhat), 0.0)))
+
+
+def _trace_row(f, grad_inf, uhat, op):
+    mean = uhat[(0,) * op.grid.p].real / op.grid.node_count
+    return (f, grad_inf, float(np.linalg.norm(mean)), _fluctuation_h1(uhat, op))
+
+
+def _gradient_samples(uhat: np.ndarray, grad_f: np.ndarray, op: DiffOperator) -> np.ndarray:
+    """Samples of the action gradient -laplacian(u) + grad F(t, u) from u's spectrum.
+
+    When ``uhat`` is the transform of the samples of u, this is bit for bit
+    minus the field of ``pde_residual``.
+    """
+    return op._irfft(op._lam[..., None] * uhat) + grad_f
 
 
 class _LbfgsMemory:
-    def __init__(self, size: int, precond):
+    """L-BFGS pairs (s, y) as half spectra, with a diagonal preconditioner."""
+
+    def __init__(self, size: int, inner, precond):
         self.pairs = deque(maxlen=size)
+        self.inner = inner
         self.precond = precond
 
-    def push(self, s: Field, y: Field) -> None:
-        sy = l2_inner(s, y)
-        guard = 1e-10 * np.sqrt(max(l2_inner(s, s) * l2_inner(y, y), 0.0))
+    def push(self, s: np.ndarray, y: np.ndarray) -> None:
+        inner = self.inner
+        sy = inner(s, y)
+        guard = 1e-10 * np.sqrt(max(inner(s, s) * inner(y, y), 0.0))
         if sy > guard and sy > 0.0:
             self.pairs.append((s, y, 1.0 / sy))
 
-    def direction(self, g: Field) -> Field:
+    def direction(self, g: np.ndarray) -> np.ndarray:
+        inner = self.inner
         q = g.copy()
         alphas = []
         for s, y, rho in reversed(self.pairs):
-            a = rho * l2_inner(s, q)
-            q = q - a * y
+            a = rho * inner(s, q)
+            q -= a * y
             alphas.append(a)
         if self.pairs:
             s, y, _ = self.pairs[-1]
-            denom = l2_inner(y, self.precond(y))
-            gamma = l2_inner(s, y) / denom if denom > 0 else 1.0
+            denom = inner(y, self.precond(y))
+            gamma = inner(s, y) / denom if denom > 0 else 1.0
         else:
             gamma = 1.0
         r = gamma * self.precond(q)
         for (s, y, rho), a in zip(self.pairs, reversed(alphas)):
-            b = rho * l2_inner(y, r)
-            r = r + (a - b) * s
-        return -1.0 * r
+            b = rho * inner(y, r)
+            r += (a - b) * s
+        return -r
 
 
 def solve(
@@ -179,10 +197,19 @@ def solve(
     """Minimize the discrete action by line-searched descent.
 
     Accepted steps satisfy a sufficient-decrease condition, so the action
-    trace is monotone.  Returns the best iterate found together with residual
-    diagnostics; a run that drives the mean past the divergence threshold
-    while the fluctuation stays bounded is reported as diverged rather than
-    failed, since that is the constructive sign that no minimizer exists.
+    trace is monotone up to rounding.  Returns the best iterate found
+    together with residual diagnostics; a run that drives the mean past the
+    divergence threshold while the fluctuation stays bounded is reported as
+    diverged rather than failed, since that is the constructive sign that no
+    minimizer exists.
+
+    The iterate is kept both as samples u and as its half spectrum, and
+    steps update both.  Directions, preconditioning and inner products (by
+    Parseval) work on spectra.  The kinetic term is exactly quadratic along
+    a search ray, so a line-search trial costs one potential evaluation and
+    no transform, and an iteration three transforms.  Where a trial's action
+    ties with the current one to rounding, the slope along the ray decides
+    instead, for one more potential gradient.
     """
     opts = opts if opts is not None else SolverOptions()
     if op.grid != grid:
@@ -193,21 +220,31 @@ def solve(
         if init.grid != grid or init.n != pot.n:
             raise ValueError("initial field does not match the grid or potential")
         u = Field(grid, init.values.copy())
+    _check_potential(u, pot)
 
-    if opts.precondition_h1:
-        precond = lambda w: h1_precondition(op, w)
-    else:
-        precond = lambda w: w.copy()
+    coords = grid.coords()
+    lam = op._lam[..., None]
+    smooth = op._smooth[..., None] if opts.precondition_h1 else 1.0
+    precond = lambda w: smooth * w
+    inner = op._inner
 
-    f = action_value(u, pot, op)
+    u = u.values
+    uhat = op._rfft(u)
+    kinetic = 0.5 * inner(lam * uhat, uhat)
+    potential_part = integrate(grid, pot.value(coords, u))
+    f = kinetic + potential_part
     if not np.isfinite(f):
         raise ValueError("action is not finite at the initial field")
-    g = action_gradient(u, pot, op)
-    if not np.isfinite(g.values).all():
+    grad_f = pot.gradient(coords, u)
+    # of the gradient's samples only the largest is kept: the descent works
+    # on spectra
+    grad_inf = float(np.abs(_gradient_samples(uhat, grad_f, op)).max())
+    if not np.isfinite(grad_inf):
         raise ValueError("action gradient is not finite at the initial field")
+    ghat = lam * uhat + op._rfft(grad_f)
 
-    trace = [_trace_row(u, f, g, op)]
-    memory = _LbfgsMemory(opts.lbfgs_memory, precond)
+    trace = [_trace_row(f, grad_inf, uhat, op)]
+    memory = _LbfgsMemory(opts.lbfgs_memory, inner, precond)
     d_prev = None
     pg_g_prev = None
     g_prev = None
@@ -218,35 +255,40 @@ def solve(
     iterations = 0
 
     for _ in range(opts.max_iters):
-        grad_inf = float(np.abs(g.values).max())
         if grad_inf <= opts.tol_grad_inf and grad_inf <= opts.tol_residual_inf:
             status = SolveStatus.CONVERGED
             break
 
         if opts.method == "lbfgs":
-            d = memory.direction(g)
+            d = memory.direction(ghat)
         else:
-            pg = precond(g)
+            pg = precond(ghat)
             if opts.method == "gradient_descent":
-                d = -1.0 * pg
+                d = -pg
             else:
-                pg_g = l2_inner(pg, g)
+                pg_g = inner(pg, ghat)
                 if d_prev is None or pg_g_prev is None or pg_g_prev <= 0.0:
-                    d = -1.0 * pg
+                    d = -pg
                 else:
-                    beta = max(0.0, l2_inner(pg, g - g_prev) / pg_g_prev)
-                    d = -1.0 * pg + beta * d_prev
+                    beta = max(0.0, inner(pg, ghat - g_prev) / pg_g_prev)
+                    d = -pg + beta * d_prev
                 pg_g_prev = pg_g
 
-        gd = l2_inner(g, d)
+        gd = inner(ghat, d)
         if not gd < 0.0:
             # steepest-descent fallback
-            d = -1.0 * precond(g)
-            gd = l2_inner(g, d)
+            d = -precond(ghat)
+            gd = inner(ghat, d)
             if not gd < 0.0:
                 status = SolveStatus.CONVERGED
                 message = "descent direction vanished"
                 break
+
+        # Along u + alpha d the kinetic term is
+        # kinetic + alpha D(u, d) + alpha^2 D(d, d) / 2.
+        slope = inner(lam * uhat, d)
+        curvature = inner(lam * d, d)
+        d_samples = op._irfft(d)
 
         # One notch above the last accepted step, so the step can grow
         # geometrically on rays where the action keeps dropping.
@@ -257,10 +299,28 @@ def solve(
 
         alpha = trial
         accepted = False
+        tie = _ACTION_TIE * (abs(kinetic) + abs(potential_part))
         for _bt in range(opts.max_backtracks + 1):
-            u_try = u + alpha * d
-            f_try = action_value(u_try, pot, op)
-            if np.isfinite(f_try) and f_try <= f + opts.armijo_c1 * alpha * gd:
+            u_try = alpha * d_samples
+            u_try += u
+            kinetic_try = kinetic + alpha * slope + 0.5 * alpha * alpha * curvature
+            potential_try = integrate(grid, pot.value(coords, u_try))
+            f_try = kinetic_try + potential_try
+            grad_try = None
+            if abs(f_try - f) <= tie:
+                # The two values tie to rounding, so the slope along the ray
+                # decides: the approximate Armijo test of Hager & Zhang (SIAM
+                # J. Optim. 16(1), 2005), exact for a quadratic and free of the
+                # cancellation in f_try - f.
+                grad_try = pot.gradient(coords, u_try)
+                ray_slope = slope + alpha * curvature + grid.cell_weight * float(
+                    np.sum(grad_try * d_samples)
+                )
+                decrease = max(opts.armijo_c1, _TIE_DECREASE)
+                if ray_slope <= (2.0 * decrease - 1.0) * gd:
+                    accepted = True
+                    break
+            elif np.isfinite(f_try) and f_try <= f + opts.armijo_c1 * alpha * gd:
                 accepted = True
                 break
             alpha *= opts.backtrack_factor
@@ -272,16 +332,21 @@ def solve(
             )
             break
 
-        g_new = action_gradient(u_try, pot, op)
-        s = u_try - u
-        y = g_new - g
-        memory.push(s, y)
-        g_prev = g
-        d_prev = d
-        u, f, g = u_try, f_try, g_new
+        s = alpha * d
+        uhat += s
+        u = u_try
+        grad_f = pot.gradient(coords, u) if grad_try is None else grad_try
+        grad_inf = float(np.abs(_gradient_samples(uhat, grad_f, op)).max())
+        ghat_new = lam * uhat + op._rfft(grad_f)
+        if opts.method == "lbfgs":
+            memory.push(s, ghat_new - ghat)
+        elif opts.method == "nonlinear_cg":
+            g_prev, d_prev = ghat, d
+        ghat = ghat_new
+        f, kinetic, potential_part = f_try, kinetic_try, potential_try
         alpha_prev = alpha
         iterations += 1
-        trace.append(_trace_row(u, f, g, op))
+        trace.append(_trace_row(f, grad_inf, uhat, op))
 
         signal = divergence_monitor(trace, opts)
         if signal is not None:
@@ -289,42 +354,47 @@ def solve(
             break
     else:
         # loop exhausted without convergence or divergence
-        grad_inf = float(np.abs(g.values).max())
         if grad_inf <= opts.tol_grad_inf and grad_inf <= opts.tol_residual_inf:
             status = SolveStatus.CONVERGED
 
-    trace_arr = np.asarray(trace, dtype=float)
-    res = pde_residual(u, pot, op)
-    mean, fluct = mean_decompose(u)
+    # The carried spectrum differs from rfft(u) by rounding, and the residual
+    # cancels far below the size of its terms, so the reported residual comes
+    # from the returned samples' own spectrum.  The action is the carried one,
+    # the last value in the trace.
+    uhat = op._rfft(u)
+    g = _gradient_samples(uhat, grad_f, op)
+    grad_inf = float(np.abs(g).max())
+    u = Field(grid, u, _check=False)
+    mean, _ = mean_decompose(u)
     return SolveResult(
         u=u,
         status=status,
         iterations=iterations,
-        action=eval_action(u, pot, op),
-        residual_inf=res.inf_norm,
-        residual_l2=res.l2_norm,
+        action=ActionReport(kinetic, potential_part, f, grad_inf),
+        residual_inf=grad_inf,
+        residual_l2=l2_norm(Field(grid, g, _check=False)),
         mean=mean,
-        fluctuation_h1_norm=float(np.sqrt(max(h1_inner(fluct, fluct, op), 0.0))),
-        trace=trace_arr,
+        fluctuation_h1_norm=_fluctuation_h1(uhat, op),
+        trace=np.asarray(trace, dtype=float),
         seed=opts.seed,
         line_search_failed=line_search_failed,
         message=message,
     )
 
 
-def _hessian_apply(op, hess: np.ndarray, v: Field) -> Field:
-    hv = np.einsum("...ij,...j->...i", hess, v.values)
-    return Field(op.grid, -laplacian(op, v).values + hv, _check=False)
+def _pcg(apply_j, b: np.ndarray, op: DiffOperator, rel_tol: float, max_iters: int):
+    """Conjugate gradients on half spectra in the quadrature inner product.
 
-
-def _pcg(apply_j, precond, b: Field, rel_tol: float, max_iters: int):
-    """Preconditioned conjugate gradients in the quadrature inner product."""
-    x = 0.0 * b
-    r = b.copy()
-    z = precond(r)
-    d = z.copy()
-    rz = l2_inner(r, z)
-    b_norm = np.sqrt(max(l2_inner(b, b), 0.0))
+    Preconditioned by the H1 smoother 1 / (1 + lambda_k).
+    """
+    inner = op._inner
+    smooth = op._smooth[..., None]
+    x = np.zeros_like(b)
+    r = b
+    z = smooth * r
+    d = z
+    rz = inner(r, z)
+    b_norm = np.sqrt(max(inner(b, b), 0.0))
     if b_norm == 0.0:
         return x, True
     # Track the best iterate seen.  Near the rounding floor, or when a flat
@@ -335,22 +405,22 @@ def _pcg(apply_j, precond, b: Field, rel_tol: float, max_iters: int):
     best_rel = 1.0
     for _ in range(max_iters):
         jd = apply_j(d)
-        djd = l2_inner(d, jd)
+        djd = inner(d, jd)
         if djd <= 0.0:
             # non-positive curvature: usable only if we made progress first
             return best_x, best_rel < 1.0
         alpha = rz / djd
         x = x + alpha * d
         r = r - alpha * jd
-        rel = np.sqrt(max(l2_inner(r, r), 0.0)) / b_norm
+        rel = np.sqrt(max(inner(r, r), 0.0)) / b_norm
         if rel < best_rel:
             best_x, best_rel = x, rel
         if rel <= rel_tol:
             return x, True
         if rel > 100.0 * best_rel + 1.0:
             break  # stagnated and diverging; settle for the best iterate
-        z = precond(r)
-        rz_new = l2_inner(r, z)
+        z = smooth * r
+        rz_new = inner(r, z)
         d = z + (rz_new / rz) * d
         rz = rz_new
     return best_x, True
@@ -368,6 +438,9 @@ def newton_krylov_refine(
     Each step solves (-laplacian + hess F) d = -(action gradient) by
     preconditioned CG and damps until the residual norm drops.  Requires the
     potential to carry a Hessian and the input run not to have diverged.
+
+    CG runs on half spectra, where the Laplacian and the preconditioner are
+    multiplications, so a CG iteration costs two transforms.
     """
     if result.status is SolveStatus.DIVERGED_NON_COERCIVE:
         raise ValueError("cannot refine a diverged run; no stationary point exists")
@@ -376,22 +449,39 @@ def newton_krylov_refine(
             f"potential kind {pot.kind!r} does not provide a Hessian, "
             "which Newton refinement requires"
         )
+    _check_field(op, result.u)
+    _check_potential(result.u, pot)
     grid = op.grid
     coords = grid.coords()
-    u = Field(grid, result.u.values.copy())
-    res = pde_residual(u, pot, op)
+    lam = op._lam[..., None]
+
+    def residual(u):
+        """(u-hat, grad F(t, u)) and the residual norms of u."""
+        uhat = op._rfft(u)
+        grad_f = pot.gradient(coords, u)
+        g = _gradient_samples(uhat, grad_f, op)
+        norms = float(np.abs(g).max()), l2_norm(Field(grid, g, _check=False))
+        return (uhat, grad_f), *norms
+
+    u = result.u.values.copy()
+    state, res_inf, res_l2 = residual(u)
     message = result.message
     newton_steps = 0
     cg_failed = False
 
-    while res.inf_norm > tol and newton_steps < max_newton:
-        g = action_gradient(u, pot, op)
-        b = -1.0 * g
-        hess = pot.hessian(coords, u.values)
+    while res_inf > tol and newton_steps < max_newton:
+        uhat, grad_f = state
+        ghat = lam * uhat + op._rfft(grad_f)
+        hess = pot.hessian(coords, u)
+
+        def apply_j(v):
+            hv = np.einsum("...ij,...j->...i", hess, op._irfft(v))
+            return lam * v + op._rfft(hv)
+
         step, ok = _pcg(
-            lambda v: _hessian_apply(op, hess, v),
-            lambda w: h1_precondition(op, w),
-            b,
+            apply_j,
+            -ghat,
+            op,
             rel_tol=1e-13,
             max_iters=max(200, 2 * grid.node_count * pot.n),
         )
@@ -401,14 +491,14 @@ def newton_krylov_refine(
                 "newton refinement stopped: CG met non-positive curvature"
             )
             break
+        step = op._irfft(step)
         alpha = 1.0
         improved = False
-        base = res.l2_norm
         for _ in range(60):
             u_try = u + alpha * step
-            res_try = pde_residual(u_try, pot, op)
-            if res_try.l2_norm <= (1.0 - 1e-4 * alpha) * base:
-                u, res = u_try, res_try
+            trial, trial_inf, trial_l2 = residual(u_try)
+            if trial_l2 <= (1.0 - 1e-4 * alpha) * res_l2:
+                u, state, res_inf, res_l2 = u_try, trial, trial_inf, trial_l2
                 improved = True
                 break
             alpha *= 0.5
@@ -423,17 +513,21 @@ def newton_krylov_refine(
         message = (message + "; " if message else "") + (
             f"newton refinement: {newton_steps} step(s)"
         )
-    status = SolveStatus.CONVERGED if res.inf_norm <= tol else SolveStatus.MAX_ITERS
-    mean, fluct = mean_decompose(u)
+    status = SolveStatus.CONVERGED if res_inf <= tol else SolveStatus.MAX_ITERS
+    uhat, _ = state
+    kinetic = 0.5 * op._inner(lam * uhat, uhat)
+    potential_part = integrate(grid, pot.value(coords, u))
+    u = Field(grid, u, _check=False)
+    mean, _ = mean_decompose(u)
     return replace(
         result,
         u=u,
         status=status,
         iterations=result.iterations + newton_steps,
-        action=eval_action(u, pot, op),
-        residual_inf=res.inf_norm,
-        residual_l2=res.l2_norm,
+        action=ActionReport(kinetic, potential_part, kinetic + potential_part, res_inf),
+        residual_inf=res_inf,
+        residual_l2=res_l2,
         mean=mean,
-        fluctuation_h1_norm=float(np.sqrt(max(h1_inner(fluct, fluct, op), 0.0))),
+        fluctuation_h1_norm=_fluctuation_h1(uhat, op),
         message=message,
     )

@@ -36,19 +36,23 @@ class DiffOperator:
     other entry is positive.
 
     Fields are real, so every operator works on the half spectrum of
-    ``scipy.fft.rfftn`` over the grid axes (the last grid axis keeps modes
-    0 .. N/2).  The private tables below are the half-spectrum views the
-    kernel multiplies by; ``_dirichlet`` folds in the Hermitian weights (1 on
-    the first and last half-axis modes, 2 elsewhere) so a half-spectrum sum
-    equals the full one.  Transforms are single-threaded, which keeps the
-    summation order, and with it every result, fixed.
+    ``scipy.fft.rfftn`` over the grid axes, with the real transform along
+    the first grid axis, which keeps modes 0 .. N/2.  The private tables
+    below are the half-spectrum views the kernel multiplies by, and
+    ``_inner`` pairs two half spectra by Parseval with the Hermitian weights
+    (1 on the first and last half-axis modes, 2 elsewhere), so a
+    half-spectrum sum equals the full one; halving the first axis keeps
+    those two modes contiguous.  Transforms are single-threaded and sums run
+    in a fixed order, which keeps every result fixed.
     """
 
     def __init__(self, grid: TorusGrid, scheme):
         self.grid = grid
         self.scheme = Scheme(scheme)
-        self._axes = tuple(range(grid.p))
-        half = grid.resolutions[-1] // 2 + 1
+        # rfftn halves the last axis it is given
+        self._axes = tuple(range(1, grid.p)) + (0,)
+        self._sizes = tuple(grid.shape[a] for a in self._axes)
+        half = grid.resolutions[0] // 2 + 1
         signed = [np.fft.fftfreq(N, 1.0 / N) for N in grid.resolutions]
         table = np.zeros(grid.shape)
         iomegas = []
@@ -64,32 +68,47 @@ class DiffOperator:
             table = table + lam_axis.reshape(shape)
             omega = 2.0 * np.pi * khat / T
             omega[N // 2] = 0.0  # odd-derivative convention keeps samples real
-            if a == grid.p - 1:
+            if a == 0:
                 omega, shape[a] = omega[:half], half
             iomegas.append(1j * omega.reshape(shape))
         table[(0,) * grid.p] = 0.0
         table.setflags(write=False)
         self.eigenvalues = table
-        lam = table[..., :half]
-        weights = np.full(half, 2.0)
-        weights[[0, -1]] = 1.0
+        lam = table[:half]
         self._lam = lam
         self._smooth = 1.0 / (1.0 + lam)
+        # H1 weight of the fluctuation: the zero mode is the mean
+        self._fluct_h1 = 1.0 + lam
+        self._fluct_h1[(0,) * grid.p] = 0.0
         self._iomegas = iomegas
-        self._dirichlet = weights * lam
 
     def _rfft(self, values: np.ndarray) -> np.ndarray:
-        return scipy.fft.rfftn(values, s=self.grid.shape, axes=self._axes)
+        return scipy.fft.rfftn(values, s=self._sizes, axes=self._axes)
 
     def _irfft(self, spectrum: np.ndarray) -> np.ndarray:
-        return scipy.fft.irfftn(spectrum, s=self.grid.shape, axes=self._axes)
+        return scipy.fft.irfftn(spectrum, s=self._sizes, axes=self._axes)
 
     def _multiply(self, values: np.ndarray, table: np.ndarray) -> np.ndarray:
         """Apply the diagonal half-spectrum multiplier ``table`` to real samples."""
         return self._irfft(table[..., None] * self._rfft(values))
 
+    def _inner(self, a: np.ndarray, b: np.ndarray) -> float:
+        """integrate(<u, v>) from the half spectra ``a`` and ``b`` of u and v.
+
+        Parseval: twice the sum of Re(a conj b) over the half spectrum, less
+        the first and last half-axis modes, which the full spectrum holds once.
+        """
+        a, b = a.view(np.float64), b.view(np.float64)
+        s = 2.0 * _dot(a, b) - _dot(a[0], b[0]) - _dot(a[-1], b[-1])
+        return self.grid.cell_weight * float(s) / self.grid.node_count
+
     def __repr__(self):
         return f"DiffOperator(scheme={self.scheme.value!r}, grid={self.grid!r})"
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of a * b in a fixed order (einsum, unlike a BLAS dot, is unthreaded)."""
+    return np.einsum("i,i->", a.ravel(), b.ravel())
 
 
 @dataclass(frozen=True)
@@ -172,8 +191,7 @@ def dirichlet_form(u: Field, v: Field, op: DiffOperator) -> float:
     u._check_compatible(v)
     uhat = op._rfft(u.values)
     vhat = uhat if v is u else op._rfft(v.values)
-    s = np.sum(op._dirichlet[..., None] * (uhat * vhat.conj()).real)
-    return op.grid.cell_weight * float(s) / op.grid.node_count
+    return op._inner(op._lam[..., None] * uhat, vhat)
 
 
 def l2_inner(u: Field, v: Field) -> float:

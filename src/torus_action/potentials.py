@@ -330,16 +330,26 @@ def make_log_sum_exp(directions, offsets: list[TrigPath]) -> Potential:
             z[..., j] += b(t)[..., 0]
         return z
 
+    def _reduce(ufunc, z):
+        # numpy reduces a short last axis row by row; J columns go faster
+        out = z[..., 0].copy()
+        for j in range(1, J):
+            ufunc(out, z[..., j], out=out)
+        return out
+
+    # value and _softmax work in place on their fresh logits array
     def value(t, x):
         z = _logits(t, x)
-        m = z.max(axis=-1)
-        return m + np.log(np.sum(np.exp(z - m[..., None]), axis=-1))
+        m = _reduce(np.maximum, z)
+        z -= m[..., None]
+        return m + np.log(_reduce(np.add, np.exp(z, out=z)))
 
     def _softmax(t, x):
         z = _logits(t, x)
-        z -= z.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=-1, keepdims=True)
+        z -= _reduce(np.maximum, z)[..., None]
+        np.exp(z, out=z)
+        z /= _reduce(np.add, z)[..., None]
+        return z
 
     def gradient(t, x):
         return _softmax(t, x) @ S

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import torus_action.minimize as minimize_module
 from torus_action import (
     DiffOperator,
     Field,
@@ -11,13 +14,17 @@ from torus_action import (
     TorusGrid,
     TrigPath,
     TrigTerm,
+    eval_action,
+    h1_inner,
     integrate,
     make_linear_drift,
     make_log_sum_exp,
     make_manufactured,
     make_quadratic_form,
     make_quadratic_shift,
+    mean_decompose,
     newton_krylov_refine,
+    pde_residual,
     solve,
 )
 
@@ -331,3 +338,220 @@ def test_anisotropic_quadratic_form_converges():
         res = solve(g, pot, op, SolverOptions(max_iters=500))
         assert res.status is SolveStatus.CONVERGED, scheme
         assert res.residual_inf < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# spectrum-resident descent: returned values, call counts, transform budget
+# ---------------------------------------------------------------------------
+
+def lse_problem():
+    # unequal axes, so a mix-up between the halved and the full axes shows
+    periods = (TWO_PI, 4.0)
+    g = TorusGrid(periods, (16, 8))
+    S = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+    offs = [
+        TrigPath(periods, 1, (TrigTerm(trig, freq, (c,)),))
+        for trig, freq, c in (("cos", (1, 0), 0.5), ("sin", (0, 1), -0.3),
+                              ("cos", (1, 1), 0.2))
+    ]
+    return g, make_log_sum_exp(S, offs)
+
+
+def count_transforms(monkeypatch):
+    import scipy.fft
+
+    counts = {"real": 0, "complex": 0}
+    for name in ("rfftn", "irfftn"):
+        def counted(*args, _fn=getattr(scipy.fft, name), **kwargs):
+            counts["real"] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, counted)
+    for mod in (np.fft, scipy.fft):
+        for name in ("fftn", "ifftn"):
+            def refused(*args, **kwargs):
+                counts["complex"] += 1
+                raise AssertionError("complex transform on the real-data path")
+
+            monkeypatch.setattr(mod, name, refused)
+    return counts
+
+
+def counting(pot, attr, calls):
+    fn = getattr(pot, attr)
+
+    def counted(t, x):
+        calls.append(1)
+        return fn(t, x)
+
+    return replace(pot, **{attr: counted})
+
+
+@pytest.mark.parametrize("precondition", [True, False])
+@pytest.mark.parametrize("scheme", [Scheme.SPECTRAL, Scheme.FD2])
+@pytest.mark.parametrize("method", ["gradient_descent", "nonlinear_cg", "lbfgs"])
+def test_result_matches_fresh_evaluation_of_the_returned_field(method, scheme, precondition):
+    # solve carries the iterate's spectrum, action and grad F instead of
+    # recomputing them; what it reports must still describe the field it returns
+    g, pot = lse_problem()
+    op = DiffOperator(g, scheme)
+    res = solve(g, pot, op, SolverOptions(method=method, precondition_h1=precondition,
+                                          max_iters=60))
+    assert res.iterations > 1
+    action = eval_action(res.u, pot, op)
+    residual = pde_residual(res.u, pot, op)
+    mean, fluct = mean_decompose(res.u)
+    assert_allclose(
+        [res.action.kinetic, res.action.potential_part, res.action.total,
+         res.action.grad_inf_norm, res.residual_inf, res.residual_l2],
+        [action.kinetic, action.potential_part, action.total,
+         action.grad_inf_norm, residual.inf_norm, residual.l2_norm],
+        rtol=1e-12, atol=0.0,
+    )
+    assert_allclose(res.mean, mean, rtol=1e-12, atol=0.0)
+    assert_allclose(res.fluctuation_h1_norm, np.sqrt(h1_inner(fluct, fluct, op)),
+                    rtol=1e-12, atol=0.0)
+    assert res.trace[-1, 0] == res.action.total
+
+
+def test_solve_evaluates_grad_f_once_per_iteration_and_once_at_the_start():
+    g, pot = lse_problem()
+    calls = []
+    res = solve(g, counting(pot, "gradient", calls), DiffOperator(g, Scheme.SPECTRAL),
+                SolverOptions(tol_grad_inf=1e-6, tol_residual_inf=1e-6))
+    assert res.status is SolveStatus.CONVERGED
+    assert res.iterations >= 3
+    assert len(calls) == res.iterations + 1
+
+
+@pytest.mark.parametrize("scheme", [Scheme.SPECTRAL, Scheme.FD2])
+def test_lbfgs_solve_stays_within_four_transforms_per_iteration(monkeypatch, scheme):
+    g, pot = lse_problem()
+    op = DiffOperator(g, scheme)
+    counts = count_transforms(monkeypatch)
+    res = solve(g, pot, op)
+    assert res.status is SolveStatus.CONVERGED
+    assert res.iterations >= 5
+    assert counts["complex"] == 0
+    assert counts["real"] <= 4 * res.iterations + 6
+
+
+def test_extra_line_search_trials_cost_no_transform(monkeypatch):
+    g, pot, _ = manufactured_problem(N=16)
+    op = DiffOperator(g, Scheme.SPECTRAL)
+    counts = count_transforms(monkeypatch)
+    seen = {}
+    for precondition in (True, False):
+        values = []
+        before = counts["real"]
+        res = solve(g, counting(pot, "value", values), op,
+                    SolverOptions(method="gradient_descent", precondition_h1=precondition,
+                                  max_iters=1, tol_grad_inf=0.0, tol_residual_inf=0.0))
+        assert res.iterations == 1
+        seen[precondition] = (len(values) - 1, counts["real"] - before)
+    # the H1 preconditioner inverts this Hessian exactly, so the first trial
+    # is taken; without it the unit step overshoots and is halved repeatedly
+    assert seen[True][0] == 1
+    assert seen[False][0] >= 3
+    assert seen[False][1] == seen[True][1]
+    assert counts["complex"] == 0
+
+
+def test_refine_spends_two_transforms_per_cg_iteration(monkeypatch):
+    g = TorusGrid((TWO_PI,), (16,))
+    S = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+    offs = [
+        TrigPath((TWO_PI,), 1, (TrigTerm("cos", (1,), (c,)),))
+        for c in (0.5, -0.3, 0.2)
+    ]
+    pot = make_log_sum_exp(S, offs)
+    op = DiffOperator(g, Scheme.SPECTRAL)
+    coarse = solve(g, pot, op, SolverOptions(tol_grad_inf=1e-4, tol_residual_inf=1e-4))
+
+    applications = []
+    pcg = minimize_module._pcg
+
+    def counting_pcg(apply_j, *args, **kwargs):
+        def counted(v):
+            applications.append(1)
+            return apply_j(v)
+
+        return pcg(counted, *args, **kwargs)
+
+    monkeypatch.setattr(minimize_module, "_pcg", counting_pcg)
+    grads = []
+    counts = count_transforms(monkeypatch)
+    refined = newton_krylov_refine(coarse, counting(pot, "gradient", grads), op, tol=1e-12)
+    steps = refined.iterations - coarse.iterations
+    assert refined.status is SolveStatus.CONVERGED
+    assert steps >= 2
+    assert len(applications) > steps
+    assert counts["complex"] == 0
+    # two per CG iteration, two per Newton step (the gradient's spectrum and
+    # the step's samples) and two per residual evaluation, one per grad F call
+    assert counts["real"] == 2 * len(applications) + 2 * steps + 2 * len(grads)
+
+
+# ---------------------------------------------------------------------------
+# line search at the rounding floor of the action
+# ---------------------------------------------------------------------------
+
+def test_lse_cube_converges_instead_of_stalling_at_the_rounding_floor():
+    # log-sum-exp over +-e_i on a 16^3 box of side 2 pi: the action is about
+    # 444 while the last steps lower it by less than its rounding error, so
+    # only the slope along the ray can tell a good step from an overshoot
+    periods = (TWO_PI,) * 3
+    g = TorusGrid(periods, (16,) * 3)
+    S = np.vstack([np.eye(3), -np.eye(3)])
+    pot = make_log_sum_exp(S, [TrigPath.zero(periods, 1)] * 6)
+    res = solve(g, pot, DiffOperator(g, Scheme.SPECTRAL), SolverOptions(max_iters=200))
+    assert res.status is SolveStatus.CONVERGED
+    assert res.iterations <= 30
+    assert res.residual_inf <= 1e-8
+
+
+@pytest.mark.parametrize("scheme", [Scheme.SPECTRAL, Scheme.FD2])
+def test_translated_quadratic_problems_all_converge_to_tight_tolerance(scheme):
+    # one problem moved by each whole-node translation along the first axis:
+    # only the rounding differs, and none may stall short of 1e-10
+    periods = (TWO_PI, TWO_PI)
+    g = TorusGrid(periods, (32, 32))
+    c, s = np.cos(0.2), np.sin(0.2)
+    A = np.array([[c, -s], [s, c]]) @ np.diag([1.0, 0.5]) @ np.array([[c, s], [-s, c]])
+    op = DiffOperator(g, scheme)
+    iterations = []
+    for k in range(32):
+        phase = TWO_PI * k / 32
+        drift = TrigPath(periods, 2, (
+            TrigTerm("cos", (0, 0), (0.06, 0.03)),
+            TrigTerm("cos", (1, 2), (0.3 * np.cos(phase), 0.09 * np.cos(phase))),
+            TrigTerm("sin", (1, 2), (-0.3 * np.sin(phase), -0.09 * np.sin(phase))),
+            TrigTerm("sin", (3, 1), (0.06, -0.12)),
+        ))
+        res = solve(g, make_quadratic_form(A, drift), op,
+                    SolverOptions(tol_grad_inf=1e-10, max_iters=200))
+        assert res.status is SolveStatus.CONVERGED, k
+        iterations.append(res.iterations)
+    assert max(iterations) <= 30
+
+
+def test_nonlinear_cg_at_the_rounding_floor_steps_to_the_ray_minimum():
+    # On this log-sum-exp problem the curvature falls along the search rays,
+    # so a slope test with the 1e-4 Armijo constant also takes the mirror
+    # point 2 alpha* of the ray's minimum, where the action does not move,
+    # and CG creeps; the tie-breaking test must reject it
+    periods = (1.0, 1.0)
+    g = TorusGrid(periods, (8, 8))
+
+    def path(*terms):
+        return TrigPath(periods, 1, tuple(TrigTerm(k, f, (c,)) for k, f, c in terms))
+
+    offs = [path(("sin", (2, 0), 0.42), ("cos", (2, 1), -0.79)),
+            path(("sin", (2, 1), -0.3), ("sin", (1, 1), -1.29)),
+            path(("cos", (0, 2), 0.11)),
+            path(("cos", (1, 1), 0.72), ("sin", (0, 1), -0.11))]
+    pot = make_log_sum_exp(np.vstack([np.eye(2), -np.eye(2)]), offs)
+    res = solve(g, pot, DiffOperator(g, Scheme.SPECTRAL),
+                SolverOptions(method="nonlinear_cg", max_iters=400))
+    assert res.status is SolveStatus.CONVERGED
+    assert res.iterations <= 40

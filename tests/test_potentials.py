@@ -194,6 +194,32 @@ def test_log_sum_exp_matches_naive_formula():
     assert pot.convexity is Convexity.STRICTLY_CONVEX
 
 
+def test_log_sum_exp_column_reductions_match_last_axis_reductions():
+    # value and softmax reduce over the J logit columns one column at a
+    # time; they must agree with the plain reductions over the last axis
+    periods = (TWO_PI,) * 4
+    g = TorusGrid(periods, (16,) * 4)
+    S = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    offs = [
+        TrigPath(periods, 1, (TrigTerm("cos", freq, (c,)),))
+        for freq, c in (((1, 0, 0, 0), 0.5), ((0, 0, 1, 0), 0.4),
+                        ((0, 0, 0, 0), 0.0), ((0, 1, 0, 1), 0.3))
+    ]
+    pot = make_log_sum_exp(S, offs)
+    t = g.coords()
+    x = np.random.default_rng(11).normal(0.0, 2.0, size=g.shape + (2,))
+    z = x @ S.T + np.concatenate([b(t) for b in offs], axis=-1)
+    m = z.max(axis=-1, keepdims=True)
+    e = np.exp(z - m)
+    prob = e / e.sum(axis=-1, keepdims=True)
+    value = m[..., 0] + np.log(np.sum(e, axis=-1))
+    grad = prob @ S
+    hess = np.einsum("...j,jm,jk->...mk", prob, S, S) - grad[..., :, None] * grad[..., None, :]
+    assert_allclose(pot.value(t, x), value, rtol=1e-15, atol=0.0)
+    assert_allclose(pot.gradient(t, x), grad, rtol=1e-15, atol=0.0)
+    assert_allclose(pot.hessian(t, x), hess, rtol=1e-15, atol=0.0)
+
+
 def test_log_sum_exp_is_overflow_safe():
     S = np.array([[1.0], [-1.0]])
     offs = [TrigPath.zero((TWO_PI,), 1)] * 2

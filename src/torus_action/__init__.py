@@ -24,37 +24,31 @@ from .certify import (
     wirtinger_audit,
     wirtinger_constant,
 )
-from .grid import Field, TorusGrid, build_grid, integrate, node_coords
+from .grid import Field, TorusGrid, build_grid, integrate
 from .minimize import (
     SolveResult,
     SolveStatus,
     SolverOptions,
     default_init,
-    divergence_monitor,
     newton_krylov_refine,
     solve,
 )
 from .operators import (
     ActionReport,
     DiffOperator,
-    GradientField,
     ResidualReport,
     Scheme,
     action_gradient,
     action_value,
     dirichlet_form,
     eval_action,
-    face_periodicity_audit,
     h1_inner,
     h1_precondition,
     l2_inner,
     l2_norm,
     laplacian,
-    line_probe,
     mean_decompose,
-    partials,
     pde_residual,
-    weak_pairing,
 )
 from .oracle import (
     DenseSystem,

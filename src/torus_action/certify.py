@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import Field, TorusGrid, integrate
+from .grid import Field, TorusGrid, check_periods, integrate
 from .operators import DiffOperator, dirichlet_form, l2_norm, mean_decompose
 from .potentials import Convexity, Potential
 
@@ -75,12 +75,7 @@ class MeanPotentialG:
     """
 
     def __init__(self, grid: TorusGrid, pot: Potential):
-        if len(pot.periods) != grid.p or not np.allclose(
-            pot.periods, grid.periods, rtol=1e-12, atol=0.0
-        ):
-            raise ValueError(
-                f"potential periods {pot.periods} do not match grid periods {grid.periods}"
-            )
+        check_periods("potential", pot.periods, grid)
         self.grid = grid
         self.pot = pot
         self.n = pot.n

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .certify import CertifyOptions, certify, wirtinger_audit, wirtinger_constant
-from .grid import Field, TorusGrid, build_grid
+from .grid import Field, build_grid
 from .minimize import SolveStatus, SolverOptions, solve
 from .operators import DiffOperator
 from .oracle import assemble_quadratic_system, dense_solve
@@ -276,7 +275,6 @@ def run(
     command: str | None = None,
     out_dir=None,
     seed: int | None = None,
-    threads: int | None = None,
 ) -> int:
     """Execute one config end to end; returns the process exit code."""
     started = time.perf_counter()
@@ -291,13 +289,6 @@ def run(
         )
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
-
-    if threads is None:
-        env = os.environ.get("TORUS_ACTION_THREADS")
-        threads = int(env) if env else None
-    # Kernels run on single-threaded scipy.fft transforms with a fixed
-    # reduction order, so results do not depend on this value; it is echoed
-    # for provenance.
 
     if seed is None:
         seed = int(config.get("seed", 0))
@@ -318,7 +309,6 @@ def run(
         "command": command,
         "config": config,
         "seed": seed,
-        "threads": threads,
         "version": __version__,
     }
     exit_code = 0
@@ -438,21 +428,9 @@ def main(argv=None) -> int:
         cmd.add_argument("--config", required=True, help="path to a JSON config")
         cmd.add_argument("--out", default=None, help="output directory override")
         cmd.add_argument("--seed", type=int, default=None, help="seed override")
-        cmd.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="recorded thread budget (kernels are single threaded)",
-        )
     args = parser.parse_args(argv)
     try:
-        return run(
-            args.config,
-            command=args.command,
-            out_dir=args.out,
-            seed=args.seed,
-            threads=args.threads,
-        )
+        return run(args.config, command=args.command, out_dir=args.out, seed=args.seed)
     except Exception as exc:
         print(f"torus-action: error: {exc}", file=sys.stderr)
         return 1

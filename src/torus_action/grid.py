@@ -85,30 +85,6 @@ class TorusGrid:
         """Node positions along one axis."""
         return self.spacings[axis] * np.arange(self.resolutions[axis])
 
-    def flat_index(self, idx) -> int:
-        """Flat node index of a multi-index (first axis varies slowest)."""
-        idx = tuple(int(k) for k in idx)
-        self._check_multi_index(idx)
-        return int(np.ravel_multi_index(idx, self.shape))
-
-    def multi_index(self, flat: int) -> tuple:
-        """Inverse of flat_index."""
-        flat = int(flat)
-        if not 0 <= flat < self.node_count:
-            raise ValueError(
-                f"flat index {flat} out of range for {self.node_count} nodes"
-            )
-        return tuple(int(k) for k in np.unravel_index(flat, self.shape))
-
-    def _check_multi_index(self, idx) -> None:
-        if len(idx) != self.p:
-            raise ValueError(f"multi-index {idx} has wrong length for p={self.p}")
-        for a, k in enumerate(idx):
-            if not 0 <= k < self.resolutions[a]:
-                raise ValueError(
-                    f"index {k} out of range [0, {self.resolutions[a]}) on axis {a + 1}"
-                )
-
     def __eq__(self, other):
         return (
             isinstance(other, TorusGrid)
@@ -130,11 +106,18 @@ def build_grid(p: int, periods, resolutions) -> TorusGrid:
     return TorusGrid(periods, resolutions)
 
 
-def node_coords(grid: TorusGrid, idx) -> np.ndarray:
-    """Coordinates t_k = (k_1 h_1, ..., k_p h_p) of one node."""
-    idx = tuple(int(k) for k in idx)
-    grid._check_multi_index(idx)
-    return np.array([k * h for k, h in zip(idx, grid.spacings)])
+def check_periods(what: str, periods, grid: TorusGrid) -> None:
+    """Reject periods that differ from the grid's beyond rounding.
+
+    ``what`` names the owner of the periods in the message, such as
+    "potential" or "path".
+    """
+    if len(periods) != grid.p or not np.allclose(
+        periods, grid.periods, rtol=1e-12, atol=0.0
+    ):
+        raise ValueError(
+            f"{what} periods {periods} do not match grid periods {grid.periods}"
+        )
 
 
 def integrate(grid: TorusGrid, node_values) -> float:
@@ -220,7 +203,11 @@ class Field:
 
     @property
     def flat(self) -> np.ndarray:
-        """Node-major, component-fastest flat copy of the values."""
+        """Node-major, component-fastest flat view of the values.
+
+        It shares memory with ``values`` (numpy copies only values that are
+        not contiguous), so writing to it changes the field.
+        """
         return self.values.reshape(-1)
 
     def copy(self) -> "Field":

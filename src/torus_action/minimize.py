@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
@@ -34,8 +33,6 @@ class SolveStatus(str, Enum):
 
 
 _METHODS = ("gradient_descent", "nonlinear_cg", "lbfgs")
-
-TRACE_COLUMNS = ("action", "grad_inf", "mean_norm", "fluctuation_h1")
 
 # Action values closer than this, relative to the size of their kinetic and
 # potential parts, tie to rounding in the line search.
@@ -110,26 +107,6 @@ def default_init(grid: TorusGrid, n: int, opts: SolverOptions) -> Field:
     rng = np.random.default_rng(opts.seed)
     values = rng.normal(0.0, opts.init_noise, size=grid.shape + (int(n),))
     return Field(grid, values)
-
-
-def divergence_monitor(trace, opts: SolverOptions) -> Optional[SolveStatus]:
-    """Detect the missing-minimizer signature in a descent trace.
-
-    Fires when the latest mean norm has crossed the divergence threshold while
-    the fluctuation norm stays within ten times its running median; a blowing
-    up fluctuation would indicate a broken step rule instead, and is left to
-    the line search to handle.
-    """
-    rows = np.asarray(trace, dtype=float)
-    if rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] != len(TRACE_COLUMNS):
-        return None
-    mean_norm = rows[-1, 2]
-    if mean_norm < opts.divergence_mean_norm:
-        return None
-    median_fluct = float(np.median(rows[:, 3]))
-    if rows[-1, 3] <= 10.0 * median_fluct + 1e-12:
-        return SolveStatus.DIVERGED_NON_COERCIVE
-    return None
 
 
 def _fluctuation_h1(uhat: np.ndarray, op: DiffOperator) -> float:
@@ -346,12 +323,19 @@ def solve(
         f, kinetic, potential_part = f_try, kinetic_try, potential_try
         alpha_prev = alpha
         iterations += 1
-        trace.append(_trace_row(f, grad_inf, uhat, op))
+        row = _trace_row(f, grad_inf, uhat, op)
+        trace.append(row)
 
-        signal = divergence_monitor(trace, opts)
-        if signal is not None:
-            status = signal
-            break
+        # The missing-minimizer signature: the mean norm has crossed the
+        # threshold while the fluctuation norm stays within ten times its
+        # running median.  A blowing-up fluctuation would point at a broken
+        # step rule instead, and is left to the line search.  The median
+        # walks the whole trace, so it is taken only past the threshold.
+        if not row[2] < opts.divergence_mean_norm:
+            median_fluct = float(np.median([r[3] for r in trace]))
+            if row[3] <= 10.0 * median_fluct + 1e-12:
+                status = SolveStatus.DIVERGED_NON_COERCIVE
+                break
     else:
         # loop exhausted without convergence or divergence
         if grad_inf <= opts.tol_grad_inf and grad_inf <= opts.tol_residual_inf:

@@ -1,14 +1,11 @@
-"""Discrete derivatives, the action functional, and weak-form pairings.
+"""The discrete Laplacian, the action functional and its quadrature pairings.
 
 Both difference schemes are diagonal in the discrete Fourier basis, so one
 real-to-complex transform pair over the half spectrum implements the
-Laplacian, the Dirichlet pairing, the H1 preconditioner and the spectral
-partials for either scheme; only the eigenvalue table changes.  Energies and
-pairings are evaluated through that table, which makes
-discrete integration by parts exact to rounding: the sampled first-derivative
-stencils (spectral with a zeroed Nyquist mode, centered three-point FD2) are
-not exactly adjoint to the Laplacians they accompany, so they are reserved
-for reporting and the periodicity audit.
+Laplacian, the Dirichlet pairing and the H1 preconditioner for either
+scheme; only the eigenvalue table changes.  Energies and pairings are
+evaluated through that table, which makes discrete integration by parts
+exact to rounding.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ from enum import Enum
 import numpy as np
 import scipy.fft
 
-from .grid import Field, TorusGrid, integrate
+from .grid import Field, TorusGrid, check_periods, integrate
 from .potentials import Potential
 
 
@@ -52,35 +49,24 @@ class DiffOperator:
         # rfftn halves the last axis it is given
         self._axes = tuple(range(1, grid.p)) + (0,)
         self._sizes = tuple(grid.shape[a] for a in self._axes)
-        half = grid.resolutions[0] // 2 + 1
-        signed = [np.fft.fftfreq(N, 1.0 / N) for N in grid.resolutions]
         table = np.zeros(grid.shape)
-        iomegas = []
-        for a, (khat, N, T, h) in enumerate(
-            zip(signed, grid.resolutions, grid.periods, grid.spacings)
-        ):
+        for a, (N, T, h) in enumerate(zip(grid.resolutions, grid.periods, grid.spacings)):
             if self.scheme is Scheme.SPECTRAL:
-                lam_axis = (2.0 * np.pi * khat / T) ** 2
+                lam_axis = (2.0 * np.pi * np.fft.fftfreq(N, 1.0 / N) / T) ** 2
             else:
                 lam_axis = (2.0 / h**2) * (1.0 - np.cos(2.0 * np.pi * np.arange(N) / N))
             shape = [1] * grid.p
             shape[a] = N
             table = table + lam_axis.reshape(shape)
-            omega = 2.0 * np.pi * khat / T
-            omega[N // 2] = 0.0  # odd-derivative convention keeps samples real
-            if a == 0:
-                omega, shape[a] = omega[:half], half
-            iomegas.append(1j * omega.reshape(shape))
         table[(0,) * grid.p] = 0.0
         table.setflags(write=False)
         self.eigenvalues = table
-        lam = table[:half]
+        lam = table[: grid.resolutions[0] // 2 + 1]
         self._lam = lam
         self._smooth = 1.0 / (1.0 + lam)
         # H1 weight of the fluctuation: the zero mode is the mean
         self._fluct_h1 = 1.0 + lam
         self._fluct_h1[(0,) * grid.p] = 0.0
-        self._iomegas = iomegas
 
     def _rfft(self, values: np.ndarray) -> np.ndarray:
         return scipy.fft.rfftn(values, s=self._sizes, axes=self._axes)
@@ -112,15 +98,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class GradientField:
-    """First partials of a field: ``partials[..., i, a]`` is d u^i / d t^a."""
-
-    grid: TorusGrid
-    n: int
-    partials: np.ndarray
-
-
-@dataclass(frozen=True)
 class ActionReport:
     kinetic: float
     potential_part: float
@@ -143,34 +120,7 @@ def _check_field(op: DiffOperator, u: Field) -> None:
 def _check_potential(u: Field, pot: Potential) -> None:
     if pot.n != u.n:
         raise ValueError(f"potential has n={pot.n}, field has n={u.n}")
-    if len(pot.periods) != u.grid.p or not np.allclose(
-        pot.periods, u.grid.periods, rtol=1e-12, atol=0.0
-    ):
-        raise ValueError(
-            f"potential periods {pot.periods} do not match grid periods {u.grid.periods}"
-        )
-
-
-def partials(op: DiffOperator, u: Field) -> GradientField:
-    """Sampled first partial derivatives of u along every time axis.
-
-    Spectral: differentiate the trigonometric interpolant (Nyquist mode
-    dropped so samples stay real).  FD2: centered difference
-    (u_{k+1} - u_{k-1}) / (2 h_a) with periodic wraparound.
-    """
-    _check_field(op, u)
-    grid = op.grid
-    out = np.empty(grid.shape + (u.n, grid.p))
-    if op.scheme is Scheme.SPECTRAL:
-        spectrum = op._rfft(u.values)
-        for a in range(grid.p):
-            out[..., a] = op._irfft(op._iomegas[a][..., None] * spectrum)
-    else:
-        for a in range(grid.p):
-            out[..., a] = (
-                np.roll(u.values, -1, axis=a) - np.roll(u.values, 1, axis=a)
-            ) / (2.0 * grid.spacings[a])
-    return GradientField(grid, u.n, out)
+    check_periods("potential", pot.periods, u.grid)
 
 
 def laplacian(op: DiffOperator, u: Field) -> Field:
@@ -246,19 +196,6 @@ def eval_action(u: Field, pot: Potential, op: DiffOperator) -> ActionReport:
     )
 
 
-def weak_pairing(u: Field, v: Field, pot: Potential, op: DiffOperator) -> float:
-    """Weak-form pairing integrate(<du, dv> + <grad F(t, u), v>).
-
-    Agrees with integrate(<action_gradient(u), v>) by discrete integration by
-    parts; vanishing for all v characterizes discrete weak solutions.
-    """
-    _check_potential(u, pot)
-    grad = pot.gradient(op.grid.coords(), u.values)
-    return dirichlet_form(u, v, op) + op.grid.cell_weight * float(
-        np.sum(grad * v.values)
-    )
-
-
 def pde_residual(u: Field, pot: Potential, op: DiffOperator) -> ResidualReport:
     """Strong-form residual laplacian(u) - grad F(t, u) with inf and L2 norms."""
     _check_field(op, u)
@@ -282,52 +219,3 @@ def h1_precondition(op: DiffOperator, g: Field) -> Field:
     """Divide frequency components by (1 + lambda_k); smooths an L2 gradient."""
     _check_field(op, g)
     return Field(op.grid, op._multiply(g.values, op._smooth), _check=False)
-
-
-def line_probe(u: Field, v: Field, pot: Potential, op: DiffOperator, lambdas) -> np.ndarray:
-    """Action values along the segment u + lambda v for each probe lambda."""
-    return np.array([action_value(u + float(lam) * v, pot, op) for lam in lambdas])
-
-
-def _interpolant_eval(u: Field, points: np.ndarray, deriv_axis: int | None = None) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of u (or one partial) off-grid."""
-    grid = u.grid
-    axes = tuple(range(grid.p))
-    coeffs = np.fft.fftn(u.values, axes=axes).reshape(-1, u.n) / grid.node_count
-    signed = [np.fft.fftfreq(N, 1.0 / N) for N in grid.resolutions]
-    mesh = np.meshgrid(*signed, indexing="ij")
-    omega = np.stack(
-        [2.0 * np.pi * m / T for m, T in zip(mesh, grid.periods)], axis=-1
-    ).reshape(-1, grid.p)
-    if deriv_axis is not None:
-        coeffs = coeffs * (1j * omega[:, deriv_axis])[:, None]
-    phase = np.asarray(points, dtype=float) @ omega.T
-    return (np.exp(1j * phase) @ coeffs).real
-
-
-def face_periodicity_audit(u: Field, axis: int) -> float:
-    """Max discrepancy of the interpolant and its partials across one face pair.
-
-    Evaluates the trigonometric reconstruction of u on t^axis = 0 and
-    t^axis = T^axis at matching transverse nodes; periodic identification
-    makes the true discrepancy zero, so anything beyond rounding indicates a
-    broken torus representation.
-    """
-    grid = u.grid
-    if not 0 <= axis < grid.p:
-        raise ValueError(f"axis {axis} out of range for p={grid.p}")
-    coords = grid.coords()
-    face = coords[(slice(None),) * axis + (slice(0, 1),)].reshape(-1, grid.p)
-    lower = face.copy()
-    upper = face.copy()
-    upper[:, axis] = grid.periods[axis]
-    worst = float(
-        np.abs(_interpolant_eval(u, lower) - _interpolant_eval(u, upper)).max()
-    )
-    for a in range(grid.p):
-        gap = np.abs(
-            _interpolant_eval(u, lower, deriv_axis=a)
-            - _interpolant_eval(u, upper, deriv_axis=a)
-        ).max()
-        worst = max(worst, float(gap))
-    return worst

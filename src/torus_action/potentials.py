@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import Field, TorusGrid
+from .grid import Field, TorusGrid, check_periods
 
 
 class Convexity(str, Enum):
@@ -168,12 +168,7 @@ class TrigPath:
 
 def check_path_resolvable(path: TrigPath, grid: TorusGrid) -> None:
     """Reject coefficient frequencies at or beyond the per-axis Nyquist limit."""
-    if len(path.periods) != grid.p or not np.allclose(
-        path.periods, grid.periods, rtol=1e-12, atol=0.0
-    ):
-        raise ValueError(
-            f"path periods {path.periods} do not match grid periods {grid.periods}"
-        )
+    check_periods("path", path.periods, grid)
     kmax = path.max_abs_freq()
     for a, (k, N) in enumerate(zip(kmax, grid.resolutions)):
         if 2 * k >= N:
@@ -201,7 +196,6 @@ class Potential:
     convexity: Convexity = Convexity.NON_CONVEX_UNCHECKED
     hessian: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     kind: str = ""
-    metadata: str = ""
 
 
 def make_quadratic_shift(n: int, shift: TrigPath) -> Potential:
@@ -221,7 +215,6 @@ def make_quadratic_shift(n: int, shift: TrigPath) -> Potential:
         eye = np.eye(shift.n)
         return np.broadcast_to(eye, x.shape[:-1] + (shift.n, shift.n)).copy()
 
-    peak = sum(float(np.linalg.norm(term.coeff)) for term in shift.terms)
     return Potential(
         n=int(n),
         periods=shift.periods,
@@ -230,7 +223,6 @@ def make_quadratic_shift(n: int, shift: TrigPath) -> Potential:
         convexity=Convexity.STRICTLY_CONVEX,
         hessian=hessian,
         kind="quadratic_shift",
-        metadata=f"growth bound: F <= (r + {peak:.6g})**2 / 2, gradient <= r + {peak:.6g}",
     )
 
 
@@ -250,7 +242,6 @@ def make_linear_drift(n: int, drift: TrigPath) -> Potential:
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1] + (drift.n, drift.n))
 
-    peak = sum(float(np.linalg.norm(term.coeff)) for term in drift.terms)
     return Potential(
         n=int(n),
         periods=drift.periods,
@@ -259,7 +250,6 @@ def make_linear_drift(n: int, drift: TrigPath) -> Potential:
         convexity=Convexity.CONVEX,
         hessian=hessian,
         kind="linear_drift",
-        metadata=f"growth bound: |F| <= {peak:.6g} * r, gradient bounded by {peak:.6g}",
     )
 
 
@@ -288,7 +278,6 @@ def make_quadratic_form(matrix, drift: TrigPath) -> Potential:
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(A, x.shape[:-1] + (n, n)).copy()
 
-    top = float(np.linalg.eigvalsh(A)[-1])
     return Potential(
         n=n,
         periods=drift.periods,
@@ -297,7 +286,6 @@ def make_quadratic_form(matrix, drift: TrigPath) -> Potential:
         convexity=Convexity.STRICTLY_CONVEX,
         hessian=hessian,
         kind="quadratic_form",
-        metadata=f"growth bound: F <= {top:.6g} * r**2 / 2 + O(r)",
     )
 
 
@@ -360,7 +348,6 @@ def make_log_sum_exp(directions, offsets: list[TrigPath]) -> Potential:
         g = prob @ S
         return weighted - g[..., :, None] * g[..., None, :]
 
-    smax = float(np.abs(S).sum(axis=1).max())
     return Potential(
         n=n,
         periods=periods,
@@ -369,7 +356,6 @@ def make_log_sum_exp(directions, offsets: list[TrigPath]) -> Potential:
         convexity=convexity,
         hessian=hessian,
         kind="log_sum_exp",
-        metadata=f"growth bound: F <= {smax:.6g} * r + O(1), gradient bounded",
     )
 
 
@@ -394,7 +380,6 @@ def make_manufactured(grid: TorusGrid, n: int, target: TrigPath):
         convexity=base.convexity,
         hessian=base.hessian,
         kind="manufactured",
-        metadata="growth bound: F <= r**2 / 2 + O(r); target solution known in closed form",
     )
     return pot, exact
 

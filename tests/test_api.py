@@ -1,0 +1,83 @@
+import inspect
+
+import torus_action
+
+# The public surface: what the CLI, the README quick start, the acceptance
+# suite and perfbench/worker.py call, the result types those calls return,
+# and the reference helpers the unit tests compare against.
+PUBLIC_NAMES = {
+    # grid
+    "Field",
+    "TorusGrid",
+    "build_grid",
+    "integrate",
+    # potentials
+    "Convexity",
+    "Potential",
+    "PotentialBundle",
+    "TrigPath",
+    "TrigTerm",
+    "check_gradient",
+    "check_midpoint_convexity",
+    "check_path_resolvable",
+    "make_linear_drift",
+    "make_log_sum_exp",
+    "make_manufactured",
+    "make_quadratic_form",
+    "make_quadratic_shift",
+    "potential_from_dict",
+    # operators
+    "ActionReport",
+    "DiffOperator",
+    "ResidualReport",
+    "Scheme",
+    "action_gradient",
+    "action_value",
+    "dirichlet_form",
+    "eval_action",
+    "h1_inner",
+    "h1_precondition",
+    "l2_inner",
+    "l2_norm",
+    "laplacian",
+    "mean_decompose",
+    "pde_residual",
+    # minimize
+    "SolveResult",
+    "SolveStatus",
+    "SolverOptions",
+    "default_init",
+    "newton_krylov_refine",
+    "solve",
+    # certify
+    "CertifyOptions",
+    "Coercivity",
+    "ConsistencyError",
+    "MeanPotentialG",
+    "RayProbe",
+    "SolvabilityCertificate",
+    "Verdict",
+    "build_mean_potential",
+    "certify",
+    "coercivity_probe",
+    "find_stationary_mean",
+    "fluctuation_ratio",
+    "wirtinger_audit",
+    "wirtinger_constant",
+    # oracle
+    "DenseSystem",
+    "NotPositiveDefiniteError",
+    "assemble_quadratic_system",
+    "dense_solve",
+    "fd_action_gradient",
+    "fd_directional_derivative",
+}
+
+
+def test_public_names_are_pinned():
+    exported = {
+        name
+        for name in dir(torus_action)
+        if not name.startswith("_") and not inspect.ismodule(getattr(torus_action, name))
+    }
+    assert exported == PUBLIC_NAMES

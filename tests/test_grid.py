@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from torus_action import Field, TorusGrid, build_grid, integrate, node_coords
+from torus_action import Field, TorusGrid, build_grid, integrate
 
 TWO_PI = 2.0 * np.pi
 
@@ -65,16 +65,6 @@ def test_coords_layout_and_protection():
     with pytest.raises(ValueError):
         c[0, 0, 0] = 99.0
     assert_allclose(g.axis_coords(0), np.arange(4) * TWO_PI / 4)
-
-
-def test_flat_and_multi_index_round_trip():
-    g = TorusGrid((1.0, 2.0, 3.0), (4, 6, 8))
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        idx = tuple(rng.integers(0, s) for s in g.shape)
-        k = g.flat_index(idx)
-        assert g.multi_index(k) == idx
-    assert_allclose(node_coords(g, (1, 2, 3)), [0.25, 2.0 / 3, 9.0 / 8])
 
 
 def test_integrate_constant_gives_volume():

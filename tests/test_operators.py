@@ -5,28 +5,29 @@ from numpy.testing import assert_allclose
 from torus_action import (
     DiffOperator,
     Field,
+    MeanPotentialG,
     Scheme,
+    SolverOptions,
     TorusGrid,
     TrigPath,
     TrigTerm,
     action_gradient,
     action_value,
+    certify,
+    check_path_resolvable,
     dirichlet_form,
     eval_action,
-    face_periodicity_audit,
     h1_inner,
     h1_precondition,
-    integrate,
     l2_inner,
     l2_norm,
     laplacian,
-    line_probe,
     make_manufactured,
     make_quadratic_shift,
     mean_decompose,
-    partials,
+    newton_krylov_refine,
     pde_residual,
-    weak_pairing,
+    solve,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -41,51 +42,6 @@ def random_field(grid, n, seed):
 
 def sin_field(grid):
     return Field.from_function(grid, 1, lambda t: np.sin(t[..., :1]))
-
-
-# ---------------------------------------------------------------------------
-# derivative stencils
-# ---------------------------------------------------------------------------
-
-def test_spectral_derivative_of_sin_is_cos():
-    g = TorusGrid((TWO_PI,), (16,))
-    op = DiffOperator(g, Scheme.SPECTRAL)
-    d = partials(op, sin_field(g)).partials
-    assert d.shape == (16, 1, 1)
-    assert_allclose(d[:, 0, 0], np.cos(g.axis_coords(0)), atol=1e-14)
-
-
-def test_fd2_derivative_of_sin_on_coarse_grid():
-    # centered difference of sin on N=4: (sin(h) - sin(-h)) / (2h) = 2/pi
-    g = TorusGrid((TWO_PI,), (4,))
-    op = DiffOperator(g, Scheme.FD2)
-    d = partials(op, sin_field(g)).partials
-    assert_allclose(d[0, 0, 0], 2.0 / np.pi, rtol=1e-14)
-
-
-def test_fd2_derivative_second_order_convergence():
-    errs = []
-    for N in (16, 32):
-        g = TorusGrid((TWO_PI,), (N,))
-        op = DiffOperator(g, Scheme.FD2)
-        d = partials(op, sin_field(g)).partials[:, 0, 0]
-        errs.append(np.max(np.abs(d - np.cos(g.axis_coords(0)))))
-    assert 3.5 < errs[0] / errs[1] < 4.5
-
-
-def test_partials_of_constant_vanish():
-    g = TorusGrid((TWO_PI, 4.0), (8, 6))
-    c = Field.constant(g, [2.0, -1.0, 0.5])
-    for scheme in SCHEMES:
-        d = partials(DiffOperator(g, scheme), c).partials
-        assert d.shape == (8, 6, 3, 2)
-        assert_allclose(d, 0.0, atol=1e-14)
-
-
-def test_partials_output_is_real():
-    g = TorusGrid((TWO_PI,), (8,))
-    d = partials(DiffOperator(g, Scheme.SPECTRAL), random_field(g, 2, 0))
-    assert d.partials.dtype == np.float64
 
 
 # ---------------------------------------------------------------------------
@@ -240,29 +196,6 @@ def test_action_gradient_matches_line_derivative():
         assert_allclose(pairing, fd, rtol=1e-7)
 
 
-def test_weak_pairing_of_sin_with_itself():
-    # int cos^2 + int sin*sin = 2*pi under F(x) = |x|^2/2
-    g = TorusGrid((TWO_PI,), (16,))
-    op = DiffOperator(g, Scheme.SPECTRAL)
-    pot = make_quadratic_shift(1, TrigPath.zero((TWO_PI,), 1))
-    u = sin_field(g)
-    assert_allclose(weak_pairing(u, u, pot, op), 2 * np.pi, rtol=1e-13)
-
-
-def test_weak_pairing_vanishes_at_solution():
-    g = TorusGrid((TWO_PI, TWO_PI), (16, 16))
-    target = TrigPath(
-        (TWO_PI, TWO_PI), 1,
-        (TrigTerm("sin", (1, 0), (1.0,)), TrigTerm("cos", (1, 1), (0.5,))),
-    )
-    pot, exact = make_manufactured(g, 1, target)
-    op = DiffOperator(g, Scheme.SPECTRAL)
-    rng = np.random.default_rng(8)
-    for k in range(5):
-        v = Field(g, rng.standard_normal(g.shape + (1,)))
-        assert abs(weak_pairing(exact, v, pot, op)) < 1e-11
-
-
 def test_pde_residual_of_exact_solution():
     g = TorusGrid((TWO_PI,), (32,))
     target = TrigPath((TWO_PI,), 1, (TrigTerm("sin", (1,), (1.0,)),))
@@ -272,19 +205,6 @@ def test_pde_residual_of_exact_solution():
     assert rep.inf_norm < 1e-13
     assert rep.l2_norm < 1e-13
     assert rep.field.values.shape == (32, 1)
-
-
-def test_line_probe_is_convex_for_quadratic():
-    g = TorusGrid((TWO_PI,), (16,))
-    op = DiffOperator(g, Scheme.SPECTRAL)
-    pot = make_quadratic_shift(1, TrigPath.zero((TWO_PI,), 1))
-    u = random_field(g, 1, 0)
-    v = random_field(g, 1, 1)
-    lams = np.linspace(0.0, 1.0, 11)
-    vals = line_probe(u, v, pot, op, lams)
-    assert vals.shape == (11,)
-    mids = 0.5 * (vals[:-2] + vals[2:])
-    assert np.all(vals[1:-1] <= mids + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -314,37 +234,6 @@ def test_h1_precondition_inverts_one_plus_laplacian():
 
 
 # ---------------------------------------------------------------------------
-# periodicity audit
-# ---------------------------------------------------------------------------
-
-def test_face_periodicity_audit_smooth_field():
-    g = TorusGrid((TWO_PI,), (16,))
-    u = sin_field(g)
-    assert face_periodicity_audit(u, 0) < 1e-12
-
-
-def test_face_periodicity_audit_multi_axis():
-    g = TorusGrid((TWO_PI, TWO_PI), (8, 8))
-    rng = np.random.default_rng(5)
-    terms = tuple(
-        TrigTerm("cos", (int(k1), int(k2)), (float(c),))
-        for k1, k2, c in zip(rng.integers(-3, 4, 9), rng.integers(-3, 4, 9),
-                             rng.standard_normal(9))
-    )
-    path = TrigPath((TWO_PI, TWO_PI), 1, terms)
-    u = Field.from_function(g, 1, lambda t: path(t))
-    for axis in range(2):
-        assert face_periodicity_audit(u, axis) < 1e-12
-
-
-def test_face_periodicity_audit_constant_is_zero():
-    g = TorusGrid((TWO_PI, 3.0), (8, 6))
-    c = Field.constant(g, [2.0])
-    assert face_periodicity_audit(c, 0) == 0.0
-    assert face_periodicity_audit(c, 1) == 0.0
-
-
-# ---------------------------------------------------------------------------
 # input validation
 # ---------------------------------------------------------------------------
 
@@ -365,6 +254,36 @@ def test_action_rejects_mismatched_potential_periods():
         action_value(Field.zeros(g, 1), pot, op)
 
 
+def _refine(g, op, pot, path):
+    matched = make_quadratic_shift(1, TrigPath.zero(g.periods, 1))
+    newton_krylov_refine(solve(g, matched, op, SolverOptions(max_iters=1)), pot, op)
+
+
+# entry point -> (owner named in the message, call on grid, operator, potential, path)
+PERIOD_CHECKS = {
+    "action_value": (
+        "potential", lambda g, op, pot, path: action_value(Field.zeros(g, 1), pot, op)
+    ),
+    "solve": ("potential", lambda g, op, pot, path: solve(g, pot, op)),
+    "newton_krylov_refine": ("potential", _refine),
+    "MeanPotentialG": ("potential", lambda g, op, pot, path: MeanPotentialG(g, pot)),
+    "certify": ("potential", lambda g, op, pot, path: certify(g, pot, op)),
+    "check_path_resolvable": ("path", lambda g, op, pot, path: check_path_resolvable(path, g)),
+}
+
+
+@pytest.mark.parametrize("periods", [(4.0,), (TWO_PI, TWO_PI)], ids=["value", "count"])
+@pytest.mark.parametrize("entry", sorted(PERIOD_CHECKS))
+def test_every_entry_point_rejects_mismatched_periods(entry, periods):
+    g = TorusGrid((TWO_PI,), (16,))
+    op = DiffOperator(g, Scheme.SPECTRAL)
+    path = TrigPath.zero(periods, 1)
+    pot = make_quadratic_shift(1, path)
+    owner, call = PERIOD_CHECKS[entry]
+    with pytest.raises(ValueError, match=rf"^{owner} periods .* do not match grid periods"):
+        call(g, op, pot, path)
+
+
 # ---------------------------------------------------------------------------
 # real-FFT kernel against a full complex-spectrum reference
 # ---------------------------------------------------------------------------
@@ -377,21 +296,18 @@ KERNEL_GRIDS = {
 }
 
 
-def reference_symbols(grid, scheme):
-    """Full-spectrum eigenvalues of -laplacian and first-derivative symbols."""
+def reference_eigenvalues(grid, scheme):
+    """Full-spectrum eigenvalues of -laplacian."""
     mesh = np.meshgrid(
         *[np.fft.fftfreq(N, 1.0 / N) for N in grid.resolutions], indexing="ij"
     )
     lam = np.zeros(grid.shape)
-    derivs = []
     for m, N, T, h in zip(mesh, grid.resolutions, grid.periods, grid.spacings):
         if scheme is Scheme.SPECTRAL:
             lam += (2.0 * np.pi * m / T) ** 2
-            derivs.append(1j * np.where(np.abs(m) == N // 2, 0.0, 2.0 * np.pi * m / T))
         else:
             lam += (2.0 / h**2) * (1.0 - np.cos(2.0 * np.pi * m / N))
-            derivs.append(1j * np.sin(2.0 * np.pi * m / N) / h)
-    return lam, derivs
+    return lam
 
 
 def assert_matches(actual, reference):
@@ -408,7 +324,7 @@ def test_kernel_matches_complex_reference(p, n, scheme):
     axes = tuple(range(p))
     u = random_field(grid, n, 10 * p + n)
     v = random_field(grid, n, 10 * p + n + 5)
-    lam, derivs = reference_symbols(grid, scheme)
+    lam = reference_eigenvalues(grid, scheme)
     uhat = np.fft.fftn(u.values, axes=axes)
     vhat = np.fft.fftn(v.values, axes=axes)
 
@@ -423,9 +339,6 @@ def test_kernel_matches_complex_reference(p, n, scheme):
     for a, b, ahat, bhat in ((u, v, uhat, vhat), (u, u, uhat, uhat)):
         reference = weight * np.sum(lam[..., None] * (ahat * np.conj(bhat)).real)
         assert_matches(np.array(dirichlet_form(a, b, op)), reference)
-    d = partials(op, u).partials
-    for a in range(p):
-        assert_matches(d[..., a], back(derivs[a][..., None] * uhat))
 
 
 def count_transforms(monkeypatch):
@@ -468,5 +381,3 @@ def test_kernel_operators_use_one_real_transform_pair(monkeypatch):
     laplacian(op, u)
     h1_precondition(op, u)
     assert counts == {"rfftn": 2, "irfftn": 2, "complex": 0}
-    partials(op, u)
-    assert counts == {"rfftn": 3, "irfftn": 4, "complex": 0}

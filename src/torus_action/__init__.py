@@ -75,4 +75,70 @@ from .potentials import (
     potential_from_dict,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = (
+    # grid
+    "Field",
+    "TorusGrid",
+    "build_grid",
+    "integrate",
+    # potentials
+    "Convexity",
+    "Potential",
+    "PotentialBundle",
+    "TrigPath",
+    "TrigTerm",
+    "check_gradient",
+    "check_midpoint_convexity",
+    "check_path_resolvable",
+    "make_linear_drift",
+    "make_log_sum_exp",
+    "make_manufactured",
+    "make_quadratic_form",
+    "make_quadratic_shift",
+    "potential_from_dict",
+    # operators
+    "ActionReport",
+    "DiffOperator",
+    "ResidualReport",
+    "Scheme",
+    "action_gradient",
+    "action_value",
+    "dirichlet_form",
+    "eval_action",
+    "h1_inner",
+    "h1_precondition",
+    "l2_inner",
+    "l2_norm",
+    "laplacian",
+    "mean_decompose",
+    "pde_residual",
+    # minimize
+    "SolveResult",
+    "SolveStatus",
+    "SolverOptions",
+    "default_init",
+    "newton_krylov_refine",
+    "solve",
+    # certify
+    "CertifyOptions",
+    "Coercivity",
+    "ConsistencyError",
+    "MeanPotentialG",
+    "RayProbe",
+    "SolvabilityCertificate",
+    "Verdict",
+    "build_mean_potential",
+    "certify",
+    "coercivity_probe",
+    "find_stationary_mean",
+    "fluctuation_ratio",
+    "wirtinger_audit",
+    "wirtinger_constant",
+    # oracle
+    "DenseSystem",
+    "NotPositiveDefiniteError",
+    "assemble_quadratic_system",
+    "dense_solve",
+    "fd_action_gradient",
+    "fd_directional_derivative",
+)

@@ -42,11 +42,22 @@ _ACTION_TIE = 1e-13
 # take the mirror point 2 alpha* of the ray's minimum wherever the curvature
 # falls along the ray, and the iterates would creep.
 _TIE_DECREASE = 0.1
+# A tied trial whose ray promised a first-order decrease -alpha g.d above this
+# many tie widths is taken for the mirror point and rejected outright.
+_MIRROR_PROMISE = 8.0
 
 
 @dataclass
 class SolverOptions:
-    """Descent configuration; defaults suit desk-scale convex problems."""
+    """Descent configuration; defaults suit desk-scale convex problems.
+
+    ``precondition_h1`` switches the preconditioner of every descent
+    method: the per-mode inverse (lambda_k I + H-bar)^-1, where H-bar is the
+    box mean of the potential's Hessian at the initial field, with the H1
+    smoother 1 / (1 + lambda_k) on the singular directions of H-bar and for
+    a potential without a Hessian.  False means no preconditioner.  The
+    Newton-Krylov polish always preconditions its CG the same way.
+    """
 
     method: str = "lbfgs"
     precondition_h1: bool = True
@@ -119,6 +130,48 @@ def _trace_row(f, grad_inf, uhat, op):
     return (f, grad_inf, float(np.linalg.norm(mean)), _fluctuation_h1(uhat, op))
 
 
+def _fitted_preconditioner(op: DiffOperator, hbar: np.ndarray):
+    """The map w -> (lambda_k I + hbar)^-1 w on half spectra of n-vector fields.
+
+    ``hbar`` is a box mean of the potential's Hessian, so for a quadratic
+    potential this inverts the action's Hessian exactly, and the zero mode
+    takes a Newton step on the mean.  Along an eigendirection of ``hbar``
+    that is singular to 1e-10 of its scale the scale is the H1 smoother
+    1 / (1 + lambda_k); with ``hbar`` zero or the identity the map is that
+    smoother bit for bit.  The per-mode n x n matrices are real and are
+    applied as multiply-adds over the component columns, skipping the
+    entries that vanish, at no transform cost.
+    """
+    mu, q = np.linalg.eigh(hbar)
+    floor = 1e-10 * max(1.0, float(np.abs(mu).max()))
+    scales = [1.0 / (op._lam + m) if m > floor else op._smooth for m in mu]
+    n = len(mu)
+    rows = []
+    for a in range(n):
+        row = []
+        for b in range(n):
+            table = sum(q[a, j] * q[b, j] * scales[j] for j in range(n))
+            if np.any(table != 0.0):
+                row.append((b, table))
+        rows.append(row)
+
+    def apply(w):
+        out = np.empty_like(w)
+        for a, row in enumerate(rows):
+            (b, table), *rest = row
+            col = out[..., a]
+            np.multiply(table, w[..., b], out=col)
+            for b, table in rest:
+                col += table * w[..., b]
+        return out
+
+    return apply
+
+
+def _box_mean(hess: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    return hess.mean(axis=tuple(range(grid.p)))
+
+
 def _gradient_samples(uhat: np.ndarray, grad_f: np.ndarray, op: DiffOperator) -> np.ndarray:
     """Samples of the action gradient -laplacian(u) + grad F(t, u) from u's spectrum.
 
@@ -129,7 +182,7 @@ def _gradient_samples(uhat: np.ndarray, grad_f: np.ndarray, op: DiffOperator) ->
 
 
 class _LbfgsMemory:
-    """L-BFGS pairs (s, y) as half spectra, with a diagonal preconditioner."""
+    """L-BFGS pairs (s, y) as half spectra, with a fixed preconditioner."""
 
     def __init__(self, size: int, inner, precond):
         self.pairs = deque(maxlen=size)
@@ -182,11 +235,14 @@ def solve(
 
     The iterate is kept both as samples u and as its half spectrum, and
     steps update both.  Directions, preconditioning and inner products (by
-    Parseval) work on spectra.  The kinetic term is exactly quadratic along
-    a search ray, so a line-search trial costs one potential evaluation and
-    no transform, and an iteration three transforms.  Where a trial's action
-    ties with the current one to rounding, the slope along the ray decides
-    instead, for one more potential gradient.
+    Parseval) work on spectra; the preconditioner is a real n x n matrix
+    per mode, built once from the potential's Hessian (see SolverOptions).
+    The kinetic term is exactly quadratic along a search ray, so a
+    line-search trial costs one potential evaluation and no transform, and
+    an iteration three transforms.  Where a trial's action ties with the
+    current one to rounding, the slope along the ray decides instead, for
+    one more potential gradient, unless the ray promised a decrease well
+    above rounding: then the trial is past the ray's minimum and is halved.
     """
     opts = opts if opts is not None else SolverOptions()
     if op.grid != grid:
@@ -201,11 +257,19 @@ def solve(
 
     coords = grid.coords()
     lam = op._lam[..., None]
-    smooth = op._smooth[..., None] if opts.precondition_h1 else 1.0
-    precond = lambda w: smooth * w
+    u = u.values
+    if not opts.precondition_h1:
+        precond = lambda w: w
+    else:
+        # fixed for the whole run, as L-BFGS needs; without a Hessian every
+        # direction counts as singular, which leaves the H1 smoother
+        if pot.hessian is None:
+            hbar = np.zeros((pot.n, pot.n))
+        else:
+            hbar = _box_mean(pot.hessian(coords, u), grid)
+        precond = _fitted_preconditioner(op, hbar)
     inner = op._inner
 
-    u = u.values
     uhat = op._rfft(u)
     kinetic = 0.5 * inner(lam * uhat, uhat)
     potential_part = integrate(grid, pot.value(coords, u))
@@ -285,18 +349,22 @@ def solve(
             f_try = kinetic_try + potential_try
             grad_try = None
             if abs(f_try - f) <= tie:
-                # The two values tie to rounding, so the slope along the ray
+                # The two values tie to rounding.  Where the ray promised a
+                # decrease well above rounding, the trial sits near the mirror
+                # point 2 alpha* of the ray's minimum, so back off without
+                # buying a gradient.  Otherwise the slope along the ray
                 # decides: the approximate Armijo test of Hager & Zhang (SIAM
                 # J. Optim. 16(1), 2005), exact for a quadratic and free of the
                 # cancellation in f_try - f.
-                grad_try = pot.gradient(coords, u_try)
-                ray_slope = slope + alpha * curvature + grid.cell_weight * float(
-                    np.sum(grad_try * d_samples)
-                )
-                decrease = max(opts.armijo_c1, _TIE_DECREASE)
-                if ray_slope <= (2.0 * decrease - 1.0) * gd:
-                    accepted = True
-                    break
+                if -alpha * gd <= _MIRROR_PROMISE * tie:
+                    grad_try = pot.gradient(coords, u_try)
+                    ray_slope = slope + alpha * curvature + grid.cell_weight * float(
+                        np.sum(grad_try * d_samples)
+                    )
+                    decrease = max(opts.armijo_c1, _TIE_DECREASE)
+                    if ray_slope <= (2.0 * decrease - 1.0) * gd:
+                        accepted = True
+                        break
             elif np.isfinite(f_try) and f_try <= f + opts.armijo_c1 * alpha * gd:
                 accepted = True
                 break
@@ -366,16 +434,12 @@ def solve(
     )
 
 
-def _pcg(apply_j, b: np.ndarray, op: DiffOperator, rel_tol: float, max_iters: int):
-    """Conjugate gradients on half spectra in the quadrature inner product.
-
-    Preconditioned by the H1 smoother 1 / (1 + lambda_k).
-    """
+def _pcg(apply_j, b: np.ndarray, op: DiffOperator, precond, rel_tol: float, max_iters: int):
+    """Conjugate gradients on half spectra in the quadrature inner product."""
     inner = op._inner
-    smooth = op._smooth[..., None]
     x = np.zeros_like(b)
     r = b
-    z = smooth * r
+    z = precond(r)
     d = z
     rz = inner(r, z)
     b_norm = np.sqrt(max(inner(b, b), 0.0))
@@ -403,7 +467,7 @@ def _pcg(apply_j, b: np.ndarray, op: DiffOperator, rel_tol: float, max_iters: in
             return x, True
         if rel > 100.0 * best_rel + 1.0:
             break  # stagnated and diverging; settle for the best iterate
-        z = smooth * r
+        z = precond(r)
         rz_new = inner(r, z)
         d = z + (rz_new / rz) * d
         rz = rz_new
@@ -424,7 +488,10 @@ def newton_krylov_refine(
     potential to carry a Hessian and the input run not to have diverged.
 
     CG runs on half spectra, where the Laplacian and the preconditioner are
-    multiplications, so a CG iteration costs two transforms.
+    multiplications, so a CG iteration costs two transforms.  The
+    preconditioner is (lambda_k I + H-bar)^-1 with H-bar the box mean of the
+    step's Hessian, so on a quadratic potential one CG iteration solves the
+    Newton system.
     """
     if result.status is SolveStatus.DIVERGED_NON_COERCIVE:
         raise ValueError("cannot refine a diverged run; no stationary point exists")
@@ -466,6 +533,7 @@ def newton_krylov_refine(
             apply_j,
             -ghat,
             op,
+            _fitted_preconditioner(op, _box_mean(hess, grid)),
             rel_tol=1e-13,
             max_iters=max(200, 2 * grid.node_count * pot.n),
         )

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.fft
 
 from .grid import Field, TorusGrid, check_periods, integrate
 from .potentials import Potential
@@ -68,10 +67,16 @@ class DiffOperator:
         self._fluct_h1 = 1.0 + lam
         self._fluct_h1[(0,) * grid.p] = 0.0
 
+    # scipy.fft is imported on first use, so that processes which make no
+    # transform (certify, check-grad) do not pay its import
     def _rfft(self, values: np.ndarray) -> np.ndarray:
+        import scipy.fft
+
         return scipy.fft.rfftn(values, s=self._sizes, axes=self._axes)
 
     def _irfft(self, spectrum: np.ndarray) -> np.ndarray:
+        import scipy.fft
+
         return scipy.fft.irfftn(spectrum, s=self._sizes, axes=self._axes)
 
     def _multiply(self, values: np.ndarray, table: np.ndarray) -> np.ndarray:

@@ -81,3 +81,11 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not inspect.ismodule(getattr(torus_action, name))
     }
     assert exported == PUBLIC_NAMES
+
+
+def test_all_is_the_pinned_names_and_holds_no_module():
+    assert isinstance(torus_action.__all__, tuple)
+    assert len(torus_action.__all__) == len(set(torus_action.__all__))
+    assert set(torus_action.__all__) == PUBLIC_NAMES
+    assert not [name for name in torus_action.__all__
+                if inspect.ismodule(getattr(torus_action, name))]

@@ -390,6 +390,20 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_certify_process_leaves_scipy_fft_unloaded(tmp_path):
+    # certify makes no transform, so it must not pay the scipy.fft import
+    script = (
+        "import sys, torus_action.cli as cli; "
+        f"code = cli.main(['certify', '--config', {str(CONFIGS / 'certify_log_sum_exp.json')!r}, "
+        f"'--out', {str(tmp_path)!r}]); "
+        "print(code, 'scipy.fft' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 False"
+    assert (tmp_path / "report.json").exists()
+
+
 def test_module_invocation(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, manufactured_config(out))

@@ -555,3 +555,132 @@ def test_nonlinear_cg_at_the_rounding_floor_steps_to_the_ray_minimum():
                 SolverOptions(method="nonlinear_cg", max_iters=400))
     assert res.status is SolveStatus.CONVERGED
     assert res.iterations <= 40
+
+
+# ---------------------------------------------------------------------------
+# the preconditioner fitted to the potential, (lambda_k I + H-bar)^-1
+# ---------------------------------------------------------------------------
+
+def rotated_spd(theta, eigs):
+    c, s = np.cos(theta), np.sin(theta)
+    R = np.array([[c, -s], [s, c]])
+    return R @ np.diag(eigs) @ R.T
+
+
+@pytest.mark.parametrize("scheme", [Scheme.SPECTRAL, Scheme.FD2])
+def test_rotated_anisotropic_quadratic_form_converges_in_one_iteration(scheme):
+    # H-bar = A, so the preconditioner inverts the action's Hessian and the
+    # first unit step lands on the minimizer despite the 100:1 anisotropy
+    periods = (TWO_PI, TWO_PI)
+    g = TorusGrid(periods, (16, 16))
+    drift = TrigPath(periods, 2, (
+        TrigTerm("cos", (0, 0), (0.3, -0.2)),
+        TrigTerm("cos", (1, 2), (0.5, 0.1)),
+        TrigTerm("sin", (3, 1), (0.0, 0.4)),
+    ))
+    pot = make_quadratic_form(rotated_spd(np.pi / 6, (1.0, 0.01)), drift)
+    res = solve(g, pot, DiffOperator(g, scheme), SolverOptions(tol_grad_inf=1e-10))
+    assert res.status is SolveStatus.CONVERGED
+    assert res.iterations == 1
+    assert res.residual_inf <= 1e-10
+
+
+@pytest.mark.parametrize("scheme", [Scheme.SPECTRAL, Scheme.FD2])
+def test_refine_on_a_quadratic_spends_at_most_one_cg_iteration_per_newton_step(
+        monkeypatch, scheme):
+    periods = (TWO_PI, 3.0)
+    g = TorusGrid(periods, (16, 8))
+    drift = TrigPath(periods, 2, (
+        TrigTerm("cos", (0, 0), (0.3, -0.2)),
+        TrigTerm("sin", (1, 1), (0.5, 0.1)),
+    ))
+    pot = make_quadratic_form(rotated_spd(0.4, (1.0, 0.05)), drift)
+    op = DiffOperator(g, scheme)
+    rough = solve(g, pot, op, SolverOptions(precondition_h1=False, max_iters=3))
+    assert rough.status is SolveStatus.MAX_ITERS
+
+    applications = []
+    pcg = minimize_module._pcg
+
+    def counting_pcg(apply_j, *args, **kwargs):
+        def counted(v):
+            applications.append(1)
+            return apply_j(v)
+
+        return pcg(counted, *args, **kwargs)
+
+    monkeypatch.setattr(minimize_module, "_pcg", counting_pcg)
+    refined = newton_krylov_refine(rough, pot, op, tol=1e-12)
+    steps = refined.iterations - rough.iterations
+    assert refined.status is SolveStatus.CONVERGED
+    assert steps >= 1
+    assert len(applications) <= steps
+
+
+@pytest.mark.parametrize("p, scheme, drift_terms, iterations", [
+    (1, Scheme.SPECTRAL, (("cos", (0,), (1.0,)), ("sin", (1,), (0.5,))), 9),
+    (2, Scheme.FD2, (("cos", (0, 0), (0.5, -0.5)), ("cos", (1, 0), (1.0, 0.0))), 46),
+])
+def test_drift_divergence_diagnosis_keeps_its_iteration_count(p, scheme, drift_terms,
+                                                              iterations):
+    # a drift has H-bar = 0: every direction is singular, so the run is bit
+    # for bit the run preconditioned by the H1 smoother 1 / (1 + lambda_k)
+    periods = (TWO_PI,) * p
+    g = TorusGrid(periods, (16,) * p)
+    n = len(drift_terms[0][2])
+    drift = TrigPath(periods, n, tuple(TrigTerm(*term) for term in drift_terms))
+    pot = make_linear_drift(n, drift)
+    op = DiffOperator(g, scheme)
+    res = solve(g, pot, op)
+    assert res.status is SolveStatus.DIVERGED_NON_COERCIVE
+    assert res.iterations == iterations
+    smoothed = solve(g, replace(pot, hessian=None), op)
+    assert np.array_equal(res.trace, smoothed.trace)
+    assert np.array_equal(res.u.values, smoothed.u.values)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.SPECTRAL, Scheme.FD2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_preconditioner_with_identity_or_zero_mean_hessian_is_the_h1_smoother(scheme, n):
+    g = TorusGrid((TWO_PI, 3.0, 2.0), (8, 6, 4))
+    op = DiffOperator(g, scheme)
+    w = op._rfft(np.random.default_rng(n).normal(size=g.shape + (n,)))
+    smoothed = op._smooth[..., None] * w
+    for hbar in (np.eye(n), np.zeros((n, n))):
+        fitted = minimize_module._fitted_preconditioner(op, hbar)(w)
+        assert fitted.dtype == smoothed.dtype and fitted.shape == smoothed.shape
+        assert np.array_equal(fitted.view(np.uint64), smoothed.view(np.uint64))
+
+
+def test_preconditioner_inverts_lambda_plus_mean_hessian():
+    g = TorusGrid((TWO_PI, 3.0), (8, 6))
+    op = DiffOperator(g, Scheme.FD2)
+    # one positive eigenvalue, one singular direction
+    hbar = rotated_spd(0.7, (2.5, 0.0))
+    w = op._rfft(np.random.default_rng(3).normal(size=g.shape + (2,)))
+    z = minimize_module._fitted_preconditioner(op, hbar)(w)
+    mu, q = np.linalg.eigh(hbar)
+    lam = op._lam[..., None]
+    wq, zq = w @ q, z @ q  # coordinates along the eigendirections
+    assert_allclose(zq[..., 1], wq[..., 1] / (lam[..., 0] + mu[1]), rtol=1e-13)
+    assert_allclose(zq[..., 0], op._smooth * wq[..., 0], rtol=1e-12, atol=1e-14)
+
+
+def test_mirror_point_tie_costs_no_potential_gradient():
+    # u = 0.5 cos t under F = |x|^2 / 2 without a preconditioner: the action
+    # Hessian is 2 on u's only mode, so the unit step lands on -u, the mirror
+    # point of the ray's minimum, where the action ties with the current one.
+    # The ray promised a decrease far above rounding, so the trial is
+    # rejected without the slope test's gradient, and the half step is exact.
+    g = TorusGrid((TWO_PI,), (16,))
+    pot = make_quadratic_shift(1, TrigPath.zero((TWO_PI,), 1))
+    init = Field(g, 0.5 * np.cos(g.axis_coords(0))[:, None])
+    grads, values = [], []
+    pot = counting(counting(pot, "gradient", grads), "value", values)
+    res = solve(g, pot, DiffOperator(g, Scheme.SPECTRAL),
+                SolverOptions(precondition_h1=False, max_iters=1, tol_grad_inf=0.0,
+                              tol_residual_inf=0.0), init=init)
+    assert res.iterations == 1
+    assert len(values) == 1 + 2  # the start, the mirror point, the half step
+    assert len(grads) == 1 + 1  # the start and the accepted step
+    assert res.residual_inf < 1e-12

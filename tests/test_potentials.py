@@ -220,6 +220,31 @@ def test_log_sum_exp_column_reductions_match_last_axis_reductions():
     assert_allclose(pot.hessian(t, x), hess, rtol=1e-15, atol=0.0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_quadratic_and_drift_column_sums_match_last_axis_sums(n):
+    # the quadratic-family values sum over the n components one column at a
+    # time; they must agree with the plain sums over the last axis
+    periods = (TWO_PI,) * 3
+    g = TorusGrid(periods, (8,) * 3)
+    rng = np.random.default_rng(n)
+    path = TrigPath(periods, n, (
+        TrigTerm("cos", (0, 0, 0), tuple(rng.normal(size=n))),
+        TrigTerm("sin", (1, 2, 0), tuple(rng.normal(size=n))),
+    ))
+    B = rng.normal(size=(n, n))
+    A = B @ B.T + np.eye(n)
+    t = g.coords()
+    x = rng.normal(0.0, 2.0, size=g.shape + (n,))
+    c = path(t)
+    for pot, value in (
+        (make_quadratic_shift(n, path), 0.5 * np.sum((x - c) * (x - c), axis=-1)),
+        (make_linear_drift(n, path), np.sum(c * x, axis=-1)),
+        (make_quadratic_form(A, path),
+         0.5 * np.sum((x @ A) * x, axis=-1) + np.sum(c * x, axis=-1)),
+    ):
+        assert_allclose(pot.value(t, x), value, rtol=1e-15, atol=0.0, err_msg=pot.kind)
+
+
 def test_log_sum_exp_is_overflow_safe():
     S = np.array([[1.0], [-1.0]])
     offs = [TrigPath.zero((TWO_PI,), 1)] * 2

@@ -221,9 +221,9 @@ def load_field(path) -> Field:
 
 
 def write_trace(trace: np.ndarray, path) -> None:
-    lines = ["iter,action,grad_inf,mean_norm"]
+    lines = ["iter,action,grad_inf,mean_norm,fluct_h1"]
     for i, row in enumerate(np.asarray(trace, dtype=float)):
-        lines.append(f"{i},{float(row[0])!r},{float(row[1])!r},{float(row[2])!r}")
+        lines.append(f"{i}," + ",".join(repr(float(v)) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -209,6 +209,22 @@ def _column_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _combine(planes, terms, out: np.ndarray) -> np.ndarray:
+    """Write the sum of c * planes[j] over the (j, c) in terms into out.
+
+    The terms are added in order, and no terms give zero.  Multiply-adds of
+    whole planes with scalars beat any reduction over a short axis.
+    """
+    if not terms:
+        out[...] = 0.0
+        return out
+    (j, c), *rest = terms
+    np.multiply(planes[j], c, out=out)
+    for j, c in rest:
+        out += c * planes[j]
+    return out
+
+
 def make_quadratic_shift(n: int, shift: TrigPath) -> Potential:
     """F(t, x) = |x - c(t)|^2 / 2 for a trigonometric shift path c."""
     if shift.n != int(n):
@@ -322,42 +338,68 @@ def make_log_sum_exp(directions, offsets: list[TrigPath]) -> Potential:
     rank = np.linalg.matrix_rank(S - S[0]) if J > 1 else 0
     convexity = Convexity.STRICTLY_CONVEX if rank == n else Convexity.CONVEX
 
+    # The kernel works on J contiguous planes, one per term, and combines
+    # them by multiply-adds with the nonzero direction coefficients: each
+    # logit plane from its (m, S_jm), each gradient entry from its (j, S_ja)
+    # and each Hessian entry a <= b from its (j, S_ja S_jb).
+    logit_terms = [[(m, S[j, m]) for m in range(n) if S[j, m] != 0.0] for j in range(J)]
+    grad_terms = [[(j, S[j, a]) for j in range(J) if S[j, a] != 0.0] for a in range(n)]
+    hess_terms = {
+        (a, b): [(j, S[j, a] * S[j, b]) for j in range(J) if S[j, a] * S[j, b] != 0.0]
+        for a in range(n)
+        for b in range(a, n)
+    }
+
     def _logits(t, x):
+        """The planes z_j = <s_j, x> + b_j(t), shape (J,) + batch."""
         x = np.asarray(x, dtype=float)
-        z = x @ S.T
-        for j, b in enumerate(offsets):
-            z[..., j] += b(t)[..., 0]
+        columns = np.moveaxis(x, -1, 0)
+        z = np.empty((J,) + x.shape[:-1])
+        for j, terms in enumerate(logit_terms):
+            plane = _combine(columns, terms, z[j, ...])
+            if offsets[j].terms:
+                plane += offsets[j](t)[..., 0]
         return z
 
     def _reduce(ufunc, z):
-        # numpy reduces a short last axis row by row; J columns go faster
-        out = z[..., 0].copy()
+        out = z[0, ...].copy()
         for j in range(1, J):
-            ufunc(out, z[..., j], out=out)
+            ufunc(out, z[j, ...], out=out)
         return out
 
-    # value and _softmax work in place on their fresh logits array
+    # value and _softmax work in place on their fresh logit planes
     def value(t, x):
         z = _logits(t, x)
         m = _reduce(np.maximum, z)
-        z -= m[..., None]
+        z -= m
         return m + np.log(_reduce(np.add, np.exp(z, out=z)))
 
     def _softmax(t, x):
         z = _logits(t, x)
-        z -= _reduce(np.maximum, z)[..., None]
+        z -= _reduce(np.maximum, z)
         np.exp(z, out=z)
-        z /= _reduce(np.add, z)[..., None]
+        z /= _reduce(np.add, z)
         return z
 
+    def _gradient(prob):
+        g = np.empty(prob.shape[1:] + (n,))
+        for a, terms in enumerate(grad_terms):
+            _combine(prob, terms, g[..., a])
+        return g
+
     def gradient(t, x):
-        return _softmax(t, x) @ S
+        return _gradient(_softmax(t, x))
 
     def hessian(t, x):
         prob = _softmax(t, x)
-        weighted = np.einsum("...j,jm,jk->...mk", prob, S, S)
-        g = prob @ S
-        return weighted - g[..., :, None] * g[..., None, :]
+        g = _gradient(prob)
+        h = np.empty(g.shape + (n,))
+        for (a, b), terms in hess_terms.items():
+            entry = _combine(prob, terms, h[..., a, b])
+            entry -= g[..., a] * g[..., b]
+            if b != a:
+                h[..., b, a] = entry
+        return h
 
     return Potential(
         n=n,

@@ -78,7 +78,7 @@ def test_solve_writes_report_field_and_trace(tmp_path):
     assert field.grid.shape == (16, 16)
 
     lines = (out / "trace.csv").read_text().strip().splitlines()
-    assert lines[0] == "iter,action,grad_inf,mean_norm"
+    assert lines[0] == "iter,action,grad_inf,mean_norm,fluct_h1"
     assert len(lines) >= 2
 
 
@@ -89,7 +89,7 @@ def test_trace_values_parse_as_floats(tmp_path):
     report = json.loads((out / "report.json").read_text())
     with open(out / "trace.csv", newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["iter", "action", "grad_inf", "mean_norm"]
+    assert rows[0] == ["iter", "action", "grad_inf", "mean_norm", "fluct_h1"]
     assert len(rows) == report["iterations"] + 2
     for i, row in enumerate(rows[1:]):
         assert int(row[0]) == i
@@ -366,6 +366,53 @@ def test_out_of_range_solver_options_are_located(tmp_path, capsys, solver, name)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert f"config {cfg} rejected at $['solver']: {name} must be" in err
+
+
+def qshift_1d_config(out_dir):
+    return {
+        "grid": {"p": 1, "periods": [TWO_PI], "resolutions": [16]},
+        "scheme": "spectral",
+        "potential": {
+            "kind": "quadratic_shift",
+            "n": 1,
+            "shift": {"terms": [{"trig": "cos", "freq": [1], "coeff": [0.8]}]},
+        },
+        "outputs": {"directory": str(out_dir)},
+        "seed": 0,
+    }
+
+
+@pytest.mark.parametrize("solver, name", [
+    ({"divergence_mean_norm": float("nan")}, "divergence_mean_norm"),
+    ({"tol_grad_inf": -1.0}, "tol_grad_inf"),
+    ({"tol_residual_inf": float("nan")}, "tol_residual_inf"),
+])
+def test_non_finite_or_negative_tolerances_are_rejected_up_front(tmp_path, capsys,
+                                                                 solver, name):
+    # the config is solvable: a NaN divergence threshold used to report it
+    # diverged, and a negative tolerance ended in a line-search failure
+    cfg_dict = qshift_1d_config(tmp_path / "out")
+    cfg_dict["solver"] = solver
+    cfg = write_config(tmp_path, cfg_dict)
+    assert main(["solve", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert f"config {cfg} rejected at $['solver']: {name} must be finite" in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_trace_fluct_h1_column_is_the_fluctuation_norm(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, qshift_1d_config(out))
+    assert main(["solve", "--config", cfg]) == 0
+    report = json.loads((out / "report.json").read_text())
+    with open(out / "trace.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == report["iterations"] + 1
+    assert all(float(row["fluct_h1"]) >= 0.0 for row in rows)
+    # the last row comes from the carried spectrum, the report from the
+    # returned samples' own transform
+    assert_allclose(float(rows[-1]["fluct_h1"]), report["fluctuation_h1_norm"],
+                    rtol=1e-12)
 
 
 def test_load_config_round_trip(tmp_path):

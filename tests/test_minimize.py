@@ -684,3 +684,168 @@ def test_mirror_point_tie_costs_no_potential_gradient():
     assert len(values) == 1 + 2  # the start, the mirror point, the half step
     assert len(grads) == 1 + 1  # the start and the accepted step
     assert res.residual_inf < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# tolerances, the L-BFGS scaling and the inexact Newton polish
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name, value", [
+    ("tol_grad_inf", -1.0),
+    ("tol_grad_inf", float("nan")),
+    ("tol_grad_inf", float("inf")),
+    ("tol_residual_inf", -1e-8),
+    ("tol_residual_inf", float("nan")),
+    ("divergence_mean_norm", float("nan")),
+    ("divergence_mean_norm", float("inf")),
+    ("divergence_mean_norm", 0.0),
+])
+def test_options_reject_non_finite_or_negative_tolerances(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        SolverOptions(**{name: value})
+
+
+def _reference_lbfgs_direction(pairs, g, inner, precond):
+    # the two-loop recursion with the scaling recomputed from the newest pair
+    q = g.copy()
+    alphas = []
+    for s, y in reversed(pairs):
+        a = (1.0 / inner(s, y)) * inner(s, q)
+        q -= a * y
+        alphas.append(a)
+    if pairs:
+        s, y = pairs[-1]
+        denom = inner(y, precond(y))
+        gamma = inner(s, y) / denom if denom > 0 else 1.0
+    else:
+        gamma = 1.0
+    r = gamma * precond(q)
+    for (s, y), a in zip(pairs, reversed(alphas)):
+        b = (1.0 / inner(s, y)) * inner(y, r)
+        r += (a - b) * s
+    return -r
+
+
+def test_lbfgs_scaling_is_stored_with_its_pair_and_matches_the_two_loop_bitwise():
+    g = TorusGrid((TWO_PI, 3.0), (8, 6))
+    op = DiffOperator(g, Scheme.SPECTRAL)
+    precond = minimize_module._fitted_preconditioner(op, rotated_spd(0.3, (2.0, 0.5)))
+    applied = []
+
+    def counted(w):
+        applied.append(1)
+        return precond(w)
+
+    memory = minimize_module._LbfgsMemory(3, op._inner, counted)
+    rng = np.random.default_rng(7)
+    pairs = []
+    for _ in range(5):
+        s = op._rfft(rng.normal(size=g.shape + (2,)))
+        y = s + 0.1 * op._rfft(rng.normal(size=g.shape + (2,)))
+        memory.push(s, y)
+        pairs = (pairs + [(s, y)])[-3:]
+        grad = op._rfft(rng.normal(size=g.shape + (2,)))
+        applied.clear()
+        d = memory.direction(grad)
+        assert len(applied) == 1
+        expected = _reference_lbfgs_direction(pairs, grad, op._inner, precond)
+        assert np.array_equal(d.view(np.uint64), expected.view(np.uint64))
+
+
+def test_solve_reports_the_residual_norms_the_polish_recomputes():
+    # the polish returns a result that meets its target without recomputing
+    # anything, which is right only if solve's norms are the polish's own
+    g, pot = lse_problem()
+    for scheme in (Scheme.SPECTRAL, Scheme.FD2):
+        op = DiffOperator(g, scheme)
+        for max_iters in (1, 4, 60):
+            res = solve(g, pot, op, SolverOptions(max_iters=max_iters))
+            again = newton_krylov_refine(res, pot, op, tol=0.0, max_newton=0)
+            assert again.residual_inf == res.residual_inf
+            assert again.residual_l2 == res.residual_l2
+
+
+def test_refine_of_a_result_that_meets_tol_makes_no_transform_and_no_potential_call(
+        monkeypatch):
+    g, pot = lse_problem()
+    op = DiffOperator(g, Scheme.SPECTRAL)
+    res = solve(g, pot, op, SolverOptions(max_iters=60, tol_grad_inf=1e-10,
+                                          tol_residual_inf=1e-10))
+    capped = replace(res, status=SolveStatus.MAX_ITERS)
+    calls = []
+    for attr in ("value", "gradient", "hessian"):
+        pot = counting(pot, attr, calls)
+    counts = count_transforms(monkeypatch)
+    for given in (res, capped):
+        refined = newton_krylov_refine(given, pot, op, tol=res.residual_inf)
+        assert refined.status is SolveStatus.CONVERGED
+        assert np.array_equal(refined.u.values, res.u.values)
+        assert not np.shares_memory(refined.u.values, res.u.values)
+        assert refined.action == res.action
+        assert refined.iterations == res.iterations
+        assert refined.residual_inf == res.residual_inf
+    assert calls == []
+    assert counts == {"real": 0, "complex": 0}
+
+
+def _lse_square():
+    periods = (TWO_PI, TWO_PI)
+    g = TorusGrid(periods, (16, 16))
+    S = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    offs = [
+        TrigPath(periods, 1, (TrigTerm("cos", freq, (c,)),))
+        for freq, c in (((1, 0), 0.5), ((0, 1), 0.4), ((0, 0), 0.0), ((1, 1), 0.3))
+    ]
+    return g, make_log_sum_exp(S, offs)
+
+
+def test_refine_cg_stops_at_the_forcing_term_the_target_needs(monkeypatch):
+    g, pot = _lse_square()
+    op = DiffOperator(g, Scheme.SPECTRAL)
+    coarse = solve(g, pot, op, SolverOptions(tol_grad_inf=1e-6))
+    assert coarse.residual_inf > 1e-12
+    pcg = minimize_module._pcg
+
+    def polish(force):
+        applications, tols = [], []
+
+        def counting_pcg(apply_j, *args, rel_tol, **kwargs):
+            tols.append(rel_tol)
+
+            def counted(v):
+                applications.append(1)
+                return apply_j(v)
+
+            return pcg(counted, *args, rel_tol=force or rel_tol, **kwargs)
+
+        monkeypatch.setattr(minimize_module, "_pcg", counting_pcg)
+        refined = newton_krylov_refine(coarse, pot, op, tol=1e-12)
+        assert refined.status is SolveStatus.CONVERGED
+        assert refined.residual_inf <= 1e-12
+        return refined.iterations - coarse.iterations, len(applications), tols
+
+    steps, cg_iters, tols = polish(None)
+    tight_steps, tight_cg_iters, _ = polish(1e-13)
+    assert steps == tight_steps == 1
+    assert cg_iters < tight_cg_iters
+    assert all(1e-13 <= t <= 1e-2 for t in tols)
+
+
+def test_refine_forcing_term_is_never_tighter_than_1e_13(monkeypatch):
+    # a rough start has a large residual, where the target alone would ask
+    # for a relative tolerance far below 1e-13
+    g, pot = lse_problem()
+    op = DiffOperator(g, Scheme.SPECTRAL)
+    rough = solve(g, pot, op, SolverOptions(max_iters=1))
+    tols = []
+    pcg = minimize_module._pcg
+
+    def recording_pcg(*args, rel_tol, **kwargs):
+        tols.append(rel_tol)
+        return pcg(*args, rel_tol=rel_tol, **kwargs)
+
+    monkeypatch.setattr(minimize_module, "_pcg", recording_pcg)
+    refined = newton_krylov_refine(rough, pot, op, tol=1e-15)
+    assert tols[0] == 1e-13
+    assert min(tols) >= 1e-13
+    assert refined.residual_inf < rough.residual_inf

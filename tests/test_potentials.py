@@ -220,6 +220,69 @@ def test_log_sum_exp_column_reductions_match_last_axis_reductions():
     assert_allclose(pot.hessian(t, x), hess, rtol=1e-15, atol=0.0)
 
 
+def _naive_log_sum_exp(S, offsets, t, x):
+    """Value, gradient and Hessian at one point, term by term in floats."""
+    z = [sum(S[j, m] * x[m] for m in range(len(x))) + offsets[j](t)[0]
+         for j in range(len(S))]
+    total = sum(np.exp(zj) for zj in z)
+    p = [np.exp(zj) / total for zj in z]
+    g = [sum(p[j] * S[j, a] for j in range(len(S))) for a in range(len(x))]
+    h = [[sum(p[j] * S[j, a] * S[j, b] for j in range(len(S))) - g[a] * g[b]
+          for b in range(len(x))] for a in range(len(x))]
+    return np.log(total), np.array(g), np.array(h)
+
+
+@pytest.mark.parametrize("batch", [(), (7,), (6, 5, 4)])
+def test_log_sum_exp_matches_naive_formulas_for_general_directions(batch):
+    # five directions with no zero entry and every offset path nonempty but
+    # one; the kernel combines logit, gradient and Hessian planes by
+    # multiply-adds, which must agree with the formulas for every batch shape
+    periods = (TWO_PI, 3.0, 2.0)
+    rng = np.random.default_rng(len(batch))
+    S = rng.normal(size=(5, 3))
+    offs = [
+        TrigPath(periods, 1, (TrigTerm("cos", (1, 0, 1), (0.4,)),
+                              TrigTerm("sin", (0, 1, 0), (-0.2,)))),
+        TrigPath(periods, 1, (TrigTerm("cos", (0, 0, 0), (0.7,)),)),
+        TrigPath.zero(periods, 1),
+        TrigPath(periods, 1, (TrigTerm("sin", (1, 1, 1), (0.3,)),)),
+        TrigPath(periods, 1, (TrigTerm("cos", (2, 0, 0), (-0.5,)),)),
+    ]
+    pot = make_log_sum_exp(S, offs)
+    t = rng.uniform(0.0, 1.0, size=batch + (3,)) * np.asarray(periods)
+    x = rng.normal(0.0, 1.5, size=batch + (3,))
+    value, grad, hess = pot.value(t, x), pot.gradient(t, x), pot.hessian(t, x)
+    assert np.shape(value) == batch
+    assert grad.shape == batch + (3,)
+    assert hess.shape == batch + (3, 3)
+    # entries that cancel terms of size |s|, or |s|^2 for the Hessian, keep
+    # only an absolute accuracy of rounding times that size
+    scale = float(np.abs(S).max())
+    for i in np.ndindex(*batch):
+        v, gr, h = _naive_log_sum_exp(S, offs, t[i], x[i])
+        assert_allclose(value[i], v, rtol=1e-13, atol=0.0)
+        assert_allclose(grad[i], gr, rtol=1e-13, atol=1e-13 * scale)
+        assert_allclose(hess[i], h, rtol=1e-13, atol=1e-13 * scale**2)
+    assert np.array_equal(hess, np.swapaxes(hess, -1, -2))
+
+
+def test_log_sum_exp_with_a_zero_direction_column():
+    # no direction moves x_2, so its gradient entry and Hessian row vanish
+    S = np.array([[1.0, 0.0], [-1.0, 0.0], [0.5, 0.0]])
+    offs = [TrigPath.constant((TWO_PI,), [c]) for c in (0.0, 0.3, -0.2)]
+    pot = make_log_sum_exp(S, offs)
+    t = np.array([[0.5], [1.5]])
+    x = np.array([[0.3, -2.0], [-0.7, 4.0]])
+    grad, hess = pot.gradient(t, x), pot.hessian(t, x)
+    assert np.all(grad[:, 1] == 0.0)
+    assert np.all(hess[:, 1, :] == 0.0) and np.all(hess[:, :, 1] == 0.0)
+    for i in range(2):
+        v, gr, h = _naive_log_sum_exp(S, offs, t[i], x[i])
+        assert_allclose(pot.value(t, x)[i], v, rtol=1e-13)
+        assert_allclose(grad[i], gr, rtol=1e-13)
+        assert_allclose(hess[i], h, rtol=1e-13, atol=1e-16)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_quadratic_and_drift_column_sums_match_last_axis_sums(n):
     # the quadratic-family values sum over the n components one column at a

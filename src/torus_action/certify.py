@@ -92,9 +92,22 @@ class MeanPotentialG:
         g = self.pot.gradient(self._coords, frozen)
         return self.grid.cell_weight * g.reshape(-1, self.n).sum(axis=0)
 
+    def hessian(self, x) -> np.ndarray:
+        """The box integral of hess F(t, x); the potential must carry a Hessian."""
+        x = np.asarray(x, dtype=float)
+        frozen = np.broadcast_to(x, self.grid.shape + (self.n,))
+        h = self.pot.hessian(self._coords, frozen)
+        return self.grid.cell_weight * h.reshape(-1, self.n, self.n).sum(axis=0)
+
 
 def build_mean_potential(grid: TorusGrid, pot: Potential) -> MeanPotentialG:
     return MeanPotentialG(grid, pot)
+
+
+# A damped Newton step must lower G by this share of t times the decrement
+# (Boyd & Vandenberghe's alpha); its step t halves at most this many times.
+_NEWTON_ALPHA = 0.01
+_NEWTON_HALVINGS = 60
 
 
 def find_stationary_mean(
@@ -103,13 +116,56 @@ def find_stationary_mean(
     max_iters: int = 10000,
     iterate_cap: float = 1e6,
 ):
-    """Descend G from the origin; report the stationary point or its absence.
+    """Search G for a stationary point from the origin; report it or its absence.
+
+    Damped Newton (Boyd & Vandenberghe, Convex Optimization, 2004, section
+    9.5): the step d solves H d = -grad G, H the box integral of hess F, and
+    its length halves until G falls by a share of the decrement
+    grad G^T H^-1 grad G.  The search stops once the decrement is at most
+    tol^2.  That test is affine invariant, so the size of the box does not
+    move it, and a quadratic G stops after one step.  A decrement counts
+    only from a Cholesky factor of H, so an H that is not positive definite
+    never passes for convergence: there (a potential without a Hessian, a
+    linear drift, a G that flattens along an escape ray) the search goes on
+    by steepest descent, which stops at |grad G| <= tol.
 
     Returns (x, grad_norm) with x None when the iterate escapes past the cap
     or the budget runs out, which for convex G is the numerical signature
     that no stationary mean exists.
     """
     x = np.zeros(G.n)
+    if G.pot.hessian is None:
+        return _descend(G, x, tol, max_iters, iterate_cap)
+    f = G.value(x)
+    for used in range(max_iters):
+        g = G.gradient(x)
+        gnorm = float(np.linalg.norm(g))
+        if np.linalg.norm(x) >= iterate_cap:
+            return None, gnorm
+        try:
+            chol = np.linalg.cholesky(G.hessian(x))
+        except np.linalg.LinAlgError:
+            return _descend(G, x, tol, max_iters - used, iterate_cap)
+        w = np.linalg.solve(chol, g)
+        decrement = float(w @ w)
+        if decrement <= tol**2:
+            return x, gnorm
+        d = -np.linalg.solve(chol.T, w)
+        t = 1.0
+        for _ in range(_NEWTON_HALVINGS):
+            x_try = x + t * d
+            f_try = G.value(x_try)
+            if np.isfinite(f_try) and f_try <= f - _NEWTON_ALPHA * t * decrement:
+                break
+            t *= 0.5
+        else:
+            return None, gnorm
+        x, f = x_try, f_try
+    return None, float(np.linalg.norm(G.gradient(x)))
+
+
+def _descend(G: MeanPotentialG, x, tol, max_iters, iterate_cap):
+    """Steepest descent on G from x with backtracking; stops at |grad G| <= tol."""
     g = G.gradient(x)
     gnorm = float(np.linalg.norm(g))
     f = G.value(x)

@@ -8,18 +8,18 @@ kind (bad config, bad dimensions, failed factorization).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__
 from .certify import CertifyOptions, certify, wirtinger_audit, wirtinger_constant
 from .grid import Field, build_grid
-from .minimize import SolveStatus, SolverOptions, solve
+from .minimize import _METHODS, SolveStatus, SolverOptions, solve
 from .operators import DiffOperator
 from .oracle import assemble_quadratic_system, dense_solve
 from .potentials import check_gradient, potential_from_dict
@@ -110,6 +110,19 @@ _POTENTIAL_SCHEMA = {
     ]
 }
 
+# The solver block holds SolverOptions' fields, bar the seed, which is a
+# top-level key; SolverOptions itself checks their values.
+_SOLVER_SCHEMA = {
+    "type": "object",
+    "additionalProperties": False,
+    "properties": {
+        f.name: {"enum": list(_METHODS)} if f.name == "method"
+        else {"type": {"bool": "boolean", "int": "integer", "float": "number"}[f.type]}
+        for f in dataclasses.fields(SolverOptions)
+        if f.name != "seed"
+    },
+}
+
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
@@ -129,23 +142,7 @@ CONFIG_SCHEMA = {
         },
         "scheme": {"enum": ["spectral", "fd2"]},
         "potential": _POTENTIAL_SCHEMA,
-        "solver": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "method": {"enum": ["gradient_descent", "nonlinear_cg", "lbfgs"]},
-                "precondition_h1": {"type": "boolean"},
-                "tol_grad_inf": {"type": "number"},
-                "tol_residual_inf": {"type": "number"},
-                "max_iters": {"type": "integer"},
-                "divergence_mean_norm": {"type": "number"},
-                "armijo_c1": {"type": "number"},
-                "backtrack_factor": {"type": "number"},
-                "max_backtracks": {"type": "integer"},
-                "lbfgs_memory": {"type": "integer"},
-                "init_noise": {"type": "number"},
-            },
-        },
+        "solver": _SOLVER_SCHEMA,
         "outputs": {
             "type": "object",
             "additionalProperties": False,
@@ -160,11 +157,77 @@ CONFIG_SCHEMA = {
 }
 
 
-_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+_JSON_TYPES = {
+    "object": dict,
+    "array": list,
+    "string": str,
+    "boolean": bool,
+    "integer": int,
+    "number": (int, float),
+}
+
+
+def _is_type(instance, name: str) -> bool:
+    if isinstance(instance, bool):  # a subclass of int, but not a JSON number
+        return name == "boolean"
+    return isinstance(instance, _JSON_TYPES[name])
+
+
+def _schema_errors(instance, schema: dict, path: tuple = ()):
+    """Yield (path, message) for each way ``instance`` breaks ``schema``.
+
+    Interprets the keywords CONFIG_SCHEMA uses, with jsonschema's messages:
+    type, enum, const, required, additionalProperties (false), properties,
+    items, minimum and oneOf.  ``integer`` means a JSON integer, so 10.0 is
+    not one, and no bool passes for a number.  A oneOf of objects told apart
+    by a ``kind`` const takes the branch that ``kind`` names, so an error
+    inside it is reported where it is.
+    """
+    if "oneOf" in schema:
+        branches = {b["properties"]["kind"]["const"]: b for b in schema["oneOf"]}
+        if not isinstance(instance, dict):
+            yield path, f"{instance!r} is not of type 'object'"
+        elif "kind" not in instance:
+            yield path, "'kind' is a required property"
+        elif not isinstance(instance["kind"], str) or instance["kind"] not in branches:
+            yield path + ("kind",), f"{instance['kind']!r} is not one of {list(branches)!r}"
+        else:
+            yield from _schema_errors(instance, branches[instance["kind"]], path)
+        return
+    if "type" in schema and not _is_type(instance, schema["type"]):
+        # the other keywords here do not apply to a value of another type
+        yield path, f"{instance!r} is not of type {schema['type']!r}"
+        return
+    if "enum" in schema and instance not in schema["enum"]:
+        yield path, f"{instance!r} is not one of {schema['enum']!r}"
+    if "const" in schema and instance != schema["const"]:
+        yield path, f"{schema['const']!r} was expected"
+    if "minimum" in schema and instance < schema["minimum"]:
+        yield path, f"{instance!r} is less than the minimum of {schema['minimum']!r}"
+    if isinstance(instance, dict):
+        properties = schema.get("properties", {})
+        for name in schema.get("required", ()):
+            if name not in instance:
+                yield path, f"{name!r} is a required property"
+        for name, sub in properties.items():
+            if name in instance:
+                yield from _schema_errors(instance[name], sub, path + (name,))
+        extras = sorted(k for k in instance if k not in properties)
+        if schema.get("additionalProperties") is False and extras:
+            verb = "was" if len(extras) == 1 else "were"
+            listed = ", ".join(repr(k) for k in extras)
+            yield path, f"Additional properties are not allowed ({listed} {verb} unexpected)"
+    if isinstance(instance, list) and "items" in schema:
+        for index, item in enumerate(instance):
+            yield from _schema_errors(item, schema["items"], path + (index,))
 
 
 def load_config(path) -> dict:
-    """Parse and schema-validate a JSON config, with located diagnostics."""
+    """Parse and schema-validate a JSON config, with located diagnostics.
+
+    Of several errors the least deep is reported, as jsonschema's best match
+    does.
+    """
     text = Path(path).read_text()
     try:
         config = json.loads(text)
@@ -172,10 +235,11 @@ def load_config(path) -> dict:
         raise ValueError(
             f"config {path} is not valid JSON: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(config))
-    if error is not None:
-        where = "$" + "".join(f"[{k!r}]" for k in error.absolute_path)
-        raise ValueError(f"config {path} rejected at {where}: {error.message}")
+    errors = list(_schema_errors(config, CONFIG_SCHEMA))
+    if errors:
+        at, message = min(errors, key=lambda error: len(error[0]))
+        where = "$" + "".join(f"[{k!r}]" for k in at)
+        raise ValueError(f"config {path} rejected at {where}: {message}")
     return config
 
 

@@ -9,7 +9,7 @@ monitor turns that signature into a diagnosis instead of an opaque failure.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -73,6 +73,12 @@ class SolverOptions:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (
+                isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            ):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
         if not 0.0 < self.armijo_c1 < 1.0:

@@ -33,7 +33,9 @@ class DiffOperator:
 
     Fields are real, so every operator works on the half spectrum of
     ``scipy.fft.rfftn`` over the grid axes, with the real transform along
-    the first grid axis, which keeps modes 0 .. N/2.  The private tables
+    the first grid axis, which keeps modes 0 .. N/2.  The grid axes are
+    counted from the end, ahead of the component axis, so a stack of fields
+    with leading batch axes goes through one transform.  The private tables
     below are the half-spectrum views the kernel multiplies by, and
     ``_inner`` pairs two half spectra by Parseval with the Hermitian weights
     (1 on the first and last half-axis modes, 2 elsewhere), so a
@@ -45,9 +47,10 @@ class DiffOperator:
     def __init__(self, grid: TorusGrid, scheme):
         self.grid = grid
         self.scheme = Scheme(scheme)
-        # rfftn halves the last axis it is given
-        self._axes = tuple(range(1, grid.p)) + (0,)
-        self._sizes = tuple(grid.shape[a] for a in self._axes)
+        # rfftn halves the last axis it is given; values end in (*grid.shape, n)
+        axes = tuple(range(1, grid.p)) + (0,)
+        self._axes = tuple(a - grid.p - 1 for a in axes)
+        self._sizes = tuple(grid.shape[a] for a in axes)
         table = np.zeros(grid.shape)
         for a, (N, T, h) in enumerate(zip(grid.resolutions, grid.periods, grid.spacings)):
             if self.scheme is Scheme.SPECTRAL:

@@ -169,3 +169,47 @@ def test_fd_epsilon_validation():
         fd_action_gradient(u, pot, op, epsilon=1e-2)
     with pytest.raises(ValueError, match="step"):
         fd_directional_derivative(u, u, pot, op, epsilon=0.0)
+
+
+def _column_by_column(grid, op, A, n):
+    """The dense matrix one unit field at a time, as the oracle first built it."""
+    from torus_action import laplacian
+
+    size = grid.node_count * n
+    dense = np.empty((size, size))
+    basis = np.zeros(grid.shape + (n,))
+    flat = basis.reshape(-1)
+    for j in range(size):
+        flat[j] = 1.0
+        e = Field(grid, basis)
+        dense[:, j] = (-laplacian(op, e).values + e.values @ A.T).reshape(-1)
+        flat[j] = 0.0
+    return dense
+
+
+@pytest.mark.parametrize("scheme", [Scheme.SPECTRAL, Scheme.FD2])
+@pytest.mark.parametrize("p, N", [(1, 10), (2, 6), (3, 4)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("block", [7, 64])
+def test_blocked_assembly_is_bit_identical_to_column_by_column(monkeypatch, scheme, p, N,
+                                                                n, block):
+    # 10, 36 and 64 nodes leave a remainder of 3, 1 and 1 with blocks of 7
+    import torus_action.oracle as oracle
+
+    monkeypatch.setattr(oracle, "_ASSEMBLY_BLOCK", block)
+    g = TorusGrid((TWO_PI,) * p, (N,) * p)
+    op = DiffOperator(g, scheme)
+    A = np.arange(1.0, n * n + 1).reshape(n, n) / 7.0 + 2.0 * np.eye(n)  # not symmetric
+    system = assemble_quadratic_system(g, op, A, Field(g, np.ones(g.shape + (n,))))
+    assert np.array_equal(system.matrix, _column_by_column(g, op, A, n))
+
+
+def test_blocked_assembly_leaves_a_remainder_at_the_default_block():
+    import torus_action.oracle as oracle
+
+    g = TorusGrid((TWO_PI, TWO_PI), (10, 10))
+    assert g.node_count % oracle._ASSEMBLY_BLOCK != 0
+    op = DiffOperator(g, Scheme.SPECTRAL)
+    A = np.array([[1.0, 0.25], [-0.5, 2.0]])
+    system = assemble_quadratic_system(g, op, A, Field(g, np.zeros(g.shape + (2,))))
+    assert np.array_equal(system.matrix, _column_by_column(g, op, A, 2))

@@ -36,19 +36,14 @@ from .minimize import (
 from .operators import (
     ActionReport,
     DiffOperator,
-    ResidualReport,
     Scheme,
     action_gradient,
     action_value,
     dirichlet_form,
-    eval_action,
-    h1_inner,
-    h1_precondition,
     l2_inner,
     l2_norm,
     laplacian,
     mean_decompose,
-    pde_residual,
 )
 from .oracle import (
     DenseSystem,
@@ -56,7 +51,6 @@ from .oracle import (
     assemble_quadratic_system,
     dense_solve,
     fd_action_gradient,
-    fd_directional_derivative,
 )
 from .potentials import (
     Convexity,
@@ -65,7 +59,6 @@ from .potentials import (
     TrigPath,
     TrigTerm,
     check_gradient,
-    check_midpoint_convexity,
     check_path_resolvable,
     make_linear_drift,
     make_log_sum_exp,
@@ -88,7 +81,6 @@ __all__ = (
     "TrigPath",
     "TrigTerm",
     "check_gradient",
-    "check_midpoint_convexity",
     "check_path_resolvable",
     "make_linear_drift",
     "make_log_sum_exp",
@@ -99,19 +91,14 @@ __all__ = (
     # operators
     "ActionReport",
     "DiffOperator",
-    "ResidualReport",
     "Scheme",
     "action_gradient",
     "action_value",
     "dirichlet_form",
-    "eval_action",
-    "h1_inner",
-    "h1_precondition",
     "l2_inner",
     "l2_norm",
     "laplacian",
     "mean_decompose",
-    "pde_residual",
     # minimize
     "SolveResult",
     "SolveStatus",
@@ -140,5 +127,4 @@ __all__ = (
     "assemble_quadratic_system",
     "dense_solve",
     "fd_action_gradient",
-    "fd_directional_derivative",
 )

@@ -117,7 +117,7 @@ _SOLVER_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         f.name: {"enum": list(_METHODS)} if f.name == "method"
-        else {"type": {"bool": "boolean", "int": "integer", "float": "number"}[f.type]}
+        else {"type": {"int": "integer", "float": "number"}[f.type]}
         for f in dataclasses.fields(SolverOptions)
         if f.name != "seed"
     },
@@ -152,7 +152,7 @@ CONFIG_SCHEMA = {
                 "trace": {"type": "boolean"},
             },
         },
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
     },
 }
 
@@ -364,7 +364,18 @@ def run(
     op = DiffOperator(grid, config["scheme"])
     bundle = potential_from_dict(config["potential"], grid)
     pot = bundle.potential
+    if command == "solve":
+        try:
+            opts = SolverOptions(**config.get("solver", {}), seed=seed)
+        except ValueError as exc:
+            raise ValueError(f"config {config_path} rejected at $['solver']: {exc}") from exc
+    elif command == "oracle-compare" and (bundle.quad_matrix is None or bundle.quad_drift is None):
+        raise ValueError(
+            f"potential kind {pot.kind!r} has no quadratic structure; "
+            "oracle-compare needs quadratic_shift, quadratic_form, or manufactured"
+        )
 
+    # created only after the checks above, so a rejected config leaves none
     outputs = config.get("outputs", {})
     directory = Path(out_dir) if out_dir is not None else Path(outputs.get("directory", "out"))
     directory.mkdir(parents=True, exist_ok=True)
@@ -378,10 +389,6 @@ def run(
     exit_code = 0
 
     if command == "solve":
-        try:
-            opts = SolverOptions(**config.get("solver", {}), seed=seed)
-        except ValueError as exc:
-            raise ValueError(f"config {config_path} rejected at $['solver']: {exc}") from exc
         result = solve(grid, pot, op, opts)
         report.update(
             {
@@ -447,11 +454,6 @@ def run(
         exit_code = 0 if audit <= bound else 2
 
     elif command == "oracle-compare":
-        if bundle.quad_matrix is None or bundle.quad_drift is None:
-            raise ValueError(
-                f"potential kind {pot.kind!r} has no quadratic structure; "
-                "oracle-compare needs quadratic_shift, quadratic_form, or manufactured"
-            )
         g_field = Field(grid, bundle.quad_drift(grid.coords()))
         system = assemble_quadratic_system(grid, op, bundle.quad_matrix, g_field)
         dense = dense_solve(system)
@@ -475,6 +477,13 @@ def run(
     return exit_code
 
 
+def _seed(text: str) -> int:
+    """The --seed type: a non-negative integer, as numpy's generators need."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="torus-action",
@@ -491,7 +500,7 @@ def main(argv=None) -> int:
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", required=True, help="path to a JSON config")
         cmd.add_argument("--out", default=None, help="output directory override")
-        cmd.add_argument("--seed", type=int, default=None, help="seed override")
+        cmd.add_argument("--seed", type=_seed, default=None, help="seed override")
     args = parser.parse_args(argv)
     try:
         return run(args.config, command=args.command, out_dir=args.out, seed=args.seed)

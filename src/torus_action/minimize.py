@@ -32,7 +32,7 @@ class SolveStatus(str, Enum):
     DIVERGED_NON_COERCIVE = "diverged_non_coercive"
 
 
-_METHODS = ("gradient_descent", "nonlinear_cg", "lbfgs")
+_METHODS = ("lbfgs",)
 
 # Action values closer than this, relative to the size of their kinetic and
 # potential parts, tie to rounding in the line search.
@@ -51,16 +51,15 @@ _MIRROR_PROMISE = 8.0
 class SolverOptions:
     """Descent configuration; defaults suit desk-scale convex problems.
 
-    ``precondition_h1`` switches the preconditioner of every descent
-    method: the per-mode inverse (lambda_k I + H-bar)^-1, where H-bar is the
-    box mean of the potential's Hessian at the initial field, with the H1
-    smoother 1 / (1 + lambda_k) on the singular directions of H-bar and for
-    a potential without a Hessian.  False means no preconditioner.  The
-    Newton-Krylov polish always preconditions its CG the same way.
+    The descent is L-BFGS, the only ``method``.  It is preconditioned by the
+    per-mode inverse (lambda_k I + H-bar)^-1, where H-bar is the box mean of
+    the potential's Hessian at the initial field, with the H1 smoother
+    1 / (1 + lambda_k) on the singular directions of H-bar and for a
+    potential without a Hessian.  The Newton-Krylov polish preconditions its
+    CG the same way.
     """
 
     method: str = "lbfgs"
-    precondition_h1: bool = True
     tol_grad_inf: float = 1e-8
     tol_residual_inf: float = 1e-6
     max_iters: int = 10000
@@ -186,11 +185,7 @@ def _box_mean(hess: np.ndarray, grid: TorusGrid) -> np.ndarray:
 
 
 def _gradient_samples(uhat: np.ndarray, grad_f: np.ndarray, op: DiffOperator) -> np.ndarray:
-    """Samples of the action gradient -laplacian(u) + grad F(t, u) from u's spectrum.
-
-    When ``uhat`` is the transform of the samples of u, this is bit for bit
-    minus the field of ``pde_residual``.
-    """
+    """Samples of the action gradient -laplacian(u) + grad F(t, u) from u's spectrum."""
     return op._irfft(op._lam[..., None] * uhat) + grad_f
 
 
@@ -239,7 +234,7 @@ def solve(
     opts: SolverOptions | None = None,
     init: Field | None = None,
 ) -> SolveResult:
-    """Minimize the discrete action by line-searched descent.
+    """Minimize the discrete action by line-searched L-BFGS descent.
 
     Accepted steps satisfy a sufficient-decrease condition, so the action
     trace is monotone up to rounding.  Returns the best iterate found
@@ -273,16 +268,13 @@ def solve(
     coords = grid.coords()
     lam = op._lam[..., None]
     u = u.values
-    if not opts.precondition_h1:
-        precond = lambda w: w
+    # fixed for the whole run, as L-BFGS needs; without a Hessian every
+    # direction counts as singular, which leaves the H1 smoother
+    if pot.hessian is None:
+        hbar = np.zeros((pot.n, pot.n))
     else:
-        # fixed for the whole run, as L-BFGS needs; without a Hessian every
-        # direction counts as singular, which leaves the H1 smoother
-        if pot.hessian is None:
-            hbar = np.zeros((pot.n, pot.n))
-        else:
-            hbar = _box_mean(pot.hessian(coords, u), grid)
-        precond = _fitted_preconditioner(op, hbar)
+        hbar = _box_mean(pot.hessian(coords, u), grid)
+    precond = _fitted_preconditioner(op, hbar)
     inner = op._inner
 
     uhat = op._rfft(u)
@@ -301,9 +293,6 @@ def solve(
 
     trace = [_trace_row(f, grad_inf, uhat, op)]
     memory = _LbfgsMemory(opts.lbfgs_memory, inner, precond)
-    d_prev = None
-    pg_g_prev = None
-    g_prev = None
     alpha_prev = None
     status = SolveStatus.MAX_ITERS
     line_search_failed = False
@@ -315,21 +304,7 @@ def solve(
             status = SolveStatus.CONVERGED
             break
 
-        if opts.method == "lbfgs":
-            d = memory.direction(ghat)
-        else:
-            pg = precond(ghat)
-            if opts.method == "gradient_descent":
-                d = -pg
-            else:
-                pg_g = inner(pg, ghat)
-                if d_prev is None or pg_g_prev is None or pg_g_prev <= 0.0:
-                    d = -pg
-                else:
-                    beta = max(0.0, inner(pg, ghat - g_prev) / pg_g_prev)
-                    d = -pg + beta * d_prev
-                pg_g_prev = pg_g
-
+        d = memory.direction(ghat)
         gd = inner(ghat, d)
         if not gd < 0.0:
             # steepest-descent fallback
@@ -398,10 +373,7 @@ def solve(
         grad_f = pot.gradient(coords, u) if grad_try is None else grad_try
         grad_inf = float(np.abs(_gradient_samples(uhat, grad_f, op)).max())
         ghat_new = lam * uhat + op._rfft(grad_f)
-        if opts.method == "lbfgs":
-            memory.push(s, ghat_new - ghat)
-        elif opts.method == "nonlinear_cg":
-            g_prev, d_prev = ghat, d
+        memory.push(s, ghat_new - ghat)
         ghat = ghat_new
         f, kinetic, potential_part = f_try, kinetic_try, potential_try
         alpha_prev = alpha

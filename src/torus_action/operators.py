@@ -2,10 +2,9 @@
 
 Both difference schemes are diagonal in the discrete Fourier basis, so one
 real-to-complex transform pair over the half spectrum implements the
-Laplacian, the Dirichlet pairing and the H1 preconditioner for either
-scheme; only the eigenvalue table changes.  Energies and pairings are
-evaluated through that table, which makes discrete integration by parts
-exact to rounding.
+Laplacian and the Dirichlet pairing for either scheme; only the eigenvalue
+table changes.  Energies and pairings are evaluated through that table,
+which makes discrete integration by parts exact to rounding.
 """
 
 from __future__ import annotations
@@ -113,13 +112,6 @@ class ActionReport:
     grad_inf_norm: float
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    field: Field
-    inf_norm: float
-    l2_norm: float
-
-
 def _check_field(op: DiffOperator, u: Field) -> None:
     if u.grid != op.grid:
         raise ValueError("field and operator live on different grids")
@@ -162,11 +154,6 @@ def l2_norm(u: Field) -> float:
     return float(np.sqrt(max(l2_inner(u, u), 0.0)))
 
 
-def h1_inner(u: Field, v: Field, op: DiffOperator) -> float:
-    """integrate(<u, v> + <du, dv>) with the derivative pairing from the scheme."""
-    return l2_inner(u, v) + dirichlet_form(u, v, op)
-
-
 def action_value(u: Field, pot: Potential, op: DiffOperator) -> float:
     """Discrete action: kinetic half-Dirichlet energy plus the potential integral."""
     _check_field(op, u)
@@ -189,41 +176,9 @@ def action_gradient(u: Field, pot: Potential, op: DiffOperator) -> Field:
     return Field(op.grid, -lap.values + grad, _check=False)
 
 
-def eval_action(u: Field, pot: Potential, op: DiffOperator) -> ActionReport:
-    _check_field(op, u)
-    _check_potential(u, pot)
-    kinetic = 0.5 * dirichlet_form(u, u, op)
-    density = pot.value(op.grid.coords(), u.values)
-    potential_part = integrate(op.grid, density)
-    g = action_gradient(u, pot, op)
-    return ActionReport(
-        kinetic=kinetic,
-        potential_part=potential_part,
-        total=kinetic + potential_part,
-        grad_inf_norm=float(np.abs(g.values).max()),
-    )
-
-
-def pde_residual(u: Field, pot: Potential, op: DiffOperator) -> ResidualReport:
-    """Strong-form residual laplacian(u) - grad F(t, u) with inf and L2 norms."""
-    _check_field(op, u)
-    _check_potential(u, pot)
-    lap = laplacian(op, u)
-    grad = pot.gradient(op.grid.coords(), u.values)
-    r = Field(op.grid, lap.values - grad, _check=False)
-    inf_norm = float(np.abs(r.values).max())
-    return ResidualReport(field=r, inf_norm=inf_norm, l2_norm=l2_norm(r))
-
-
 def mean_decompose(u: Field):
     """Split u into its box average (an n-vector) and the zero-mean remainder."""
     axes = tuple(range(u.grid.p))
     mean = u.values.mean(axis=axes)
     fluct = Field(u.grid, u.values - mean, _check=False)
     return mean, fluct
-
-
-def h1_precondition(op: DiffOperator, g: Field) -> Field:
-    """Divide frequency components by (1 + lambda_k); smooths an L2 gradient."""
-    _check_field(op, g)
-    return Field(op.grid, op._multiply(g.values, op._smooth), _check=False)

@@ -129,8 +129,7 @@ def fd_action_gradient(
     """Full action gradient from central differences, one node value at a time.
 
     Divides out the quadrature weight, so the result is comparable to
-    action_gradient directly.  Refuses problems above a coordinate cap; use
-    fd_directional_derivative for spot checks on larger grids.
+    action_gradient directly.  Refuses problems above a coordinate cap.
     """
     epsilon = _check_epsilon(epsilon)
     size = u.grid.node_count * u.n
@@ -153,13 +152,3 @@ def fd_action_gradient(
         flat[j] = saved
         out[j] = (f_plus - f_minus) / (2.0 * epsilon * weight)
     return Field(u.grid, out, n=u.n)
-
-
-def fd_directional_derivative(
-    u: Field, v: Field, pot: Potential, op: DiffOperator, epsilon: float = 1e-6
-) -> float:
-    """Central-difference directional derivative of the action along v."""
-    epsilon = _check_epsilon(epsilon)
-    f_plus = action_value(u + epsilon * v, pot, op)
-    f_minus = action_value(u + (-epsilon) * v, pot, op)
-    return (f_plus - f_minus) / (2.0 * epsilon)

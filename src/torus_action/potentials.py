@@ -185,8 +185,7 @@ class Potential:
     ``value`` and ``gradient`` are batched: t has shape (..., p), x has shape
     (..., n), and they return shapes (...,) and (..., n).  ``hessian`` is
     optional and returns (..., n, n) when present.  The convexity tag records
-    what the constructor can guarantee; it is sampled, not proven, by
-    check_midpoint_convexity.
+    what the constructor can guarantee.
     """
 
     n: int
@@ -458,22 +457,6 @@ def check_gradient(pot: Potential, samples: int = 100, seed: int = 0) -> float:
     err = np.linalg.norm(fd - grad, axis=-1)
     scale = np.maximum(1.0, np.linalg.norm(grad, axis=-1))
     return float((err / scale).max())
-
-
-def check_midpoint_convexity(pot: Potential, triples: int = 1000, seed: int = 0) -> float:
-    """Largest midpoint-convexity violation over random (t, x, y) triples.
-
-    Returns max of F(t, (x+y)/2) - (F(t, x) + F(t, y)) / 2, which is
-    nonpositive (up to rounding) for convex potentials.
-    """
-    rng = np.random.default_rng(seed)
-    p = len(pot.periods)
-    t = rng.uniform(0.0, 1.0, size=(triples, p)) * np.asarray(pot.periods)
-    x = rng.normal(0.0, 2.0, size=(triples, pot.n))
-    y = rng.normal(0.0, 2.0, size=(triples, pot.n))
-    mid = pot.value(t, 0.5 * (x + y))
-    violation = mid - 0.5 * (pot.value(t, x) + pot.value(t, y))
-    return float(violation.max())
 
 
 @dataclass(frozen=True)

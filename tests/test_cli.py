@@ -261,6 +261,7 @@ def test_oracle_compare_needs_quadratic_structure(tmp_path):
     cfg_dict = drift_config(out)
     cfg = write_config(tmp_path, cfg_dict)
     assert main(["oracle-compare", "--config", cfg]) == 1
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +378,44 @@ def test_out_of_range_solver_options_are_located(tmp_path, capsys, solver, name)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert f"config {cfg} rejected at $['solver']: {name} must be" in err
+
+
+@pytest.mark.parametrize("edit, where, message", [
+    (lambda c: c.update(seed=-1), "$['seed']", "-1 is less than the minimum of 0"),
+    (lambda c: c["solver"].update(method="gradient_descent"), "$['solver']['method']",
+     "'gradient_descent' is not one of ['lbfgs']"),
+    (lambda c: c["solver"].update(method="nonlinear_cg"), "$['solver']['method']",
+     "'nonlinear_cg' is not one of ['lbfgs']"),
+    (lambda c: c["solver"].update(precondition_h1=False), "$['solver']",
+     "Additional properties are not allowed ('precondition_h1' was unexpected)"),
+    (lambda c: c["solver"].update(lbfgs_memory=0), "$['solver']",
+     "lbfgs_memory must be positive, got 0"),
+    (lambda c: c["solver"].update(divergence_mean_norm=-1), "$['solver']",
+     "divergence_mean_norm must be finite and positive, got -1"),
+], ids=["seed", "gradient_descent", "nonlinear_cg", "precondition_h1", "lbfgs_memory",
+        "divergence_mean_norm"])
+def test_rejected_config_is_located_and_leaves_no_output_directory(tmp_path, capsys, edit,
+                                                                   where, message):
+    out = tmp_path / "out"
+    cfg_dict = manufactured_config(out)
+    edit(cfg_dict)
+    cfg = write_config(tmp_path, cfg_dict)
+    assert main(["solve", "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        f"torus-action: error: config {cfg} rejected at {where}: {message}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "certify", "check-grad"])
+def test_negative_seed_flag_is_rejected_by_the_option(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, manufactured_config(out))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--seed", "-5"])
+    assert exc.value.code == 2
+    assert "argument --seed: expected a non-negative integer, got '-5'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def qshift_1d_config(out_dir):

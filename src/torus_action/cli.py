@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .certify import CertifyOptions, certify, wirtinger_audit, wirtinger_constant
+from .certify import certify, wirtinger_audit, wirtinger_constant
 from .grid import Field, build_grid
 from .minimize import _METHODS, SolveStatus, SolverOptions, solve
 from .operators import DiffOperator
@@ -323,14 +323,7 @@ def _certificate_dict(cert) -> dict:
         "wirtinger_constant": cert.wirtinger_constant,
         "verdict": cert.verdict.value,
         "notes": list(cert.notes),
-        "ray_probes": [
-            {
-                "direction": list(probe.direction),
-                "radii": list(probe.radii),
-                "values": list(probe.values),
-            }
-            for probe in cert.ray_probes
-        ],
+        "escape_ray": None if cert.escape_ray is None else list(cert.escape_ray),
     }
 
 
@@ -375,10 +368,8 @@ def run(
             "oracle-compare needs quadratic_shift, quadratic_form, or manufactured"
         )
 
-    # created only after the checks above, so a rejected config leaves none
     outputs = config.get("outputs", {})
     directory = Path(out_dir) if out_dir is not None else Path(outputs.get("directory", "out"))
-    directory.mkdir(parents=True, exist_ok=True)
 
     report = {
         "command": command,
@@ -413,16 +404,12 @@ def run(
                 np.abs(result.u.values - bundle.exact.values).max()
             )
         if result.status is SolveStatus.DIVERGED_NON_COERCIVE:
-            cert = certify(grid, pot, op, CertifyOptions(seed=seed))
+            cert = certify(grid, pot, op)
             report["certificate"] = _certificate_dict(cert)
-        if outputs.get("field_dump", True):
-            dump_field(result.u, directory / "field.bin")
-        if outputs.get("trace", True):
-            write_trace(result.trace, directory / "trace.csv")
         exit_code = 0 if result.status is SolveStatus.CONVERGED else 2
 
     elif command == "certify":
-        cert = certify(grid, pot, op, CertifyOptions(seed=seed))
+        cert = certify(grid, pot, op)
         report["certificate"] = _certificate_dict(cert)
         exit_code = 0 if cert.verdict.value == "solvable" else 2
 
@@ -472,6 +459,13 @@ def run(
         )
         exit_code = 0 if gap <= threshold else 2
 
+    # created only once every step has run, so a failure leaves none
+    directory.mkdir(parents=True, exist_ok=True)
+    if command == "solve":
+        if outputs.get("field_dump", True):
+            dump_field(result.u, directory / "field.bin")
+        if outputs.get("trace", True):
+            write_trace(result.trace, directory / "trace.csv")
     report["wall_time_s"] = time.perf_counter() - started
     write_report(report, directory / "report.json")
     return exit_code
@@ -492,7 +486,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, text in (
         ("solve", "minimize the action and report the field"),
-        ("certify", "probe solvability without running the field solver"),
+        ("certify", "decide solvability without running the field solver"),
         ("check-grad", "audit the potential gradient by central differences"),
         ("wirtinger", "report the mean-zero Poincare constant and audit it"),
         ("oracle-compare", "cross-check the minimizer against a dense solve"),

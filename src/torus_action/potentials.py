@@ -1,4 +1,4 @@
-"""Potentials F(t, x) on the period box, with gradients and convexity tags.
+"""Potentials F(t, x) on the period box, with gradients and growth at infinity.
 
 Time dependence enters through trigonometric coefficient paths, which keeps
 every built-in potential smooth, multi-periodic by construction, and exactly
@@ -7,19 +7,12 @@ integrable by the grid quadrature once resolved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
-from typing import Callable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .grid import Field, TorusGrid, check_periods
-
-
-class Convexity(str, Enum):
-    STRICTLY_CONVEX = "strictly_convex"
-    CONVEX = "convex"
-    NON_CONVEX_UNCHECKED = "non_convex_unchecked"
 
 
 @dataclass(frozen=True)
@@ -178,23 +171,35 @@ def check_path_resolvable(path: TrigPath, grid: TorusGrid) -> None:
             )
 
 
+# The recession of an averaged potential that outgrows every linear function.
+SUPERLINEAR = "superlinear"
+
+
 @dataclass(frozen=True)
 class Potential:
-    """A potential F(t, x) with its x-gradient and declared convexity class.
+    """A potential F(t, x) with its x-gradient and the growth of its box mean.
 
     ``value`` and ``gradient`` are batched: t has shape (..., p), x has shape
     (..., n), and they return shapes (...,) and (..., n).  ``hessian`` is
-    optional and returns (..., n, n) when present.  The convexity tag records
-    what the constructor can guarantee.
+    optional and returns (..., n, n) when present.
+
+    ``recession`` declares the recession function G_inf(d) = lim G(r d) / r
+    of the averaged potential G(x) = integral of F(t, x) dt: a tuple of rows
+    r_j with G_inf(d) = max_j <r_j, d> up to a positive factor, SUPERLINEAR
+    when G_inf is infinite off the origin, or None when undeclared.
     """
 
     n: int
     periods: tuple[float, ...]
     value: Callable[[np.ndarray, np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    convexity: Convexity = Convexity.NON_CONVEX_UNCHECKED
     hessian: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     kind: str = ""
+    recession: Union[tuple[tuple[float, ...], ...], str, None] = None
+
+
+def _rows(matrix) -> tuple[tuple[float, ...], ...]:
+    return tuple(tuple(float(c) for c in row) for row in np.atleast_2d(matrix))
 
 
 def _column_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -246,14 +251,14 @@ def make_quadratic_shift(n: int, shift: TrigPath) -> Potential:
         periods=shift.periods,
         value=value,
         gradient=gradient,
-        convexity=Convexity.STRICTLY_CONVEX,
         hessian=hessian,
         kind="quadratic_shift",
+        recession=SUPERLINEAR,
     )
 
 
 def make_linear_drift(n: int, drift: TrigPath) -> Potential:
-    """F(t, x) = <a(t), x>; convex but never strictly, and never coercive."""
+    """F(t, x) = <a(t), x>; its box mean grows like <mean(a), x>, never coercively."""
     if drift.n != int(n):
         raise ValueError(f"drift path has {drift.n} components, expected {n}")
 
@@ -273,9 +278,9 @@ def make_linear_drift(n: int, drift: TrigPath) -> Potential:
         periods=drift.periods,
         value=value,
         gradient=gradient,
-        convexity=Convexity.CONVEX,
         hessian=hessian,
         kind="linear_drift",
+        recession=_rows(drift.box_mean()),
     )
 
 
@@ -309,18 +314,17 @@ def make_quadratic_form(matrix, drift: TrigPath) -> Potential:
         periods=drift.periods,
         value=value,
         gradient=gradient,
-        convexity=Convexity.STRICTLY_CONVEX,
         hessian=hessian,
         kind="quadratic_form",
+        recession=SUPERLINEAR,
     )
 
 
 def make_log_sum_exp(directions, offsets: list[TrigPath]) -> Potential:
     """F(t, x) = log sum_j exp(<s_j, x> + b_j(t)).
 
-    Strictly convex exactly when the direction differences span R^n; coercive
-    when the origin lies inside the convex hull of the directions (probed at
-    runtime, not assumed here).
+    The offsets do not change the growth at infinity, max_j <s_j, d>, so
+    the directions are the rows of the recession function.
     """
     S = np.asarray(directions, dtype=float)
     if S.ndim != 2:
@@ -334,9 +338,6 @@ def make_log_sum_exp(directions, offsets: list[TrigPath]) -> Potential:
             raise ValueError("offset paths must be scalar (n=1)")
         if b.periods != periods:
             raise ValueError("offset paths disagree on periods")
-    rank = np.linalg.matrix_rank(S - S[0]) if J > 1 else 0
-    convexity = Convexity.STRICTLY_CONVEX if rank == n else Convexity.CONVEX
-
     # The kernel works on J contiguous planes, one per term, and combines
     # them by multiply-adds with the nonzero direction coefficients: each
     # logit plane from its (m, S_jm), each gradient entry from its (j, S_ja)
@@ -405,9 +406,9 @@ def make_log_sum_exp(directions, offsets: list[TrigPath]) -> Potential:
         periods=periods,
         value=value,
         gradient=gradient,
-        convexity=convexity,
         hessian=hessian,
         kind="log_sum_exp",
+        recession=_rows(S),
     )
 
 
@@ -424,16 +425,7 @@ def make_manufactured(grid: TorusGrid, n: int, target: TrigPath):
     g_path = target.laplacian().plus(target.scaled(-1.0))
     base = make_quadratic_form(np.eye(int(n)), g_path)
     exact = Field(grid, target(grid.coords()).copy())
-    pot = Potential(
-        n=int(n),
-        periods=base.periods,
-        value=base.value,
-        gradient=base.gradient,
-        convexity=base.convexity,
-        hessian=base.hessian,
-        kind="manufactured",
-    )
-    return pot, exact
+    return replace(base, kind="manufactured"), exact
 
 
 def check_gradient(pot: Potential, samples: int = 100, seed: int = 0) -> float:

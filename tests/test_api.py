@@ -4,7 +4,7 @@ import torus_action
 
 # The public surface: what the CLI, the README quick start, the acceptance
 # suite and perfbench/worker.py call, the result types those calls return,
-# and the reference helpers the unit tests compare against: 52 names.
+# and the reference helpers the unit tests compare against: 48 names.
 PUBLIC_NAMES = {
     # grid
     "Field",
@@ -12,7 +12,6 @@ PUBLIC_NAMES = {
     "build_grid",
     "integrate",
     # potentials
-    "Convexity",
     "Potential",
     "PotentialBundle",
     "TrigPath",
@@ -44,11 +43,8 @@ PUBLIC_NAMES = {
     "newton_krylov_refine",
     "solve",
     # certify
-    "CertifyOptions",
     "Coercivity",
-    "ConsistencyError",
     "MeanPotentialG",
-    "RayProbe",
     "SolvabilityCertificate",
     "Verdict",
     "build_mean_potential",

@@ -1,11 +1,12 @@
+from dataclasses import replace
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from torus_action import (
     Coercivity,
-    ConsistencyError,
-    CertifyOptions,
     DiffOperator,
     Field,
     Scheme,
@@ -85,12 +86,9 @@ def test_probe_flags_quadratic_as_coercive():
     g, _ = grid_and_op()
     pot = make_quadratic_shift(1, TrigPath.zero((TWO_PI,), 1))
     G = build_mean_potential(g, pot)
-    verdict, probes = coercivity_probe(G)
+    verdict, escape_ray = coercivity_probe(G)
     assert verdict is Coercivity.COERCIVE
-    assert len(probes) >= 2
-    for probe in probes:
-        assert probe.values.shape == (4,)
-        assert probe.values[-1] > probe.values[0]
+    assert escape_ray is None
 
 
 def test_probe_flags_drift_as_not_coercive():
@@ -98,27 +96,9 @@ def test_probe_flags_drift_as_not_coercive():
     drift = TrigPath((TWO_PI,), 1, (TrigTerm("cos", (0,), (1.0,)),))
     pot = make_linear_drift(1, drift)
     G = build_mean_potential(g, pot)
-    verdict, _ = coercivity_probe(G)
+    verdict, escape_ray = coercivity_probe(G)
     assert verdict is Coercivity.NOT_COERCIVE
-
-
-def test_probe_radii_must_increase():
-    g, _ = grid_and_op()
-    pot = make_quadratic_shift(1, TrigPath.zero((TWO_PI,), 1))
-    G = build_mean_potential(g, pot)
-    with pytest.raises(ValueError, match="radii"):
-        coercivity_probe(G, radii=(10.0, 1.0))
-
-
-def test_probe_direction_count():
-    g, _ = grid_and_op()
-    pot = make_quadratic_shift(3, TrigPath.zero((TWO_PI,), 3))
-    G = build_mean_potential(g, pot)
-    # the count is the total ray budget; the 2n signed axes come first
-    _, probes = coercivity_probe(G, directions=12, seed=4)
-    assert len(probes) == 12
-    with pytest.raises(ValueError, match="directions"):
-        coercivity_probe(G, directions=5)
+    assert_allclose(escape_ray, [-1.0], rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +166,7 @@ def test_certificate_solvable_quadratic():
     assert cert.coercivity is Coercivity.COERCIVE
     assert_allclose(cert.stationary_mean, [0.0], atol=1e-8)
     assert cert.wirtinger_constant == wirtinger_constant(op)
-    assert len(cert.ray_probes) >= 2
+    assert cert.escape_ray is None
 
 
 def test_certificate_not_solvable_drift():
@@ -197,6 +177,8 @@ def test_certificate_not_solvable_drift():
     assert cert.verdict is Verdict.NOT_SOLVABLE
     assert cert.stationary_mean is None
     assert cert.coercivity is Coercivity.NOT_COERCIVE
+    assert_allclose(cert.escape_ray, [-1.0], rtol=1e-15)
+    assert_allclose(cert.grad_norm, TWO_PI, rtol=1e-12)
 
 
 def test_certificate_log_sum_exp_solvable():
@@ -210,40 +192,33 @@ def test_certificate_log_sum_exp_solvable():
 
 
 def test_certificate_mean_zero_drift_downgrades_coercivity():
-    # solvable but nowhere strictly convex: the two indicators disagree,
-    # which for a merely convex potential is reported, not raised
+    # G vanishes: every point is a minimum, so the case is solvable, but G
+    # does not grow along any ray
     g, op = grid_and_op()
     drift = TrigPath((TWO_PI,), 1, (TrigTerm("sin", (1,), (1.0,)),))
     pot = make_linear_drift(1, drift)
     cert = certify(g, pot, op)
     assert cert.verdict is Verdict.SOLVABLE
-    assert cert.coercivity is Coercivity.INCONCLUSIVE
-    assert len(cert.notes) >= 1
+    assert cert.coercivity is Coercivity.NOT_COERCIVE
+    assert_allclose(cert.stationary_mean, [0.0], atol=0.0)
+    assert cert.escape_ray is None
+    assert cert.notes == ()
 
 
-def test_certificate_consistency_error_for_lying_convexity():
-    # a potential labeled strictly convex whose averaged gradient has a
-    # zero but whose growth is sublinear along an axis must trip the
-    # cross check
+def test_certificate_for_an_undeclared_recession_rests_on_the_search():
+    # without a declared recession function only a found mean decides
     g, op = grid_and_op()
-    drift = TrigPath((TWO_PI,), 1, (TrigTerm("sin", (1,), (1.0,)),))
-    base = make_linear_drift(1, drift)
-    from dataclasses import replace
-    from torus_action import Convexity
-    lying = replace(base, convexity=Convexity.STRICTLY_CONVEX)
-    with pytest.raises(ConsistencyError):
-        certify(g, lying, op)
-
-
-def test_certify_options_are_respected():
-    g, op = grid_and_op()
-    pot = make_quadratic_shift(2, TrigPath.zero((TWO_PI,), 2))
-    opts = CertifyOptions(radii=(1.0, 5.0, 25.0), directions=6, seed=11)
-    cert = certify(g, pot, op, opts)
+    mean_zero = TrigPath((TWO_PI,), 1, (TrigTerm("sin", (1,), (1.0,)),))
+    cert = certify(g, replace(make_linear_drift(1, mean_zero), recession=None), op)
     assert cert.verdict is Verdict.SOLVABLE
-    for probe in cert.ray_probes:
-        assert probe.radii == (1.0, 5.0, 25.0)
-    assert len(cert.ray_probes) == 6
+    assert cert.coercivity is Coercivity.INCONCLUSIVE
+    assert_allclose(cert.stationary_mean, [0.0], atol=0.0)
+    constant = TrigPath((TWO_PI,), 1, (TrigTerm("cos", (0,), (1.0,)),))
+    cert = certify(g, replace(make_linear_drift(1, constant), recession=None), op)
+    assert cert.verdict is Verdict.INCONCLUSIVE
+    assert cert.coercivity is Coercivity.INCONCLUSIVE
+    assert cert.stationary_mean is None and cert.escape_ray is None
+    assert_allclose(cert.grad_norm, TWO_PI, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -416,13 +391,175 @@ def test_shipped_log_sum_exp_certificate_is_unchanged(tmp_path):
 
 
 def test_a_hessian_that_is_not_positive_definite_never_counts_as_converged():
-    # a lying Hessian, -I, with a gradient that never vanishes: no decrement
-    # may be taken from it, and the descent fallback finds no mean
+    # a lying Hessian, -I, with a gradient that never vanishes: its range
+    # above the floor is empty, so the whole gradient is off it and no mean
+    # is found
     g, _ = grid_and_op()
     drift = TrigPath((TWO_PI,), 1, (TrigTerm("cos", (0,), (1.0,)),))
-    from dataclasses import replace
     base = make_linear_drift(1, drift)
     lying = replace(base, hessian=lambda t, x: -np.ones(np.shape(x)[:-1] + (1, 1)))
     x, gnorm = find_stationary_mean(build_mean_potential(g, lying))
     assert x is None
     assert_allclose(gnorm, TWO_PI, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the exact decision from the recession function
+# ---------------------------------------------------------------------------
+
+SWEEP_PERIODS = (0.3, 1.0, TWO_PI, 10.0)
+SWEEP_G_CALLS = ("value", "gradient", "hessian")
+
+
+# (seed, cases, offset scale): the first sweep has unit offsets; in the
+# second, offsets up to 10 across the box made the search stall at G's
+# rounding until its budget ran out, or step past a ridge of the log-sum-exp
+# into a region where the Hessian is singular to rounding
+SWEEPS = {"unit-offsets": (20, 120, 1.0), "large-offsets": (237, 40, 5.0)}
+
+
+@lru_cache(maxsize=None)
+def _recession_sweep(sweep):
+    """Seeded log_sum_exp cases, certified with a count of G's calls.
+
+    p = 1-2, n = 1-3, J = n+1 to n+3 Gaussian directions, periods drawn
+    from SWEEP_PERIODS, 8 nodes per axis, and each offset a constant plus a
+    sine wave, both with coefficients in [-scale, scale].
+    """
+    from torus_action import MeanPotentialG
+
+    seed, count, scale = SWEEPS[sweep]
+    rng = np.random.default_rng(seed)
+    calls = {name: 0 for name in SWEEP_G_CALLS}
+    plain = {name: getattr(MeanPotentialG, name) for name in SWEEP_G_CALLS}
+
+    def counted(name):
+        def method(self, x):
+            calls[name] += 1
+            return plain[name](self, x)
+        return method
+
+    cases = []
+    try:
+        for name in SWEEP_G_CALLS:
+            setattr(MeanPotentialG, name, counted(name))
+        for _ in range(count):
+            p, n = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+            J = int(rng.integers(n + 1, n + 4))
+            periods = tuple(float(rng.choice(SWEEP_PERIODS)) for _ in range(p))
+            S = rng.normal(size=(J, n))
+            offsets = [TrigPath(periods, 1, (
+                TrigTerm("cos", (0,) * p, (scale * rng.uniform(-1, 1),)),
+                TrigTerm("sin", tuple(int(k) for k in rng.integers(0, 3, size=p)),
+                         (scale * rng.uniform(-1, 1),)))) for _ in range(J)]
+            g = TorusGrid(periods, (8,) * p)
+            pot = make_log_sum_exp(S, offsets)
+            before = sum(calls.values())
+            cert = certify(g, pot, DiffOperator(g, Scheme.SPECTRAL))
+            cases.append((g, S, pot, cert, sum(calls.values()) - before))
+    finally:
+        for name in SWEEP_G_CALLS:
+            setattr(MeanPotentialG, name, plain[name])
+    return cases
+
+
+@pytest.mark.parametrize("sweep", SWEEPS)
+def test_recession_sweep_certificates_check_themselves(sweep):
+    # ray probes missed narrow escape cones here and raised
+    verdicts = []
+    for g, S, pot, cert, _ in _recession_sweep(sweep):
+        G = build_mean_potential(g, pot)
+        verdicts.append(cert.verdict)
+        if cert.verdict is Verdict.SOLVABLE:
+            assert cert.escape_ray is None
+            assert np.abs(G.gradient(cert.stationary_mean)).max() <= 1e-7
+        else:
+            assert cert.verdict is Verdict.NOT_SOLVABLE
+            assert cert.stationary_mean is None
+            d = cert.escape_ray
+            assert_allclose(np.linalg.norm(d), 1.0, rtol=1e-14)
+            assert (S @ d).max() <= 1e-12 and (S @ d).min() < 0.0
+            assert G.value(10.0 * d) < G.value(np.zeros(G.n))
+    assert verdicts.count(Verdict.SOLVABLE) >= len(verdicts) // 3
+    assert verdicts.count(Verdict.NOT_SOLVABLE) >= len(verdicts) // 3
+
+
+@pytest.mark.parametrize("sweep", SWEEPS)
+def test_recession_sweep_costs_few_G_calls(sweep):
+    # G value, gradient and Hessian calls per certify: a steepest-descent
+    # fallback, or a Newton search stalled at G's rounding, spent tens of
+    # thousands on some of these cases
+    counts = [calls for *_, calls in _recession_sweep(sweep)]
+    assert max(counts) <= 40
+    assert sum(counts) <= 10 * len(counts)
+    skipped = [calls for *_, cert, calls in _recession_sweep(sweep) if cert.escape_ray is not None]
+    assert skipped and max(skipped) == 1  # the gradient at the origin
+
+
+def _lse(S, periods=(TWO_PI,)):
+    offs = [TrigPath(periods, 1, (TrigTerm("cos", (1,) * len(periods), (0.1 * (j + 1),)),))
+            for j in range(len(S))]
+    return make_log_sum_exp(np.asarray(S, dtype=float), offs)
+
+
+def test_origin_on_the_hull_boundary_is_not_solvable():
+    # G = log(e^x1 + e^x2 + e^-x1) falls to its infimum as x2 -> -inf and
+    # never attains it, although the origin lies on the hull of the directions
+    g, op = grid_and_op()
+    cert = certify(g, _lse([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]), op)
+    assert cert.verdict is Verdict.NOT_SOLVABLE
+    assert cert.coercivity is Coercivity.NOT_COERCIVE
+    assert_allclose(cert.escape_ray, [0.0, -1.0], atol=1e-15)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.7])
+def test_balanced_directions_that_miss_an_axis_are_solvable_but_not_coercive(theta):
+    # S = {e1, -e1} in R^2, turned by theta: G is flat across the directions
+    # and has a line of minima
+    g, op = grid_and_op()
+    e = np.array([np.cos(theta), np.sin(theta)])
+    S = np.array([e, -e])
+    pot = _lse(S)
+    cert = certify(g, pot, op)
+    assert cert.verdict is Verdict.SOLVABLE
+    assert cert.coercivity is Coercivity.NOT_COERCIVE
+    assert cert.escape_ray is None and cert.notes == ()
+    G = build_mean_potential(g, pot)
+    assert np.abs(G.gradient(cert.stationary_mean)).max() <= 1e-10
+
+
+def test_a_declared_minimum_that_the_search_misses_is_inconclusive():
+    # cos(8 t) has box mean 0, so its recession row is 0 and a minimum
+    # exists; an 8-node grid samples it as the constant 1, so the grid's G
+    # is linear with slope 2 pi and the search finds none
+    g, op = grid_and_op(res=(8,))
+    drift = TrigPath((TWO_PI,), 1, (TrigTerm("cos", (8,), (1.0,)),))
+    cert = certify(g, make_linear_drift(1, drift), op)
+    assert cert.verdict is Verdict.INCONCLUSIVE
+    assert cert.stationary_mean is None and cert.escape_ray is None
+    assert_allclose(cert.grad_norm, TWO_PI, rtol=1e-12)
+    assert len(cert.notes) == 1 and "recession function" in cert.notes[0]
+
+
+def test_certify_rejects_a_potential_without_a_hessian():
+    g, op = grid_and_op()
+    pot = make_quadratic_shift(1, TrigPath.zero((TWO_PI,), 1))
+    with pytest.raises(ValueError, match="Hessian"):
+        certify(g, replace(pot, hessian=None), op)
+
+
+def test_shipped_not_solvable_certificate_carries_its_escape_ray(tmp_path):
+    import json
+    from pathlib import Path
+
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "certify_lse_not_solvable.json"
+    config = json.loads(shipped.read_text())
+    config["outputs"]["directory"] = str(tmp_path / "out")
+    path = tmp_path / "certify.json"
+    path.write_text(json.dumps(config))
+    code, cert = _cli_certify(str(path))
+    assert code == 2 and cert["verdict"] == "not_solvable"
+    assert cert["coercivity"] == "not_coercive" and cert["stationary_mean"] is None
+    S = np.array(config["potential"]["directions"])
+    d = np.array(cert["escape_ray"])
+    assert (S @ d).max() <= 1e-12 and (S @ d).min() < 0.0

@@ -264,6 +264,15 @@ def test_oracle_compare_needs_quadratic_structure(tmp_path):
     assert not out.exists()
 
 
+def test_oracle_compare_over_the_dense_cap_leaves_no_output_directory(tmp_path, capsys):
+    # the cap is met after the config checks, inside the command itself
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, manufactured_config(out, N=128))
+    assert main(["oracle-compare", "--config", cfg]) == 1
+    assert "exceeds the cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from torus_action import (
-    Convexity,
     TorusGrid,
     TrigPath,
     TrigTerm,
@@ -16,6 +15,7 @@ from torus_action import (
     make_quadratic_shift,
     potential_from_dict,
 )
+from torus_action.potentials import SUPERLINEAR
 
 TWO_PI = 2.0 * np.pi
 
@@ -145,7 +145,7 @@ def test_quadratic_shift_value_and_gradient():
     assert_allclose(pot.value(t, x), 0.5 * (2.0 ** 2 + 2.0 ** 2))
     assert_allclose(pot.gradient(t, x), [2.0, 2.0])
     assert_allclose(pot.hessian(t, x), np.eye(2))
-    assert pot.convexity is Convexity.STRICTLY_CONVEX
+    assert pot.recession == SUPERLINEAR
 
 
 def test_linear_drift_gradient_is_the_path():
@@ -156,7 +156,8 @@ def test_linear_drift_gradient_is_the_path():
     assert_allclose(pot.value(t, x), np.dot(drift(t), x), rtol=1e-14)
     assert_allclose(pot.gradient(t, x), drift(t), rtol=1e-14)
     assert_allclose(pot.hessian(t, x), np.zeros((2, 2)))
-    assert pot.convexity is Convexity.CONVEX
+    # the box mean of the drift, which has no zero-frequency term
+    assert pot.recession == ((0.0, 0.0),)
 
 
 def test_quadratic_form_requires_spd():
@@ -190,7 +191,8 @@ def test_log_sum_exp_matches_naive_formula():
     x = rng.standard_normal(2)
     raw = np.log(sum(np.exp(S[j] @ x + offs[j](t)[0]) for j in range(3)))
     assert_allclose(pot.value(t, x), raw, rtol=1e-12)
-    assert pot.convexity is Convexity.STRICTLY_CONVEX
+    # the offsets do not change the growth at infinity
+    assert pot.recession == tuple(map(tuple, S))
 
 
 def test_log_sum_exp_column_reductions_match_last_axis_reductions():
@@ -325,7 +327,10 @@ def test_log_sum_exp_rank_deficient_is_only_convex():
     S = np.array([[1.0, 0.0], [1.0, 0.0]])
     offs = [TrigPath.zero((TWO_PI,), 1)] * 2
     pot = make_log_sum_exp(S, offs)
-    assert pot.convexity is Convexity.CONVEX
+    t = np.array([[0.4], [2.0]])
+    x = np.array([[0.3, -1.0], [2.0, 5.0]])
+    assert_allclose(pot.hessian(t, x)[:, 1, :], 0.0, atol=0.0)
+    assert pot.recession == ((1.0, 0.0), (1.0, 0.0))
 
 
 def test_manufactured_gradient_hits_target():
@@ -341,7 +346,7 @@ def test_manufactured_gradient_hits_target():
         ),
     )
     pot, exact = make_manufactured(g, 2, target)
-    assert pot.convexity is Convexity.STRICTLY_CONVEX
+    assert pot.kind == "manufactured" and pot.recession == SUPERLINEAR
     assert_allclose(exact.values, target(g.coords()), atol=1e-15)
     rng = np.random.default_rng(2)
     for _ in range(10):
@@ -425,7 +430,7 @@ def test_potential_from_dict_dispatch():
         "drift": {"terms": [{"trig": "cos", "freq": [0], "coeff": [1.0]}]},
     }
     bundle = potential_from_dict(spec, g)
-    assert bundle.potential.convexity is Convexity.CONVEX
+    assert bundle.potential.recession == ((1.0,),)
 
     spec = {
         "kind": "manufactured",

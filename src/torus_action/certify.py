@@ -106,14 +106,14 @@ _NEWTON_ALPHA = 0.25
 _NEWTON_HALVINGS = 60
 # G's values are trusted to this share of |G|.
 _VALUE_ROUNDING = 1e-13
+# The search's tolerance on the Newton decrement and on the gradient off H's
+# range, its step budget, and the iterate norm that ends it.
+_MEAN_TOL = 1e-8
+_MEAN_MAX_ITERS = 10000
+_MEAN_ITERATE_CAP = 1e6
 
 
-def find_stationary_mean(
-    G: MeanPotentialG,
-    tol: float = 1e-8,
-    max_iters: int = 10000,
-    iterate_cap: float = 1e6,
-):
+def find_stationary_mean(G: MeanPotentialG):
     """Search G for a stationary point from the origin; report it or its absence.
 
     Damped Newton (Boyd & Vandenberghe, Convex Optimization, 2004, section
@@ -122,13 +122,13 @@ def find_stationary_mean(
     there, and its length halves until G falls by a share of the decrement
     grad G^T H^+ grad G, unless that decrement is too small for G's values
     to show, when the whole step is taken.  The search stops once the
-    decrement is at most tol^2; that test is affine invariant, so the size
-    of the box does not move it, and a quadratic G stops after one step.  A
-    gradient component off the range larger than tol ends the search: along
-    H's null space G is affine, with that slope.  For every built-in kind
-    the null space does not depend on x (empty for the quadratics,
-    null(S - s_0) for the log-sum-exp, everything for a linear drift), so
-    that ending is exact there.
+    decrement is at most _MEAN_TOL^2; that test is affine invariant, so the
+    size of the box does not move it, and a quadratic G stops after one
+    step.  A gradient component off the range larger than _MEAN_TOL ends the
+    search: along H's null space G is affine, with that slope.  For every
+    built-in kind the null space does not depend on x (empty for the
+    quadratics, null(S - s_0) for the log-sum-exp, everything for a linear
+    drift), so that ending is exact there.
 
     Returns (x, grad_norm) with x None when the search ends that way, the
     iterate passes the cap or the budget runs out.
@@ -136,19 +136,19 @@ def find_stationary_mean(
     _require_hessian(G.pot)
     x = np.zeros(G.n)
     f = G.value(x)
-    for _ in range(max_iters):
+    for _ in range(_MEAN_MAX_ITERS):
         g = G.gradient(x)
         gnorm = float(np.linalg.norm(g))
-        if np.linalg.norm(x) >= iterate_cap:
+        if np.linalg.norm(x) >= _MEAN_ITERATE_CAP:
             return None, gnorm
         mu, q = np.linalg.eigh(G.hessian(x))
         kept = mu > 1e-10 * max(1.0, float(np.abs(mu).max()))
         c = q.T @ g
-        if np.linalg.norm(c[~kept]) > tol:
+        if np.linalg.norm(c[~kept]) > _MEAN_TOL:
             return None, gnorm
         step = c[kept] / mu[kept]
         decrement = float(c[kept] @ step)
-        if decrement <= tol**2:
+        if decrement <= _MEAN_TOL**2:
             return x, gnorm
         d = -q[:, kept] @ step
         visible = decrement > _VALUE_ROUNDING * abs(f)
@@ -274,22 +274,15 @@ def fluctuation_ratio(u: Field, op: DiffOperator) -> float:
     return num / den
 
 
-def wirtinger_audit(
-    op: DiffOperator,
-    trials: int = 100,
-    seed: int = 0,
-    include_extremal: bool = True,
-) -> float:
-    """Max fluctuation ratio over random zero-mean fields (plus the extremal mode).
+def wirtinger_audit(op: DiffOperator, trials: int = 100, seed: int = 0) -> float:
+    """Max fluctuation ratio over the extremal mode and random zero-mean fields.
 
     Always bounded by wirtinger_constant(op); the bound is attained by the
-    lowest nonzero-frequency harmonic, which is prepended to the trial set by
-    default so the audit touches it.
+    lowest nonzero-frequency harmonic, which is prepended to the trial set so
+    the audit touches it.
     """
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    if include_extremal:
-        worst = fluctuation_ratio(_extremal_mode(op), op)
+    worst = fluctuation_ratio(_extremal_mode(op), op)
     for _ in range(trials):
         values = rng.normal(size=op.grid.shape + (1,))
         u = Field(op.grid, values)

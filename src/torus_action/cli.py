@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .certify import certify, wirtinger_audit, wirtinger_constant
 from .grid import Field, build_grid
-from .minimize import _METHODS, SolveStatus, SolverOptions, solve
+from .minimize import SolveStatus, SolverOptions, solve
 from .operators import DiffOperator
 from .oracle import assemble_quadratic_system, dense_solve
 from .potentials import check_gradient, potential_from_dict
@@ -116,8 +116,7 @@ _SOLVER_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
-        f.name: {"enum": list(_METHODS)} if f.name == "method"
-        else {"type": {"int": "integer", "float": "number"}[f.type]}
+        f.name: {"type": {"int": "integer", "float": "number"}[f.type]}
         for f in dataclasses.fields(SolverOptions)
         if f.name != "seed"
     },

@@ -32,7 +32,19 @@ class SolveStatus(str, Enum):
     DIVERGED_NON_COERCIVE = "diverged_non_coercive"
 
 
-_METHODS = ("lbfgs",)
+# Sufficient decrease (Armijo) constant of the line search; a rejected trial
+# step is multiplied by the factor, at most the given number of times.
+_ARMIJO_C1 = 1e-4
+_BACKTRACK_FACTOR = 0.5
+_MAX_BACKTRACKS = 60
+# (s, y) pairs that L-BFGS keeps.
+_LBFGS_MEMORY = 10
+# Standard deviation of the seeded noise in the default initial field.
+_INIT_NOISE = 1e-3
+# A mean norm past this, with a tame fluctuation, diagnoses a missing minimizer.
+_DIVERGENCE_MEAN_NORM = 1e6
+# Newton steps the polish takes at most.
+_MAX_NEWTON = 50
 
 # Action values closer than this, relative to the size of their kinetic and
 # potential parts, tie to rounding in the line search.
@@ -51,24 +63,16 @@ _MIRROR_PROMISE = 8.0
 class SolverOptions:
     """Descent configuration; defaults suit desk-scale convex problems.
 
-    The descent is L-BFGS, the only ``method``.  It is preconditioned by the
-    per-mode inverse (lambda_k I + H-bar)^-1, where H-bar is the box mean of
-    the potential's Hessian at the initial field, with the H1 smoother
-    1 / (1 + lambda_k) on the singular directions of H-bar and for a
-    potential without a Hessian.  The Newton-Krylov polish preconditions its
-    CG the same way.
+    The descent is L-BFGS, preconditioned by the per-mode inverse
+    (lambda_k I + H-bar)^-1, where H-bar is the box mean of the potential's
+    Hessian at the initial field, with the H1 smoother 1 / (1 + lambda_k) on
+    the singular directions of H-bar and for a potential without a Hessian.
+    The Newton-Krylov polish preconditions its CG the same way.
     """
 
-    method: str = "lbfgs"
     tol_grad_inf: float = 1e-8
     tol_residual_inf: float = 1e-6
     max_iters: int = 10000
-    divergence_mean_norm: float = 1e6
-    armijo_c1: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 60
-    lbfgs_memory: int = 10
-    init_noise: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
@@ -78,35 +82,12 @@ class SolverOptions:
                 isinstance(value, bool) or not isinstance(value, (int, np.integer))
             ):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if not 0.0 < self.armijo_c1 < 1.0:
-            raise ValueError(f"armijo_c1 must lie in (0, 1), got {self.armijo_c1}")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError(
-                f"backtrack_factor must lie in (0, 1), got {self.backtrack_factor}"
-            )
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
-        if self.lbfgs_memory < 1:
-            raise ValueError(f"lbfgs_memory must be positive, got {self.lbfgs_memory}")
         for name in ("tol_grad_inf", "tol_residual_inf"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
-        if not (np.isfinite(self.divergence_mean_norm) and self.divergence_mean_norm > 0.0):
-            raise ValueError(
-                "divergence_mean_norm must be finite and positive, "
-                f"got {self.divergence_mean_norm}"
-            )
-        if self.max_backtracks < 0:
-            raise ValueError(
-                f"max_backtracks must be non-negative, got {self.max_backtracks}"
-            )
-        if not (np.isfinite(self.init_noise) and self.init_noise >= 0.0):
-            raise ValueError(
-                f"init_noise must be finite and non-negative, got {self.init_noise}"
-            )
 
 
 @dataclass
@@ -128,7 +109,7 @@ class SolveResult:
 def default_init(grid: TorusGrid, n: int, opts: SolverOptions) -> Field:
     """Zero field plus small seeded noise, so no symmetry pins the iteration."""
     rng = np.random.default_rng(opts.seed)
-    values = rng.normal(0.0, opts.init_noise, size=grid.shape + (int(n),))
+    values = rng.normal(0.0, _INIT_NOISE, size=grid.shape + (int(n),))
     return Field(grid, values)
 
 
@@ -292,7 +273,7 @@ def solve(
     ghat = lam * uhat + op._rfft(grad_f)
 
     trace = [_trace_row(f, grad_inf, uhat, op)]
-    memory = _LbfgsMemory(opts.lbfgs_memory, inner, precond)
+    memory = _LbfgsMemory(_LBFGS_MEMORY, inner, precond)
     alpha_prev = None
     status = SolveStatus.MAX_ITERS
     line_search_failed = False
@@ -326,12 +307,12 @@ def solve(
         if alpha_prev is None:
             trial = 1.0
         else:
-            trial = min(alpha_prev / opts.backtrack_factor, 1e30)
+            trial = min(alpha_prev / _BACKTRACK_FACTOR, 1e30)
 
         alpha = trial
         accepted = False
         tie = _ACTION_TIE * (abs(kinetic) + abs(potential_part))
-        for _bt in range(opts.max_backtracks + 1):
+        for _bt in range(_MAX_BACKTRACKS + 1):
             u_try = alpha * d_samples
             u_try += u
             kinetic_try = kinetic + alpha * slope + 0.5 * alpha * alpha * curvature
@@ -351,18 +332,17 @@ def solve(
                     ray_slope = slope + alpha * curvature + grid.cell_weight * float(
                         np.sum(grad_try * d_samples)
                     )
-                    decrease = max(opts.armijo_c1, _TIE_DECREASE)
-                    if ray_slope <= (2.0 * decrease - 1.0) * gd:
+                    if ray_slope <= (2.0 * _TIE_DECREASE - 1.0) * gd:
                         accepted = True
                         break
-            elif np.isfinite(f_try) and f_try <= f + opts.armijo_c1 * alpha * gd:
+            elif np.isfinite(f_try) and f_try <= f + _ARMIJO_C1 * alpha * gd:
                 accepted = True
                 break
-            alpha *= opts.backtrack_factor
+            alpha *= _BACKTRACK_FACTOR
         if not accepted:
             line_search_failed = True
             message = (
-                f"line search failed after {opts.max_backtracks} halvings "
+                f"line search failed after {_MAX_BACKTRACKS} halvings "
                 f"(directional derivative {gd:.3e})"
             )
             break
@@ -386,7 +366,7 @@ def solve(
         # running median.  A blowing-up fluctuation would point at a broken
         # step rule instead, and is left to the line search.  The median
         # walks the whole trace, so it is taken only past the threshold.
-        if not row[2] < opts.divergence_mean_norm:
+        if not row[2] < _DIVERGENCE_MEAN_NORM:
             median_fluct = float(np.median([r[3] for r in trace]))
             if row[3] <= 10.0 * median_fluct + 1e-12:
                 status = SolveStatus.DIVERGED_NON_COERCIVE
@@ -466,7 +446,6 @@ def newton_krylov_refine(
     pot: Potential,
     op: DiffOperator,
     tol: float = 1e-12,
-    max_newton: int = 50,
 ) -> SolveResult:
     """Polish a descent result with damped Newton steps on the stationarity system.
 
@@ -523,7 +502,7 @@ def newton_krylov_refine(
     newton_steps = 0
     cg_failed = False
 
-    while res_inf > tol and newton_steps < max_newton:
+    while res_inf > tol and newton_steps < _MAX_NEWTON:
         uhat, grad_f = state
         ghat = lam * uhat + op._rfft(grad_f)
         hess = pot.hessian(coords, u)

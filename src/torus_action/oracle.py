@@ -18,6 +18,8 @@ from .potentials import Potential
 
 DENSE_UNKNOWN_CAP = 20000
 FD_COORDINATE_CAP = 5000
+# The central-difference step of fd_action_gradient.
+_FD_STEP = 1e-6
 # Scalar unit fields transformed together by the dense assembly.  A block's
 # arrays hold 64 node columns, far less than the dense matrix.
 _ASSEMBLY_BLOCK = 64
@@ -116,22 +118,12 @@ def dense_solve(system: DenseSystem) -> Field:
     return Field(system.grid, x, n=system.n)
 
 
-def _check_epsilon(epsilon: float) -> float:
-    epsilon = float(epsilon)
-    if not 1e-8 <= epsilon <= 1e-3:
-        raise ValueError(f"step {epsilon} outside the supported range [1e-8, 1e-3]")
-    return epsilon
-
-
-def fd_action_gradient(
-    u: Field, pot: Potential, op: DiffOperator, epsilon: float = 1e-6
-) -> Field:
+def fd_action_gradient(u: Field, pot: Potential, op: DiffOperator) -> Field:
     """Full action gradient from central differences, one node value at a time.
 
     Divides out the quadrature weight, so the result is comparable to
     action_gradient directly.  Refuses problems above a coordinate cap.
     """
-    epsilon = _check_epsilon(epsilon)
     size = u.grid.node_count * u.n
     if size > FD_COORDINATE_CAP:
         raise ValueError(
@@ -145,10 +137,10 @@ def fd_action_gradient(
     probe = Field(u.grid, work, _check=False)
     for j in range(size):
         saved = flat[j]
-        flat[j] = saved + epsilon
+        flat[j] = saved + _FD_STEP
         f_plus = action_value(probe, pot, op)
-        flat[j] = saved - epsilon
+        flat[j] = saved - _FD_STEP
         f_minus = action_value(probe, pot, op)
         flat[j] = saved
-        out[j] = (f_plus - f_minus) / (2.0 * epsilon * weight)
+        out[j] = (f_plus - f_minus) / (2.0 * _FD_STEP * weight)
     return Field(u.grid, out, n=u.n)

@@ -465,7 +465,10 @@ def potential_from_dict(spec: dict, grid: TorusGrid) -> PotentialBundle:
     """Realize a JSON-style potential description on a grid.
 
     Quadratic-family potentials also report their (A, g) data so dense
-    cross-checks can assemble the same stationarity system.
+    cross-checks can assemble the same stationarity system.  Every path must
+    be resolvable on the grid (see check_path_resolvable): the grid would
+    alias a higher frequency to a lower one, and so realize another
+    potential.
     """
     kind = spec.get("kind")
     n = int(spec.get("n", 0))
@@ -473,13 +476,29 @@ def potential_from_dict(spec: dict, grid: TorusGrid) -> PotentialBundle:
         raise ValueError(f"potential needs a positive component count, got n={n}")
     periods = grid.periods
 
-    def path(key, components=n, required=False):
+    def resolvable(key, data, components):
+        path = TrigPath.from_dict(data, periods, components)
+        try:
+            check_path_resolvable(path, grid)
+        except ValueError as exc:
+            raise ValueError(f"potential {key!r}: {exc}") from None
+        return path
+
+    def path(key, required=False):
         data = spec.get(key)
         if data is None:
             if required:
                 raise ValueError(f"potential kind {kind!r} requires {key!r}")
-            return TrigPath.zero(periods, components)
-        return TrigPath.from_dict(data, periods, components)
+            return TrigPath.zero(periods, n)
+        return resolvable(key, data, n)
+
+    def array(key):
+        try:
+            return np.asarray(spec[key], dtype=float)
+        except ValueError:
+            raise ValueError(
+                f"potential {key!r} must be a rectangular array of numbers"
+            ) from None
 
     if kind == "quadratic_shift":
         c = path("shift")
@@ -491,20 +510,27 @@ def potential_from_dict(spec: dict, grid: TorusGrid) -> PotentialBundle:
     if kind == "quadratic_form":
         if "matrix" not in spec:
             raise ValueError("potential kind 'quadratic_form' requires 'matrix'")
-        A = np.asarray(spec["matrix"], dtype=float)
+        A = array("matrix")
         g = path("drift")
         pot = make_quadratic_form(A, g)
         return PotentialBundle(pot, quad_matrix=A, quad_drift=g)
     if kind == "log_sum_exp":
-        directions = spec.get("directions")
-        if directions is None:
+        if spec.get("directions") is None:
             directions = np.vstack([np.eye(n), -np.eye(n)])
-        directions = np.asarray(directions, dtype=float)
+        else:
+            directions = array("directions")
+            if directions.ndim == 2 and directions.shape[1] != n:
+                raise ValueError(
+                    f"potential 'directions' have {directions.shape[1]} columns, "
+                    f"expected n={n}"
+                )
         offsets_data = spec.get("offsets")
         if offsets_data is None:
             offsets = [TrigPath.zero(periods, 1) for _ in range(len(directions))]
         else:
-            offsets = [TrigPath.from_dict(d, periods, 1) for d in offsets_data]
+            offsets = [
+                resolvable(f"offsets[{j}]", d, 1) for j, d in enumerate(offsets_data)
+            ]
         return PotentialBundle(make_log_sum_exp(directions, offsets))
     if kind == "manufactured":
         target = path("target", required=True)

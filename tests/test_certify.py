@@ -61,7 +61,7 @@ def test_stationary_mean_matches_average_of_shift():
     )
     pot = make_quadratic_shift(2, shift)
     G = build_mean_potential(g, pot)
-    x, gnorm = find_stationary_mean(G, tol=1e-8)
+    x, gnorm = find_stationary_mean(G)
     assert x is not None
     assert_allclose(x, [1.0, 2.0], atol=1e-7)
     assert gnorm <= 1e-8

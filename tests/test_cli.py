@@ -323,6 +323,58 @@ def test_unresolvable_target_rejected(tmp_path, capsys):
     assert "Nyquist" in capsys.readouterr().err
 
 
+def _aliased(freq):
+    return {"terms": [{"trig": "cos", "freq": [freq], "coeff": [1.0]}]}
+
+
+@pytest.mark.parametrize("command", ["solve", "certify"])
+@pytest.mark.parametrize("potential, key", [
+    ({"kind": "quadratic_shift", "n": 1, "shift": _aliased(8)}, "shift"),
+    ({"kind": "linear_drift", "n": 1, "drift": _aliased(8)}, "drift"),
+    ({"kind": "quadratic_form", "n": 1, "matrix": [[1.0]], "drift": _aliased(8)}, "drift"),
+    ({"kind": "log_sum_exp", "n": 1, "offsets": [_aliased(1), _aliased(8)]}, "offsets[1]"),
+    ({"kind": "manufactured", "n": 1, "target": _aliased(8)}, "target"),
+], ids=["quadratic_shift", "linear_drift", "quadratic_form", "log_sum_exp", "manufactured"])
+def test_aliased_paths_are_rejected_for_every_kind(tmp_path, capsys, potential, key,
+                                                   command):
+    # cos(8t) on 8 nodes samples as the constant 1: the grid would realize
+    # another potential than the one configured
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {
+        "grid": {"p": 1, "periods": [TWO_PI], "resolutions": [8]},
+        "scheme": "spectral",
+        "potential": potential,
+        "outputs": {"directory": str(out)},
+    })
+    assert main([command, "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        f"torus-action: error: potential {key!r}: frequency 8 on axis 1 is not "
+        "resolvable below the Nyquist limit of an N=8 grid\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("potential, message", [
+    ({"kind": "log_sum_exp", "n": 2, "directions": [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]},
+     "potential 'directions' have 3 columns, expected n=2"),
+    ({"kind": "log_sum_exp", "n": 2, "directions": [[1.0, 0.0], [-1.0]]},
+     "potential 'directions' must be a rectangular array of numbers"),
+    ({"kind": "quadratic_form", "n": 2, "matrix": [[1.0, 0.0], [0.0]]},
+     "potential 'matrix' must be a rectangular array of numbers"),
+], ids=["directions-width", "directions-ragged", "matrix-ragged"])
+def test_misshapen_arrays_are_rejected_by_name(tmp_path, capsys, potential, message):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {
+        "grid": {"p": 1, "periods": [TWO_PI], "resolutions": [8]},
+        "scheme": "spectral",
+        "potential": potential,
+        "outputs": {"directory": str(out)},
+    })
+    assert main(["certify", "--config", cfg]) == 1
+    assert capsys.readouterr().err == f"torus-action: error: {message}\n"
+    assert not out.exists()
+
+
 def test_command_key_must_match_subcommand(tmp_path, capsys):
     cfg_dict = manufactured_config(tmp_path / "out")
     cfg_dict["command"] = "solve"
@@ -377,8 +429,7 @@ def test_rejection_message_matches_full_validation(tmp_path, edit):
 
 
 @pytest.mark.parametrize("solver, name", [
-    ({"init_noise": -1.0}, "init_noise"),
-    ({"max_backtracks": -1}, "max_backtracks"),
+    ({"max_iters": 0}, "max_iters"),
 ])
 def test_out_of_range_solver_options_are_located(tmp_path, capsys, solver, name):
     cfg_dict = json.loads((CONFIGS / "manufactured_2d.json").read_text())
@@ -389,20 +440,31 @@ def test_out_of_range_solver_options_are_located(tmp_path, capsys, solver, name)
     assert f"config {cfg} rejected at $['solver']: {name} must be" in err
 
 
+def _unexpected(key):
+    return f"Additional properties are not allowed ('{key}' was unexpected)"
+
+
 @pytest.mark.parametrize("edit, where, message", [
     (lambda c: c.update(seed=-1), "$['seed']", "-1 is less than the minimum of 0"),
-    (lambda c: c["solver"].update(method="gradient_descent"), "$['solver']['method']",
-     "'gradient_descent' is not one of ['lbfgs']"),
-    (lambda c: c["solver"].update(method="nonlinear_cg"), "$['solver']['method']",
-     "'nonlinear_cg' is not one of ['lbfgs']"),
+    (lambda c: c["solver"].update(method="lbfgs"), "$['solver']", _unexpected("method")),
+    (lambda c: c["solver"].update(method="gradient_descent"), "$['solver']",
+     _unexpected("method")),
+    (lambda c: c["solver"].update(method="nonlinear_cg"), "$['solver']",
+     _unexpected("method")),
     (lambda c: c["solver"].update(precondition_h1=False), "$['solver']",
-     "Additional properties are not allowed ('precondition_h1' was unexpected)"),
-    (lambda c: c["solver"].update(lbfgs_memory=0), "$['solver']",
-     "lbfgs_memory must be positive, got 0"),
+     _unexpected("precondition_h1")),
+    (lambda c: c["solver"].update(lbfgs_memory=0), "$['solver']", _unexpected("lbfgs_memory")),
     (lambda c: c["solver"].update(divergence_mean_norm=-1), "$['solver']",
-     "divergence_mean_norm must be finite and positive, got -1"),
-], ids=["seed", "gradient_descent", "nonlinear_cg", "precondition_h1", "lbfgs_memory",
-        "divergence_mean_norm"])
+     _unexpected("divergence_mean_norm")),
+    (lambda c: c["solver"].update(init_noise=-1.0), "$['solver']", _unexpected("init_noise")),
+    (lambda c: c["solver"].update(max_backtracks=-1), "$['solver']",
+     _unexpected("max_backtracks")),
+    (lambda c: c["solver"].update(armijo_c1=1e-4), "$['solver']", _unexpected("armijo_c1")),
+    (lambda c: c["solver"].update(backtrack_factor=0.5), "$['solver']",
+     _unexpected("backtrack_factor")),
+], ids=["seed", "method", "gradient_descent", "nonlinear_cg", "precondition_h1",
+        "lbfgs_memory", "divergence_mean_norm", "init_noise", "max_backtracks", "armijo_c1",
+        "backtrack_factor"])
 def test_rejected_config_is_located_and_leaves_no_output_directory(tmp_path, capsys, edit,
                                                                    where, message):
     out = tmp_path / "out"
@@ -445,17 +507,23 @@ def qshift_1d_config(out_dir):
     ({"divergence_mean_norm": float("nan")}, "divergence_mean_norm"),
     ({"tol_grad_inf": -1.0}, "tol_grad_inf"),
     ({"tol_residual_inf": float("nan")}, "tol_residual_inf"),
+    ({"tol_grad_inf": float("nan")}, "tol_grad_inf"),
 ])
 def test_non_finite_or_negative_tolerances_are_rejected_up_front(tmp_path, capsys,
                                                                  solver, name):
     # the config is solvable: a NaN divergence threshold used to report it
-    # diverged, and a negative tolerance ended in a line-search failure
+    # diverged, and a negative tolerance ended in a line-search failure; the
+    # threshold is a constant now, so the key itself is rejected
     cfg_dict = qshift_1d_config(tmp_path / "out")
     cfg_dict["solver"] = solver
     cfg = write_config(tmp_path, cfg_dict)
     assert main(["solve", "--config", cfg]) == 1
     err = capsys.readouterr().err
-    assert f"config {cfg} rejected at $['solver']: {name} must be finite" in err
+    if name in CONFIG_SCHEMA["properties"]["solver"]["properties"]:
+        message = f"{name} must be finite"
+    else:
+        message = _unexpected(name)
+    assert f"config {cfg} rejected at $['solver']: {message}" in err
     assert not (tmp_path / "out" / "report.json").exists()
 
 

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from torus_action import SolverOptions
 from torus_action.cli import CONFIG_SCHEMA, load_config, main
-from torus_action.minimize import _METHODS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -38,7 +37,7 @@ def manufactured():
                 {"trig": "cos", "freq": [1, 2], "coeff": [0.0, 0.5]},
             ]},
         },
-        "solver": {"method": "lbfgs", "tol_grad_inf": 1e-10, "max_iters": 50},
+        "solver": {"tol_grad_inf": 1e-10, "max_iters": 50},
         "outputs": {"directory": "out", "field_dump": False, "trace": True},
         "seed": 1,
     }
@@ -124,7 +123,7 @@ SINGLE_ERRORS = {
     "enum": [
         lambda c: c.update(scheme="fft"),
         lambda c: c.update(command="run"),
-        lambda c: c["solver"].update(method="newton"),
+        lambda c: c.update(scheme=None),
         lambda c: c["potential"]["target"]["terms"][0].update(trig="tan"),
     ],
     "required": [
@@ -202,7 +201,7 @@ def test_integral_float_max_iters_exits_1_with_a_located_message(tmp_path, capsy
     assert "rejected at $['solver']['max_iters']: 10.0 is not of type 'integer'" in err
 
 
-@pytest.mark.parametrize("name", ["max_iters", "lbfgs_memory", "max_backtracks", "seed"])
+@pytest.mark.parametrize("name", ["max_iters", "seed"])
 @pytest.mark.parametrize("value", [float("nan"), 2.5, 10.0, True])
 def test_solver_options_reject_integer_fields_that_are_not_integers(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
@@ -210,18 +209,19 @@ def test_solver_options_reject_integer_fields_that_are_not_integers(name, value)
 
 
 def test_solver_options_accept_numpy_integers():
-    opts = SolverOptions(max_iters=np.int64(5), lbfgs_memory=np.int32(3))
-    assert opts.max_iters == 5 and opts.lbfgs_memory == 3
+    opts = SolverOptions(max_iters=np.int64(5), seed=np.int32(3))
+    assert opts.max_iters == 5 and opts.seed == 3
 
 
 def test_solver_block_is_built_from_the_options():
     solver = CONFIG_SCHEMA["properties"]["solver"]
-    names = [f.name for f in fields(SolverOptions) if f.name != "seed"]
-    assert list(solver["properties"]) == names
-    assert solver["properties"]["method"] == {"enum": list(_METHODS)}
-    assert _METHODS == ("lbfgs",)
-    assert solver["properties"]["max_iters"] == {"type": "integer"}
-    assert solver["properties"]["init_noise"] == {"type": "number"}
+    names = [f.name for f in fields(SolverOptions)]
+    assert names == ["tol_grad_inf", "tol_residual_inf", "max_iters", "seed"]
+    assert solver["properties"] == {
+        "tol_grad_inf": {"type": "number"},
+        "tol_residual_inf": {"type": "number"},
+        "max_iters": {"type": "integer"},
+    }
 
 
 def _keywords(schema, found):

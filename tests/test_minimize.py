@@ -217,27 +217,10 @@ def test_custom_init_is_respected():
 
 
 def test_options_validation():
-    for method in ("newton", "gradient_descent", "nonlinear_cg"):
-        with pytest.raises(ValueError, match="method"):
-            SolverOptions(method=method)
     with pytest.raises(TypeError, match="precondition_h1"):
         SolverOptions(precondition_h1=False)
-    with pytest.raises(ValueError, match="backtrack_factor"):
-        SolverOptions(backtrack_factor=1.5)
     with pytest.raises(ValueError, match="max_iters"):
         SolverOptions(max_iters=0)
-
-
-@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
-def test_options_reject_bad_init_noise(value):
-    with pytest.raises(ValueError, match="init_noise"):
-        SolverOptions(init_noise=value)
-
-
-def test_options_reject_negative_max_backtracks():
-    with pytest.raises(ValueError, match="max_backtracks"):
-        SolverOptions(max_backtracks=-1)
-    assert SolverOptions(max_backtracks=0, init_noise=0.0).max_backtracks == 0
 
 
 # ---------------------------------------------------------------------------
@@ -710,9 +693,6 @@ def test_mirror_point_tie_costs_no_potential_gradient():
     ("tol_grad_inf", float("inf")),
     ("tol_residual_inf", -1e-8),
     ("tol_residual_inf", float("nan")),
-    ("divergence_mean_norm", float("nan")),
-    ("divergence_mean_norm", float("inf")),
-    ("divergence_mean_norm", 0.0),
 ])
 def test_options_reject_non_finite_or_negative_tolerances(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
@@ -768,15 +748,16 @@ def test_lbfgs_scaling_is_stored_with_its_pair_and_matches_the_two_loop_bitwise(
 
 def test_solve_reports_the_residual_norms_the_polish_recomputes():
     # the polish returns a result that meets its target without recomputing
-    # anything, which is right only if solve's norms are the polish's own
+    # anything, which is right only if solve's norms are those of the
+    # returned field's own action gradient
     g, pot = lse_problem()
     for scheme in (Scheme.SPECTRAL, Scheme.FD2):
         op = DiffOperator(g, scheme)
         for max_iters in (1, 4, 60):
             res = solve(g, pot, op, SolverOptions(max_iters=max_iters))
-            again = newton_krylov_refine(res, pot, op, tol=0.0, max_newton=0)
-            assert again.residual_inf == res.residual_inf
-            assert again.residual_l2 == res.residual_l2
+            grad = action_gradient(res.u, pot, op)
+            assert res.residual_inf == float(np.abs(grad.values).max())
+            assert res.residual_l2 == l2_norm(grad)
 
 
 def test_refine_of_a_result_that_meets_tol_makes_no_transform_and_no_potential_call(

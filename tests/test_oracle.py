@@ -167,17 +167,6 @@ def test_fd_directional_derivative_agrees_with_pairing():
     assert worst < 1e-6
 
 
-def test_fd_epsilon_validation():
-    g = TorusGrid((TWO_PI,), (8,))
-    op = DiffOperator(g, Scheme.SPECTRAL)
-    pot = make_quadratic_shift(1, TrigPath.zero((TWO_PI,), 1))
-    u = Field.zeros(g, 1)
-    with pytest.raises(ValueError, match="step"):
-        fd_action_gradient(u, pot, op, epsilon=1e-2)
-    with pytest.raises(ValueError, match="step"):
-        fd_action_gradient(u, pot, op, epsilon=0.0)
-
-
 def _column_by_column(grid, op, A, n):
     """The dense matrix one unit field at a time, as the oracle first built it."""
     from torus_action import laplacian

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .certify import certify, wirtinger_audit, wirtinger_constant
 from .grid import Field, build_grid
-from .minimize import SolveStatus, SolverOptions, solve
+from .minimize import TRACE_COLUMNS, SolveStatus, SolverOptions, solve
 from .operators import DiffOperator
 from .oracle import assemble_quadratic_system, dense_solve
 from .potentials import check_gradient, potential_from_dict
@@ -284,46 +284,25 @@ def load_field(path) -> Field:
 
 
 def write_trace(trace: np.ndarray, path) -> None:
-    lines = ["iter,action,grad_inf,mean_norm,fluct_h1"]
+    lines = [",".join(("iter",) + TRACE_COLUMNS)]
     for i, row in enumerate(np.asarray(trace, dtype=float)):
         lines.append(f"{i}," + ",".join(repr(float(v)) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+def _json_default(obj):
+    """What json writes for a dataclass (its fields) and for numpy values."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def write_report(report: dict, path) -> None:
     Path(path).write_text(
-        json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+        json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
     )
-
-
-def _certificate_dict(cert) -> dict:
-    return {
-        "stationary_mean": None
-        if cert.stationary_mean is None
-        else list(cert.stationary_mean),
-        "grad_norm": cert.grad_norm,
-        "coercivity": cert.coercivity.value,
-        "wirtinger_constant": cert.wirtinger_constant,
-        "verdict": cert.verdict.value,
-        "notes": list(cert.notes),
-        "escape_ray": None if cert.escape_ray is None else list(cert.escape_ray),
-    }
 
 
 def run(
@@ -380,23 +359,11 @@ def run(
 
     if command == "solve":
         result = solve(grid, pot, op, opts)
+        # u and trace are written beside the report, as field.bin and trace.csv
         report.update(
-            {
-                "status": result.status.value,
-                "iterations": result.iterations,
-                "action": {
-                    "kinetic": result.action.kinetic,
-                    "potential_part": result.action.potential_part,
-                    "total": result.action.total,
-                    "grad_inf_norm": result.action.grad_inf_norm,
-                },
-                "residual_inf": result.residual_inf,
-                "residual_l2": result.residual_l2,
-                "mean": list(result.mean),
-                "fluctuation_h1_norm": result.fluctuation_h1_norm,
-                "line_search_failed": result.line_search_failed,
-                "message": result.message,
-            }
+            (f.name, getattr(result, f.name))
+            for f in dataclasses.fields(result)
+            if f.name not in ("u", "trace")
         )
         if bundle.exact is not None:
             report["exact_max_error"] = float(
@@ -404,12 +371,12 @@ def run(
             )
         if result.status is SolveStatus.DIVERGED_NON_COERCIVE:
             cert = certify(grid, pot, op)
-            report["certificate"] = _certificate_dict(cert)
+            report["certificate"] = cert
         exit_code = 0 if result.status is SolveStatus.CONVERGED else 2
 
     elif command == "certify":
         cert = certify(grid, pot, op)
-        report["certificate"] = _certificate_dict(cert)
+        report["certificate"] = cert
         exit_code = 0 if cert.verdict.value == "solvable" else 2
 
     elif command == "check-grad":

@@ -15,6 +15,13 @@ MAX_DIMENSIONS = 4
 MIN_RESOLUTION = 4
 
 
+def check_integer(name: str, value) -> int:
+    """``value`` as an int, if it is a Python or numpy integer and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 class TorusGrid:
     """Uniform node lattice on a period box with periodic identification.
 
@@ -33,7 +40,9 @@ class TorusGrid:
 
     def __init__(self, periods, resolutions):
         periods = tuple(float(T) for T in periods)
-        resolutions = tuple(int(N) for N in resolutions)
+        resolutions = tuple(
+            check_integer(f"resolution N_{a + 1}", N) for a, N in enumerate(resolutions)
+        )
         p = len(periods)
         if p == 0:
             raise ValueError("grid needs at least one time axis, got p=0")
@@ -101,7 +110,7 @@ class TorusGrid:
 
 def build_grid(p: int, periods, resolutions) -> TorusGrid:
     """Validate and construct a TorusGrid with an explicit dimension count."""
-    if int(p) != len(tuple(periods)):
+    if check_integer("p", p) != len(tuple(periods)):
         raise ValueError(f"p={p} does not match {len(tuple(periods))} periods")
     return TorusGrid(periods, resolutions)
 

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .grid import Field, TorusGrid, integrate
+from .grid import Field, TorusGrid, check_integer, integrate
 from .operators import (
     ActionReport,
     DiffOperator,
@@ -77,13 +77,12 @@ class SolverOptions:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int" and (
-                isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            ):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "int":
+                check_integer(f.name, getattr(self, f.name))
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         for name in ("tol_grad_inf", "tol_residual_inf"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0.0):
@@ -101,7 +100,6 @@ class SolveResult:
     mean: np.ndarray
     fluctuation_h1_norm: float
     trace: np.ndarray
-    seed: int
     line_search_failed: bool = False
     message: str = ""
 
@@ -116,6 +114,10 @@ def default_init(grid: TorusGrid, n: int, opts: SolverOptions) -> Field:
 def _fluctuation_h1(uhat: np.ndarray, op: DiffOperator) -> float:
     """H1 norm of the zero-mean part of a field, from its half spectrum."""
     return float(np.sqrt(max(op._inner(op._fluct_h1[..., None] * uhat, uhat), 0.0)))
+
+
+# The columns of a trace row, after the iteration number.
+TRACE_COLUMNS = ("action", "grad_inf", "mean_norm", "fluct_h1")
 
 
 def _trace_row(f, grad_inf, uhat, op):
@@ -395,7 +397,6 @@ def solve(
         mean=mean,
         fluctuation_h1_norm=_fluctuation_h1(uhat, op),
         trace=np.asarray(trace, dtype=float),
-        seed=opts.seed,
         line_search_failed=line_search_failed,
         message=message,
     )

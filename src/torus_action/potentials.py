@@ -12,7 +12,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .grid import Field, TorusGrid, check_periods
+from .grid import Field, TorusGrid, check_integer, check_periods
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,11 @@ class TrigTerm:
     def __post_init__(self):
         if self.trig not in ("cos", "sin"):
             raise ValueError(f"trig kind must be 'cos' or 'sin', got {self.trig!r}")
-        object.__setattr__(self, "freq", tuple(int(k) for k in self.freq))
+        object.__setattr__(
+            self,
+            "freq",
+            tuple(check_integer(f"freq[{a}]", k) for a, k in enumerate(self.freq)),
+        )
         object.__setattr__(self, "coeff", tuple(float(c) for c in self.coeff))
 
 
@@ -151,7 +155,7 @@ class TrigPath:
         terms = tuple(
             TrigTerm(
                 str(t["trig"]),
-                tuple(int(k) for k in t["freq"]),
+                t["freq"],
                 tuple(float(c) for c in t["coeff"]),
             )
             for t in data.get("terms", [])

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import fields
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from torus_action.cli import CONFIG_SCHEMA, dump_field, load_config, load_field, main
+from torus_action import ActionReport, SolvabilityCertificate, SolveResult, Verdict
+from torus_action.cli import (
+    CONFIG_SCHEMA,
+    dump_field,
+    load_config,
+    load_field,
+    main,
+    write_report,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -126,6 +135,79 @@ def test_diverging_drift_exits_2_with_certificate(tmp_path):
     assert cert["verdict"] == "not_solvable"
     assert cert["stationary_mean"] is None
     assert cert["coercivity"] == "not_coercive"
+
+
+# ---------------------------------------------------------------------------
+# report shape: the result types' own fields
+# ---------------------------------------------------------------------------
+
+# keys the CLI adds to a solve report beside the result's fields
+CLI_SOLVE_KEYS = {"command", "config", "seed", "version", "wall_time_s",
+                  "exact_max_error", "certificate"}
+CERTIFICATE_KEYS = {f.name for f in fields(SolvabilityCertificate)}
+
+
+@pytest.mark.parametrize("make_config, code", [(manufactured_config, 0), (drift_config, 2)])
+def test_solve_report_holds_the_result_fields_bar_field_and_trace(tmp_path, make_config,
+                                                                   code):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, make_config(out))
+    assert main(["solve", "--config", cfg]) == code
+    report = json.loads((out / "report.json").read_text())
+    result_keys = {f.name for f in fields(SolveResult)} - {"u", "trace"}
+    assert set(report) - CLI_SOLVE_KEYS == result_keys
+    assert set(report["action"]) == {f.name for f in fields(ActionReport)}
+    if code == 2:  # diverged: the certificate says why
+        assert set(report["certificate"]) == CERTIFICATE_KEYS
+
+
+@pytest.mark.parametrize("make_config, code", [(manufactured_config, 0), (drift_config, 2)])
+def test_certify_report_holds_the_certificate_fields(tmp_path, make_config, code):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, make_config(out))
+    assert main(["certify", "--config", cfg]) == code
+    report = json.loads((out / "report.json").read_text())
+    assert set(report["certificate"]) == CERTIFICATE_KEYS
+
+
+def test_report_encoding_of_numpy_values_enums_and_dataclasses(tmp_path):
+    report = {
+        "float": np.float64(0.1),
+        "int": np.int64(3),
+        "bool": np.bool_(True),
+        "verdict": Verdict.NOT_SOLVABLE,
+        "tuple": ("a", 1),
+        "action": ActionReport(np.float64(1.5), -2.0, -0.5, 1e-9),
+        "array": np.array([[1.0, 2.5]]),
+    }
+    path = tmp_path / "report.json"
+    write_report(report, path)
+    assert path.read_text() == (
+        "{\n"
+        '  "action": {\n'
+        '    "grad_inf_norm": 1e-09,\n'
+        '    "kinetic": 1.5,\n'
+        '    "potential_part": -2.0,\n'
+        '    "total": -0.5\n'
+        "  },\n"
+        '  "array": [\n'
+        "    [\n"
+        "      1.0,\n"
+        "      2.5\n"
+        "    ]\n"
+        "  ],\n"
+        '  "bool": true,\n'
+        '  "float": 0.1,\n'
+        '  "int": 3,\n'
+        '  "tuple": [\n'
+        '    "a",\n'
+        "    1\n"
+        "  ],\n"
+        '  "verdict": "not_solvable"\n'
+        "}\n"
+    )
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        write_report({"other": object()}, tmp_path / "other.json")
 
 
 def test_seed_flag_is_recorded(tmp_path):

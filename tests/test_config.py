@@ -208,6 +208,12 @@ def test_solver_options_reject_integer_fields_that_are_not_integers(name, value)
         SolverOptions(**{name: value})
 
 
+def test_solver_options_reject_a_negative_seed():
+    # numpy's generator would fail later without naming the seed
+    with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+        SolverOptions(seed=-1)
+
+
 def test_solver_options_accept_numpy_integers():
     opts = SolverOptions(max_iters=np.int64(5), seed=np.int32(3))
     assert opts.max_iters == 5 and opts.seed == 3

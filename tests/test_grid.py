@@ -55,6 +55,22 @@ def test_build_grid_checks_p():
         build_grid(3, (1.0, 2.0), (4, 8))
 
 
+@pytest.mark.parametrize("N", [16.7, 16.0, np.float64(16.0), True])
+def test_grid_rejects_a_resolution_that_is_not_an_integer(N):
+    with pytest.raises(ValueError, match=r"^resolution N_2 must be an integer"):
+        TorusGrid((1.0, 1.0), (8, N))
+
+
+@pytest.mark.parametrize("p", [1.5, 1.0, True])
+def test_build_grid_rejects_a_p_that_is_not_an_integer(p):
+    with pytest.raises(ValueError, match=r"^p must be an integer"):
+        build_grid(p, (1.0,), (8,))
+
+
+def test_grid_accepts_numpy_integers():
+    assert build_grid(np.int64(1), (1.0,), (np.int32(8),)).resolutions == (8,)
+
+
 def test_coords_layout_and_protection():
     g = TorusGrid((TWO_PI, 1.0), (4, 4))
     c = g.coords()

@@ -213,7 +213,8 @@ def test_custom_init_is_respected():
     init = Field.constant(g, [5.0])
     res = solve(g, pot, op, init=init)
     assert res.status is SolveStatus.CONVERGED
-    assert res.seed == 0
+    # the first trace row is taken at the given field, whose mean is 5
+    assert res.trace[0, minimize_module.TRACE_COLUMNS.index("mean_norm")] == pytest.approx(5.0, rel=1e-12)
 
 
 def test_options_validation():

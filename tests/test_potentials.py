@@ -86,6 +86,19 @@ def test_trig_term_rejects_unknown_kind():
         TrigTerm("tan", (1,), (1.0,))
 
 
+@pytest.mark.parametrize("k", [1.5, 1.0, False])
+def test_trig_term_rejects_a_frequency_that_is_not_an_integer(k):
+    # truncating 1.5 to 1 would build another potential
+    with pytest.raises(ValueError, match=r"^freq\[1\] must be an integer"):
+        TrigTerm("cos", (0, k), (1.0,))
+
+
+def test_path_from_dict_rejects_a_frequency_that_is_not_an_integer():
+    data = {"terms": [{"trig": "cos", "freq": [1.5], "coeff": [1.0]}]}
+    with pytest.raises(ValueError, match=r"^freq\[0\] must be an integer"):
+        TrigPath.from_dict(data, (2.0 * np.pi,), 1)
+
+
 def test_trig_path_laplacian_multiplies_by_symbol():
     # d^2/dt^2 cos(k t) = -k^2 cos(k t) on period 2*pi
     path = cos_path(freq=(3,))

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import Field, TorusGrid, check_periods, integrate
+from .grid import Field, TorusGrid, check_periods, check_seed, integrate
 from .operators import DiffOperator, dirichlet_form, l2_norm, mean_decompose
 from .potentials import SUPERLINEAR, Potential
 
@@ -223,8 +223,6 @@ def coercivity_probe(G: MeanPotentialG):
     if rows == SUPERLINEAR:
         return Coercivity.COERCIVE, None
     R = np.asarray(rows, dtype=float)
-    if R.ndim != 2 or R.shape[1] != G.n:
-        raise ValueError(f"recession rows of shape {R.shape} do not have {G.n} columns")
     # scaling a row by a positive factor, or dropping a zero row, leaves
     # Stiemke's condition as it is, so the projection works on unit rows
     norms = np.linalg.norm(R, axis=1)
@@ -281,7 +279,7 @@ def wirtinger_audit(op: DiffOperator, trials: int = 100, seed: int = 0) -> float
     lowest nonzero-frequency harmonic, which is prepended to the trial set so
     the audit touches it.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     worst = fluctuation_ratio(_extremal_mode(op), op)
     for _ in range(trials):
         values = rng.normal(size=op.grid.shape + (1,))

@@ -22,6 +22,14 @@ def check_integer(name: str, value) -> int:
     return int(value)
 
 
+def check_seed(value) -> int:
+    """``value`` as an int, if it is an integer that numpy's generators take."""
+    seed = check_integer("seed", value)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 class TorusGrid:
     """Uniform node lattice on a period box with periodic identification.
 

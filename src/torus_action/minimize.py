@@ -2,19 +2,23 @@
 
 The action of a convex potential is convex, so simple line-searched descent
 is globally convergent whenever a minimizer exists; when none exists the mean
-component runs away while the fluctuation stays tame, and the divergence
-monitor turns that signature into a diagnosis instead of an opaque failure.
+component runs away, and the divergence monitor turns that into a diagnosis
+instead of an opaque failure.  Once the mean passes a threshold the monitor
+reads the potential's declared recession function: an escape ray proves that
+no minimizer exists and ends the run at once.  Without one, the run ends when
+the fluctuation stays tame beside the runaway mean.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .grid import Field, TorusGrid, check_integer, integrate
+from .certify import build_mean_potential, coercivity_probe
+from .grid import Field, TorusGrid, check_integer, check_seed, integrate
 from .operators import (
     ActionReport,
     DiffOperator,
@@ -41,7 +45,8 @@ _MAX_BACKTRACKS = 60
 _LBFGS_MEMORY = 10
 # Standard deviation of the seeded noise in the default initial field.
 _INIT_NOISE = 1e-3
-# A mean norm past this, with a tame fluctuation, diagnoses a missing minimizer.
+# A mean norm past this, with an escape ray or a tame fluctuation, diagnoses a
+# missing minimizer.
 _DIVERGENCE_MEAN_NORM = 1e6
 # Newton steps the polish takes at most.
 _MAX_NEWTON = 50
@@ -76,13 +81,10 @@ class SolverOptions:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.type == "int":
-                check_integer(f.name, getattr(self, f.name))
+        check_integer("max_iters", self.max_iters)
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        check_seed(self.seed)
         for name in ("tol_grad_inf", "tol_residual_inf"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0.0):
@@ -221,10 +223,15 @@ def solve(
 
     Accepted steps satisfy a sufficient-decrease condition, so the action
     trace is monotone up to rounding.  Returns the best iterate found
-    together with residual diagnostics; a run that drives the mean past the
-    divergence threshold while the fluctuation stays bounded is reported as
-    diverged rather than failed, since that is the constructive sign that no
-    minimizer exists.
+    together with residual diagnostics.  A run that drives the mean past the
+    divergence threshold is reported as diverged rather than failed, by one
+    of two rules, which its ``message`` names.  At the first iterate past
+    the threshold the potential's declared recession function is read once,
+    with no potential evaluation (see certify.coercivity_probe): an escape
+    ray proves that no minimizer exists and ends the run there.  Without an
+    escape ray, or with the recession function undeclared, the run ends at
+    an iterate past the threshold whose fluctuation norm is within ten times
+    its running median, the constructive sign that no minimizer exists.
 
     The iterate is kept both as samples u and as its half spectrum, and
     steps update both.  Directions, preconditioning and inner products (by
@@ -281,6 +288,7 @@ def solve(
     line_search_failed = False
     message = ""
     iterations = 0
+    recession_read = False
 
     for _ in range(opts.max_iters):
         if grad_inf <= opts.tol_grad_inf and grad_inf <= opts.tol_residual_inf:
@@ -363,15 +371,33 @@ def solve(
         row = _trace_row(f, grad_inf, uhat, op)
         trace.append(row)
 
-        # The missing-minimizer signature: the mean norm has crossed the
-        # threshold while the fluctuation norm stays within ten times its
-        # running median.  A blowing-up fluctuation would point at a broken
-        # step rule instead, and is left to the line search.  The median
-        # walks the whole trace, so it is taken only past the threshold.
+        # Past the threshold, two rules diagnose a missing minimizer.  An
+        # escape ray of the declared recession function proves it; it is
+        # read once, at the first iterate past the threshold.  Without one,
+        # the fluctuation norm must stay within ten times its running median:
+        # a blowing-up fluctuation would point at a broken step rule instead,
+        # and is left to the line search.  The median walks the whole trace,
+        # so it is taken only past the threshold.
         if not row[2] < _DIVERGENCE_MEAN_NORM:
+            if not recession_read:
+                recession_read = True
+                _, ray = coercivity_probe(build_mean_potential(grid, pot))
+                if ray is not None:
+                    status = SolveStatus.DIVERGED_NON_COERCIVE
+                    message = (
+                        f"no minimizer: the declared recession function has the "
+                        f"escape ray [{', '.join(f'{c:.6g}' for c in ray)}]; mean "
+                        f"norm {row[2]:.3e} past {_DIVERGENCE_MEAN_NORM:.0e}"
+                    )
+                    break
             median_fluct = float(np.median([r[3] for r in trace]))
             if row[3] <= 10.0 * median_fluct + 1e-12:
                 status = SolveStatus.DIVERGED_NON_COERCIVE
+                message = (
+                    f"no minimizer: mean norm {row[2]:.3e} past "
+                    f"{_DIVERGENCE_MEAN_NORM:.0e} with the fluctuation H1 norm "
+                    f"{row[3]:.3e} within ten times its running median {median_fluct:.3e}"
+                )
                 break
     else:
         # loop exhausted without convergence or divergence

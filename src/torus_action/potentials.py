@@ -12,7 +12,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .grid import Field, TorusGrid, check_integer, check_periods
+from .grid import Field, TorusGrid, check_integer, check_periods, check_seed
 
 
 @dataclass(frozen=True)
@@ -200,6 +200,23 @@ class Potential:
     hessian: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     kind: str = ""
     recession: Union[tuple[tuple[float, ...], ...], str, None] = None
+
+    def __post_init__(self):
+        """Reject a malformed recession, and hold declared rows as a tuple of tuples."""
+        if self.recession is None or (
+            isinstance(self.recession, str) and self.recession == SUPERLINEAR
+        ):
+            return
+        try:
+            rows = np.asarray(self.recession, dtype=float)
+        except (TypeError, ValueError):
+            rows = None
+        if rows is None or rows.ndim != 2 or rows.shape[1] != self.n or not np.isfinite(rows).all():
+            raise ValueError(
+                f"recession must be rows of {self.n} finite numbers, {SUPERLINEAR!r} "
+                f"or None, got {self.recession!r}"
+            )
+        object.__setattr__(self, "recession", _rows(rows))
 
 
 def _rows(matrix) -> tuple[tuple[float, ...], ...]:
@@ -439,7 +456,7 @@ def check_gradient(pot: Potential, samples: int = 100, seed: int = 0) -> float:
     differences of the value with step 1e-5 * (1 + |x|), and returns the
     largest relative discrepancy (scaled by max(1, |gradient|)).
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     p = len(pot.periods)
     t = rng.uniform(0.0, 1.0, size=(samples, p)) * np.asarray(pot.periods)
     x = rng.normal(0.0, 2.0, size=(samples, pot.n))

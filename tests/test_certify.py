@@ -153,6 +153,14 @@ def test_wirtinger_audit_three_axes():
         assert_allclose(ratio, C, rtol=1e-8)
 
 
+@pytest.mark.parametrize("seed, message", [(-1, "seed must be non-negative"),
+                                           (1.5, "seed must be an integer")])
+def test_wirtinger_audit_rejects_a_bad_seed(seed, message):
+    _, op = grid_and_op()
+    with pytest.raises(ValueError, match=message):
+        wirtinger_audit(op, trials=2, seed=seed)
+
+
 # ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------

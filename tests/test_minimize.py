@@ -1,4 +1,6 @@
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,10 +31,12 @@ from torus_action import (
     make_quadratic_shift,
     mean_decompose,
     newton_krylov_refine,
+    potential_from_dict,
     solve,
 )
 
 TWO_PI = 2.0 * np.pi
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def shift_problem(N=16):
@@ -616,8 +620,8 @@ def test_refine_on_a_quadratic_spends_at_most_one_cg_iteration_per_newton_step(
 
 
 @pytest.mark.parametrize("p, scheme, drift_terms, iterations", [
-    (1, Scheme.SPECTRAL, (("cos", (0,), (1.0,)), ("sin", (1,), (0.5,))), 9),
-    (2, Scheme.FD2, (("cos", (0, 0), (0.5, -0.5)), ("cos", (1, 0), (1.0, 0.0))), 46),
+    (1, Scheme.SPECTRAL, (("cos", (0,), (1.0,)), ("sin", (1,), (0.5,))), 6),
+    (2, Scheme.FD2, (("cos", (0, 0), (0.5, -0.5)), ("cos", (1, 0), (1.0, 0.0))), 7),
 ])
 def test_drift_divergence_diagnosis_keeps_its_iteration_count(p, scheme, drift_terms,
                                                               iterations):
@@ -635,6 +639,52 @@ def test_drift_divergence_diagnosis_keeps_its_iteration_count(p, scheme, drift_t
     smoothed = solve(g, replace(pot, hessian=None), op)
     assert np.array_equal(res.trace, smoothed.trace)
     assert np.array_equal(res.u.values, smoothed.u.values)
+
+
+def fd2_drift():
+    """The fd2 drift of the pinned cases above, with its grid and operator."""
+    g = TorusGrid((TWO_PI, TWO_PI), (16, 16))
+    drift = TrigPath((TWO_PI, TWO_PI), 2, (TrigTerm("cos", (0, 0), (0.5, -0.5)),
+                                           TrigTerm("cos", (1, 0), (1.0, 0.0))))
+    return g, make_linear_drift(2, drift), DiffOperator(g, Scheme.FD2)
+
+
+def test_undeclared_recession_leaves_the_fluctuation_rule_to_decide():
+    # without a declared recession function the run goes on past the
+    # threshold until the fluctuation test holds: the iterates are those of
+    # the declared run up to its stop, and the run ends with the mean far
+    # beyond the threshold
+    g, pot, op = fd2_drift()
+    declared = solve(g, pot, op)
+    res = solve(g, replace(pot, recession=None), op)
+    assert res.status is SolveStatus.DIVERGED_NON_COERCIVE
+    assert res.iterations == 46
+    assert np.array_equal(res.trace[: declared.iterations + 1], declared.trace)
+    assert res.trace[-1, 2] == pytest.approx(5.008205873873354e20, rel=1e-9)
+    assert "running median" in res.message and "escape ray" not in res.message
+
+
+def lse_not_solvable():
+    """The potential of configs/certify_lse_not_solvable.json, with its grid and operator."""
+    config = json.loads((CONFIGS / "certify_lse_not_solvable.json").read_text())
+    g = TorusGrid(config["grid"]["periods"], config["grid"]["resolutions"])
+    pot = potential_from_dict(config["potential"], g).potential
+    return g, pot, DiffOperator(g, Scheme(config["scheme"]))
+
+
+@pytest.mark.parametrize("problem", [fd2_drift, lse_not_solvable], ids=["drift", "lse"])
+def test_escape_ray_ends_the_run_where_the_mean_passes_the_threshold(problem):
+    g, pot, op = problem()
+    res = solve(g, pot, op)
+    assert res.status is SolveStatus.DIVERGED_NON_COERCIVE
+    mean_norms = res.trace[:, 2]
+    assert mean_norms[-1] >= 1e6 and mean_norms[-1] < 1e7
+    assert np.all(mean_norms[:-1] < 1e6)
+    # the message names the rule and the ray, which G never rises along
+    assert "escape ray [" in res.message
+    ray = np.array(res.message.split("[")[1].split("]")[0].split(", "), dtype=float)
+    assert np.linalg.norm(ray) == pytest.approx(1.0, rel=1e-5)
+    assert np.max(np.atleast_2d(pot.recession) @ ray) <= 1e-5
 
 
 @pytest.mark.parametrize("scheme", [Scheme.SPECTRAL, Scheme.FD2])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -171,6 +173,21 @@ def test_linear_drift_gradient_is_the_path():
     assert_allclose(pot.hessian(t, x), np.zeros((2, 2)))
     # the box mean of the drift, which has no zero-frequency term
     assert pot.recession == ((0.0, 0.0),)
+
+
+@pytest.mark.parametrize("recession", [((1.0,),), "linear", ((np.nan, 0.0),), (1.0, 0.0),
+                                       ((1.0, 0.0), (1.0,))])
+def test_malformed_recession_is_rejected_when_the_potential_is_built(recession):
+    # solve reads the recession only once the mean passes its threshold, so
+    # a malformed one must not wait until then
+    pot = make_linear_drift(2, cos_path(n=2, freq=(1,), coeff=(1.0, 0.5)))
+    with pytest.raises(ValueError, match="recession must be rows of 2 finite numbers"):
+        replace(pot, recession=recession)
+
+
+def test_declared_recession_rows_are_held_as_tuples():
+    pot = make_linear_drift(1, cos_path())
+    assert replace(pot, recession=np.array([[-2.0]])).recession == ((-2.0,),)
 
 
 def test_quadratic_form_requires_spd():
@@ -390,6 +407,15 @@ def test_check_gradient_flags_corrupted_gradient():
     from dataclasses import replace
     bad = replace(base, gradient=lambda t, x: 0.9 * base.gradient(t, x))
     assert check_gradient(bad, samples=100, seed=0) > 0.05
+
+
+
+@pytest.mark.parametrize("seed, message", [(-1, "seed must be non-negative"),
+                                           (1.5, "seed must be an integer")])
+def test_check_gradient_rejects_a_bad_seed(seed, message):
+    drift = make_linear_drift(1, cos_path())
+    with pytest.raises(ValueError, match=message):
+        check_gradient(drift, samples=2, seed=seed)
 
 
 def check_midpoint_convexity(pot, triples, seed):

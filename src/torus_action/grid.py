@@ -30,6 +30,12 @@ def check_seed(value) -> int:
     return seed
 
 
+def check_symmetric(name: str, matrix: np.ndarray) -> None:
+    """Reject a square matrix that differs from its transpose beyond rounding."""
+    if not np.allclose(matrix, matrix.T, rtol=1e-12, atol=1e-12):
+        raise ValueError(f"{name} must be symmetric")
+
+
 class TorusGrid:
     """Uniform node lattice on a period box with periodic identification.
 

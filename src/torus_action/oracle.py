@@ -4,6 +4,13 @@ These oracles answer "is the fast path right?" with slow arithmetic: the
 stationarity system of a quadratic potential assembled from unit fields and
 solved by dense factorization, and action gradients recovered from central
 differences of the action value alone.
+
+The stationarity system of F(t, x) = <A x, x> / 2 + <g(t), x> is the
+Kronecker sum K (x) I_n + I_nodes (x) A, with K the scalar -laplacian on
+the nodes.  It is never formed: in the eigenbasis of A it splits exactly
+into n node-sized systems K + mu_i I, each factored by its own Cholesky, so
+the dense oracle holds two nodes x nodes float matrices (2 * nodes^2 * 8
+bytes) at most, where the coupled matrix would take n^2 times one.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, TorusGrid
+from .grid import Field, TorusGrid, check_symmetric
 from .operators import DiffOperator, action_value
 from .potentials import Potential
 
@@ -21,7 +28,7 @@ FD_COORDINATE_CAP = 5000
 # The central-difference step of fd_action_gradient.
 _FD_STEP = 1e-6
 # Scalar unit fields transformed together by the dense assembly.  A block's
-# arrays hold 64 node columns, far less than the dense matrix.
+# arrays hold 64 node columns, far less than the kinetic matrix.
 _ASSEMBLY_BLOCK = 64
 
 
@@ -35,9 +42,16 @@ class NotPositiveDefiniteError(RuntimeError):
 
 @dataclass(frozen=True)
 class DenseSystem:
+    """The stationarity system (K (x) I_n + I_nodes (x) A) U = rhs, kept in factors.
+
+    ``kinetic`` is K, the nodes x nodes matrix of -laplacian on scalar
+    fields; ``quad_matrix`` is A as given; ``rhs`` is -g, node-major.
+    """
+
     grid: TorusGrid
     n: int
-    matrix: np.ndarray
+    kinetic: np.ndarray
+    quad_matrix: np.ndarray
     rhs: np.ndarray
 
 
@@ -46,10 +60,13 @@ def assemble_quadratic_system(
 ) -> DenseSystem:
     """Assemble (-laplacian + A) U = -g densely, one unit field per column.
 
-    Columns are produced by applying the same frequency-space operator the
-    fast path uses, so the dense matrix inherits the scheme exactly; the
-    unit fields go through it in blocks, one transform pair per block.  The
-    potential here is F(t, x) = <A x, x> / 2 + <g(t), x>.
+    The potential here is F(t, x) = <A x, x> / 2 + <g(t), x>.  -laplacian
+    acts on each component alike, so only its scalar matrix K is assembled:
+    nodes x nodes, one unit field per column, 8 * nodes^2 bytes.  Columns
+    are produced by applying the same frequency-space operator the fast path
+    uses, so K inherits the scheme exactly; the unit fields go through it in
+    blocks, one transform pair per block.  The coupling to A is left to
+    dense_solve; the cap still counts all nodes * n unknowns.
     """
     if op.grid != grid or g.grid != grid:
         raise ValueError("grid, operator, and drift field must match")
@@ -62,8 +79,6 @@ def assemble_quadratic_system(
         raise ValueError(
             f"dense assembly of {size} unknowns exceeds the cap of {DENSE_UNKNOWN_CAP}"
         )
-    # -laplacian acts on each component alike: assemble it on scalar fields,
-    # node by node, and spread it over the components
     nodes = grid.node_count
     kinetic = np.empty((nodes, nodes))
     for start in range(0, nodes, _ASSEMBLY_BLOCK):
@@ -74,48 +89,64 @@ def assemble_quadratic_system(
         basis = basis.reshape((stop - start,) + grid.shape + (1,))
         columns = op._multiply(basis, op._lam)
         kinetic[:, start:stop] = columns.reshape(stop - start, nodes).T
-    dense = np.kron(kinetic, np.eye(n))
-    node = np.arange(nodes)
-    dense.reshape(nodes, n, nodes, n)[node, :, node, :] += A
-    return DenseSystem(grid=grid, n=n, matrix=dense, rhs=-g.flat)
+    return DenseSystem(grid=grid, n=n, kinetic=kinetic, quad_matrix=A, rhs=-g.flat)
 
 
 def dense_solve(system: DenseSystem) -> Field:
-    """Solve the assembled system by Cholesky factorization.
+    """Solve the assembled system by n Cholesky factorizations of nodes x nodes.
 
-    Raises NotPositiveDefiniteError when the factorization fails or produces
-    pivots consistent with a singular operator, e.g. the constant-mode kernel
-    of the potential-free system.
+    The factored operator is sym(K) (x) I + I (x) A with A = Q diag(mu) Q^T.
+    Rotating the unknowns by Q splits it into n systems (sym(K) + mu_i I)
+    v_i = (R Q)_i, each written into one reused nodes x nodes buffer and
+    factored there, so the solve allocates 8 * nodes^2 bytes beside K.
+
+    Raises ValueError when A is not symmetric, and NotPositiveDefiniteError
+    when a factorization fails or the pooled pivots of the n factors are
+    consistent with a singular operator, e.g. the constant-mode kernel of the
+    potential-free system, or when the solution misses the coupled system
+    K U + U A^T = R by more than 1e-10 relative to the right-hand side.
     """
     import scipy.linalg  # loaded here, so only the dense oracle pays its import
 
-    matrix = system.matrix + system.matrix.T
-    matrix *= 0.5
-    try:
-        # matrix is exactly symmetric, so its transpose is the same matrix in
-        # Fortran order, which LAPACK factors in place without a copy
-        factor = scipy.linalg.cho_factor(
-            matrix.T, lower=True, overwrite_a=True, check_finite=False
-        )
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(
-            f"Cholesky factorization failed: {exc}"
-        ) from exc
-    pivots = np.abs(np.diag(factor[0]))
+    K, A = system.kinetic, system.quad_matrix
+    check_symmetric("quad_matrix", A)
+    nodes = K.shape[0]
+    mu, Q = np.linalg.eigh(0.5 * (A + A.T))
+    rhs = system.rhs.reshape(nodes, system.n)
+    rotated = rhs @ Q
+    work = np.empty_like(K)
+    pivots = []
+    for i, shift in enumerate(mu):
+        np.add(K, K.T, out=work)
+        work *= 0.5
+        work.flat[:: nodes + 1] += shift
+        try:
+            # work is exactly symmetric, so its transpose is the same matrix
+            # in Fortran order, which LAPACK factors in place without a copy
+            factor = scipy.linalg.cho_factor(
+                work.T, lower=True, overwrite_a=True, check_finite=False
+            )
+        except scipy.linalg.LinAlgError as exc:
+            raise NotPositiveDefiniteError(
+                f"Cholesky factorization failed: {exc}"
+            ) from exc
+        pivots.append(np.abs(np.diag(factor[0])))
+        rotated[:, i] = scipy.linalg.cho_solve(factor, rotated[:, i], check_finite=False)
+    pivots = np.concatenate(pivots)
     if pivots.min() <= np.finfo(float).eps ** 0.25 * pivots.max():
         raise NotPositiveDefiniteError(
             "Cholesky pivots collapse toward zero; the system has a numerical "
             "kernel (a zero-mean-compatible potential block is missing)"
         )
-    x = scipy.linalg.cho_solve(factor, system.rhs, check_finite=False)
-    residual = np.abs(system.matrix @ x - system.rhs).max()
-    bound = 1e-10 * (1.0 + np.abs(system.rhs).max())
+    u = rotated @ Q.T
+    residual = np.abs(K @ u + u @ A.T - rhs).max()
+    bound = 1e-10 * (1.0 + np.abs(rhs).max())
     if residual > bound:
         raise NotPositiveDefiniteError(
             f"dense solve residual {residual:.3e} exceeds {bound:.3e}; "
             "the factorization is unreliable"
         )
-    return Field(system.grid, x, n=system.n)
+    return Field(system.grid, u.reshape(-1), n=system.n)
 
 
 def fd_action_gradient(u: Field, pot: Potential, op: DiffOperator) -> Field:

@@ -12,7 +12,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .grid import Field, TorusGrid, check_integer, check_periods, check_seed
+from .grid import Field, TorusGrid, check_integer, check_periods, check_seed, check_symmetric
 
 
 @dataclass(frozen=True)
@@ -311,8 +311,7 @@ def make_quadratic_form(matrix, drift: TrigPath) -> Potential:
     n = drift.n
     if A.shape != (n, n):
         raise ValueError(f"matrix shape {A.shape} does not match n={n}")
-    if not np.allclose(A, A.T, rtol=1e-12, atol=1e-12):
-        raise ValueError("matrix A must be symmetric")
+    check_symmetric("matrix A", A)
     try:
         np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:

@@ -355,6 +355,30 @@ def test_oracle_compare_over_the_dense_cap_leaves_no_output_directory(tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "certify", "check-grad", "wirtinger",
+                                     "oracle-compare"])
+def test_every_command_rejects_a_bad_solver_block(tmp_path, capsys, command):
+    # oracle-compare used to ignore the block and exit 0
+    out = tmp_path / "out"
+    cfg_dict = manufactured_config(out)
+    cfg_dict["solver"] = {"max_iters": 0, "tol_grad_inf": 1e-3}
+    cfg = write_config(tmp_path, cfg_dict)
+    assert main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert f"config {cfg} rejected at $['solver']: max_iters must be positive" in err
+    assert not out.exists()
+
+
+def test_oracle_compare_solves_with_the_solver_block(tmp_path):
+    out = tmp_path / "out"
+    cfg_dict = manufactured_config(out)
+    cfg_dict["solver"] = {"max_iters": 1, "tol_grad_inf": 0.0}
+    cfg = write_config(tmp_path, cfg_dict)
+    main(["oracle-compare", "--config", cfg])
+    report = json.loads((out / "report.json").read_text())
+    assert report["solver_status"] == "max_iters"
+
+
 # ---------------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------------

@@ -40,9 +40,19 @@ def test_assembled_matrix_is_symmetric():
     for scheme in (Scheme.SPECTRAL, Scheme.FD2):
         op = DiffOperator(g, scheme)
         system = assemble_quadratic_system(g, op, A, drift_field(g, path))
-        M = system.matrix
-        assert M.shape == (32, 32)
-        assert np.max(np.abs(M - M.T)) < 1e-12
+        K = system.kinetic
+        assert K.shape == (16, 16)
+        assert np.max(np.abs(K - K.T)) < 1e-12
+        assert np.array_equal(system.quad_matrix, A)
+
+
+def _coupled_matrix(system):
+    """K (x) I_n + I_nodes (x) A, the (nodes n)^2 matrix dense_solve never forms."""
+    nodes, n = system.kinetic.shape[0], system.n
+    dense = np.kron(system.kinetic, np.eye(n))
+    node = np.arange(nodes)
+    dense.reshape(nodes, n, nodes, n)[node, :, node, :] += system.quad_matrix
+    return dense
 
 
 def test_dense_solve_recovers_analytic_solution():
@@ -77,22 +87,38 @@ def test_dense_solve_matches_minimizer():
 
 
 def test_dense_solve_factors_without_touching_the_system():
-    import scipy.linalg
-
     g = TorusGrid((TWO_PI, TWO_PI), (8, 8))
     A = np.array([[2.0, 0.3], [0.3, 1.0]])
     path = TrigPath((TWO_PI, TWO_PI), 2, (TrigTerm("sin", (1, 2), (1.0, -0.5)),))
     system = assemble_quadratic_system(
         g, DiffOperator(g, Scheme.FD2), A, drift_field(g, path)
     )
-    before = system.matrix.copy()
-    u = dense_solve(system)
-    assert np.array_equal(system.matrix, before)
-    sym = 0.5 * (before + before.T)
-    expected = scipy.linalg.cho_solve(
-        scipy.linalg.cho_factor(sym, lower=True), system.rhs
+    before = (system.kinetic.copy(), system.quad_matrix.copy(), system.rhs.copy())
+    dense_solve(system)
+    assert np.array_equal(system.kinetic, before[0])
+    assert np.array_equal(system.quad_matrix, before[1])
+    assert np.array_equal(system.rhs, before[2])
+
+
+@pytest.mark.parametrize("scheme", [Scheme.SPECTRAL, Scheme.FD2])
+@pytest.mark.parametrize("p, N", [(1, 16), (2, 8), (3, 6)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dense_solve_agrees_with_the_full_matrix_cholesky(scheme, p, N, n):
+    import scipy.linalg
+
+    g = TorusGrid((TWO_PI,) * p, (N,) * p)
+    rng = np.random.default_rng(10 * p + n)
+    B = rng.standard_normal((n, n))
+    A = B @ B.T + 0.5 * np.eye(n)  # SPD, with off-diagonal entries
+    system = assemble_quadratic_system(
+        g, DiffOperator(g, scheme), A, Field(g, rng.standard_normal(g.shape + (n,)))
     )
-    assert np.array_equal(u.flat, expected)
+    dense = _coupled_matrix(system)
+    expected = scipy.linalg.cho_solve(
+        scipy.linalg.cho_factor(0.5 * (dense + dense.T), lower=True), system.rhs
+    )
+    u = dense_solve(system)
+    assert np.abs(u.flat - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_dense_solve_rejects_singular_system():
@@ -104,6 +130,55 @@ def test_dense_solve_rejects_singular_system():
     system = assemble_quadratic_system(g, op, np.zeros((1, 1)), zero)
     with pytest.raises(NotPositiveDefiniteError):
         dense_solve(system)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.SPECTRAL, Scheme.FD2])
+@pytest.mark.parametrize("A", [
+    np.zeros((2, 2)),
+    np.array([[1.0, 1.0], [1.0, 1.0]]),  # eigenvalues 0 and 2
+    np.array([[1.0, 2.0], [2.0, 1.0]]),  # eigenvalues -1 and 3
+], ids=["zero", "semidefinite", "indefinite"])
+def test_dense_solve_rejects_a_matrix_that_is_not_positive_definite(scheme, A):
+    g = TorusGrid((TWO_PI, TWO_PI), (8, 8))
+    rng = np.random.default_rng(4)
+    system = assemble_quadratic_system(
+        g, DiffOperator(g, scheme), A, Field(g, rng.standard_normal(g.shape + (2,)))
+    )
+    with pytest.raises(NotPositiveDefiniteError):
+        dense_solve(system)
+
+
+def test_dense_solve_rejects_a_non_symmetric_matrix_by_name():
+    # the symmetric part of A is positive definite, so a residual check on
+    # the symmetrized factorization is the wrong message
+    g = TorusGrid((TWO_PI,), (16,))
+    A = np.array([[1.0, 0.25], [-0.5, 2.0]])
+    system = assemble_quadratic_system(
+        g, DiffOperator(g, Scheme.SPECTRAL), A, Field(g, np.ones(g.shape + (2,)))
+    )
+    with pytest.raises(ValueError, match="quad_matrix must be symmetric"):
+        dense_solve(system)
+    assert np.array_equal(system.quad_matrix, A)
+
+
+def test_dense_solve_allocates_one_node_sized_matrix():
+    import tracemalloc
+
+    g = TorusGrid((TWO_PI, TWO_PI), (16, 16))
+    A = np.array([[2.0, 0.3], [0.3, 1.0]])
+    rng = np.random.default_rng(5)
+    system = assemble_quadratic_system(
+        g, DiffOperator(g, Scheme.FD2), A, Field(g, rng.standard_normal(g.shape + (2,)))
+    )
+    dense_solve(system)  # imports scipy.linalg outside the measurement
+    tracemalloc.start()
+    try:
+        dense_solve(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the coupled (nodes n)^2 matrix and its symmetrized copy would be 8 of these
+    assert peak <= 2.5 * g.node_count ** 2 * 8
 
 
 def test_dense_unknown_cap():
@@ -167,18 +242,17 @@ def test_fd_directional_derivative_agrees_with_pairing():
     assert worst < 1e-6
 
 
-def _column_by_column(grid, op, A, n):
-    """The dense matrix one unit field at a time, as the oracle first built it."""
+def _column_by_column(grid, op):
+    """The scalar kinetic matrix one unit field at a time, as the oracle first built it."""
     from torus_action import laplacian
 
-    size = grid.node_count * n
-    dense = np.empty((size, size))
-    basis = np.zeros(grid.shape + (n,))
+    nodes = grid.node_count
+    dense = np.empty((nodes, nodes))
+    basis = np.zeros(grid.shape + (1,))
     flat = basis.reshape(-1)
-    for j in range(size):
+    for j in range(nodes):
         flat[j] = 1.0
-        e = Field(grid, basis)
-        dense[:, j] = (-laplacian(op, e).values + e.values @ A.T).reshape(-1)
+        dense[:, j] = -laplacian(op, Field(grid, basis)).values.reshape(-1)
         flat[j] = 0.0
     return dense
 
@@ -197,7 +271,8 @@ def test_blocked_assembly_is_bit_identical_to_column_by_column(monkeypatch, sche
     op = DiffOperator(g, scheme)
     A = np.arange(1.0, n * n + 1).reshape(n, n) / 7.0 + 2.0 * np.eye(n)  # not symmetric
     system = assemble_quadratic_system(g, op, A, Field(g, np.ones(g.shape + (n,))))
-    assert np.array_equal(system.matrix, _column_by_column(g, op, A, n))
+    assert np.array_equal(system.kinetic, _column_by_column(g, op))
+    assert np.array_equal(system.quad_matrix, A)
 
 
 def test_blocked_assembly_leaves_a_remainder_at_the_default_block():
@@ -208,4 +283,4 @@ def test_blocked_assembly_leaves_a_remainder_at_the_default_block():
     op = DiffOperator(g, Scheme.SPECTRAL)
     A = np.array([[1.0, 0.25], [-0.5, 2.0]])
     system = assemble_quadratic_system(g, op, A, Field(g, np.zeros(g.shape + (2,))))
-    assert np.array_equal(system.matrix, _column_by_column(g, op, A, 2))
+    assert np.array_equal(system.kinetic, _column_by_column(g, op))

@@ -335,13 +335,9 @@ def run(
     op = DiffOperator(grid, config["scheme"])
     bundle = potential_from_dict(config["potential"], grid)
     pot = bundle.potential
-    # every command checks the solver block; oracle-compare's solve defaults
-    # to a tolerance well inside its 1e-8 gap threshold
-    solver = config.get("solver", {})
-    if command == "oracle-compare":
-        solver = {"tol_grad_inf": 1e-10, **solver}
+    # every command checks the solver block; only solve uses it
     try:
-        opts = SolverOptions(**solver, seed=seed)
+        opts = SolverOptions(**config.get("solver", {}), seed=seed)
     except ValueError as exc:
         raise ValueError(f"config {config_path} rejected at $['solver']: {exc}") from exc
     if command == "oracle-compare" and (bundle.quad_matrix is None or bundle.quad_drift is None):
@@ -414,6 +410,7 @@ def run(
         g_field = Field(grid, bundle.quad_drift(grid.coords()))
         system = assemble_quadratic_system(grid, op, bundle.quad_matrix, g_field)
         dense = dense_solve(system)
+        opts = SolverOptions(seed=seed, tol_grad_inf=1e-10)
         result = solve(grid, pot, op, opts)
         gap = float(np.abs(dense.values - result.u.values).max())
         threshold = 1e-8

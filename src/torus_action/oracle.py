@@ -111,7 +111,7 @@ def dense_solve(system: DenseSystem) -> Field:
     K, A = system.kinetic, system.quad_matrix
     check_symmetric("quad_matrix", A)
     nodes = K.shape[0]
-    mu, Q = np.linalg.eigh(0.5 * (A + A.T))
+    mu, Q = np.linalg.eigh(A)
     rhs = system.rhs.reshape(nodes, system.n)
     rotated = rhs @ Q
     work = np.empty_like(K)

@@ -369,16 +369,6 @@ def test_every_command_rejects_a_bad_solver_block(tmp_path, capsys, command):
     assert not out.exists()
 
 
-def test_oracle_compare_solves_with_the_solver_block(tmp_path):
-    out = tmp_path / "out"
-    cfg_dict = manufactured_config(out)
-    cfg_dict["solver"] = {"max_iters": 1, "tol_grad_inf": 0.0}
-    cfg = write_config(tmp_path, cfg_dict)
-    main(["oracle-compare", "--config", cfg])
-    report = json.loads((out / "report.json").read_text())
-    assert report["solver_status"] == "max_iters"
-
-
 # ---------------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 The stationarity system laplacian(u) = grad F(t, u) on a period box is solved
 by minimizing its action functional; certificates built from the averaged
-potential decide solvability before any field iteration runs, and dense plus
-finite-difference oracles cross-check every fast path.
+potential decide solvability before any field iteration runs, and a dense
+oracle cross-checks the minimizer on quadratic potentials.
 """
 
 __version__ = "0.1.0"
@@ -47,7 +47,6 @@ from .oracle import (
     NotPositiveDefiniteError,
     assemble_quadratic_system,
     dense_solve,
-    fd_action_gradient,
 )
 from .potentials import (
     Potential,
@@ -118,5 +117,4 @@ __all__ = (
     "NotPositiveDefiniteError",
     "assemble_quadratic_system",
     "dense_solve",
-    "fd_action_gradient",
 )

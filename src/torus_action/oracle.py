@@ -1,16 +1,20 @@
-"""Independent dense and finite-difference cross-checks for the solver stack.
+"""Independent dense cross-check of the solver stack.
 
-These oracles answer "is the fast path right?" with slow arithmetic: the
-stationarity system of a quadratic potential assembled from unit fields and
-solved by dense factorization, and action gradients recovered from central
-differences of the action value alone.
+The oracle answers "is the fast path right?" with slow, direct arithmetic:
+the stationarity system of a quadratic potential, assembled from unit fields
+and solved directly, with no iteration or preconditioner.
 
 The stationarity system of F(t, x) = <A x, x> / 2 + <g(t), x> is the
 Kronecker sum K (x) I_n + I_nodes (x) A, with K the scalar -laplacian on
-the nodes.  It is never formed: in the eigenbasis of A it splits exactly
-into n node-sized systems K + mu_i I, each factored by its own Cholesky, so
-the dense oracle holds two nodes x nodes float matrices (2 * nodes^2 * 8
-bytes) at most, where the coupled matrix would take n^2 times one.
+the nodes.  Both schemes' -laplacian is a sum over the axes, so K is itself
+the Kronecker sum of p axis matrices K_a of size N_a x N_a.  The system is
+solved by fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964):
+one eigendecomposition K_a = V_a diag(lambda^a) V_a^T per axis and one of
+A = Q diag(mu) Q^T, a rotation of the right-hand side by Q and by each V_a^T,
+a division by the eigenvalue sums lambda^1_k1 + ... + lambda^p_kp + mu_i,
+and the rotation back.  Neither K nor the coupled matrix is formed: the
+oracle holds the p axis matrices and a few fields, O(sum_a N_a^2 + nodes n)
+floats.
 """
 
 from __future__ import annotations
@@ -20,23 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, TorusGrid, check_symmetric
-from .operators import DiffOperator, action_value
-from .potentials import Potential
+from .operators import DiffOperator
 
 DENSE_UNKNOWN_CAP = 20000
-FD_COORDINATE_CAP = 5000
-# The central-difference step of fd_action_gradient.
-_FD_STEP = 1e-6
-# Scalar unit fields transformed together by the dense assembly.  A block's
-# arrays hold 64 node columns, far less than the kinetic matrix.
-_ASSEMBLY_BLOCK = 64
 
 
 class NotPositiveDefiniteError(RuntimeError):
-    """Dense factorization failed; the assembled system is not positive definite.
+    """The assembled system is not positive definite.
 
     The pure-Laplacian system (A = 0) lands here by design: constants are in
-    its kernel, so no factorization should succeed.
+    its kernel, so its smallest eigenvalue is zero to rounding.
     """
 
 
@@ -44,29 +41,49 @@ class NotPositiveDefiniteError(RuntimeError):
 class DenseSystem:
     """The stationarity system (K (x) I_n + I_nodes (x) A) U = rhs, kept in factors.
 
-    ``kinetic`` is K, the nodes x nodes matrix of -laplacian on scalar
-    fields; ``quad_matrix`` is A as given; ``rhs`` is -g, node-major.
+    ``kinetic_axes`` holds the p symmetric matrices K_a of -laplacian along
+    one axis, whose Kronecker sum is K; ``quad_matrix`` is A as given;
+    ``rhs`` is -g, node-major; ``op`` is the operator they came from.
     """
 
     grid: TorusGrid
     n: int
-    kinetic: np.ndarray
+    op: DiffOperator
+    kinetic_axes: tuple[np.ndarray, ...]
     quad_matrix: np.ndarray
     rhs: np.ndarray
+
+
+def _axis_matrix(op: DiffOperator, axis: int) -> np.ndarray:
+    """K_a: -laplacian on the N_a unit fields along ``axis``, symmetrized.
+
+    Unit field j is 1 on the nodes whose index along the axis is j, whatever
+    their other indices.  It is constant along the other axes, whose terms
+    of -laplacian vanish on it, so any line along the axis carries K_a e_j.
+    """
+    grid = op.grid
+    N = grid.resolutions[axis]
+    line = [1] * grid.p
+    line[axis] = N
+    basis = np.broadcast_to(np.eye(N).reshape((N,) + tuple(line) + (1,)),
+                            (N,) + grid.shape + (1,))
+    columns = op._multiply(basis, op._lam)
+    index = tuple(slice(None) if b == axis else 0 for b in range(grid.p))
+    K = columns[(slice(None),) + index + (0,)].T
+    return 0.5 * (K + K.T)
 
 
 def assemble_quadratic_system(
     grid: TorusGrid, op: DiffOperator, matrix, g: Field
 ) -> DenseSystem:
-    """Assemble (-laplacian + A) U = -g densely, one unit field per column.
+    """Assemble (-laplacian + A) U = -g as p axis matrices and A.
 
     The potential here is F(t, x) = <A x, x> / 2 + <g(t), x>.  -laplacian
-    acts on each component alike, so only its scalar matrix K is assembled:
-    nodes x nodes, one unit field per column, 8 * nodes^2 bytes.  Columns
-    are produced by applying the same frequency-space operator the fast path
-    uses, so K inherits the scheme exactly; the unit fields go through it in
-    blocks, one transform pair per block.  The coupling to A is left to
-    dense_solve; the cap still counts all nodes * n unknowns.
+    acts on each component alike and is a sum over the axes, so only the
+    axis matrices K_a are assembled, N_a x N_a each, by pushing unit fields
+    through the same frequency-space operator the fast path uses; K_a thus
+    inherits the scheme exactly.  The coupling is left to dense_solve; the
+    cap still counts all nodes * n unknowns.
     """
     if op.grid != grid or g.grid != grid:
         raise ValueError("grid, operator, and drift field must match")
@@ -79,99 +96,65 @@ def assemble_quadratic_system(
         raise ValueError(
             f"dense assembly of {size} unknowns exceeds the cap of {DENSE_UNKNOWN_CAP}"
         )
-    nodes = grid.node_count
-    kinetic = np.empty((nodes, nodes))
-    for start in range(0, nodes, _ASSEMBLY_BLOCK):
-        stop = min(start + _ASSEMBLY_BLOCK, nodes)
-        # unit fields at nodes start .. stop-1, stacked along a leading axis
-        basis = np.zeros((stop - start, nodes))
-        basis[:, start:stop] = np.eye(stop - start)
-        basis = basis.reshape((stop - start,) + grid.shape + (1,))
-        columns = op._multiply(basis, op._lam)
-        kinetic[:, start:stop] = columns.reshape(stop - start, nodes).T
-    return DenseSystem(grid=grid, n=n, kinetic=kinetic, quad_matrix=A, rhs=-g.flat)
+    kinetic_axes = tuple(_axis_matrix(op, a) for a in range(grid.p))
+    return DenseSystem(grid=grid, n=n, op=op, kinetic_axes=kinetic_axes,
+                       quad_matrix=A, rhs=-g.flat)
+
+
+def _along(matrix: np.ndarray, values: np.ndarray, axis: int) -> np.ndarray:
+    """Apply ``matrix`` to every line of ``values`` along ``axis``."""
+    return np.moveaxis(np.tensordot(matrix, values, axes=(1, axis)), 0, axis)
 
 
 def dense_solve(system: DenseSystem) -> Field:
-    """Solve the assembled system by n Cholesky factorizations of nodes x nodes.
+    """Solve the assembled system by fast diagonalization.
 
-    The factored operator is sym(K) (x) I + I (x) A with A = Q diag(mu) Q^T.
-    Rotating the unknowns by Q splits it into n systems (sym(K) + mu_i I)
-    v_i = (R Q)_i, each written into one reused nodes x nodes buffer and
-    factored there, so the solve allocates 8 * nodes^2 bytes beside K.
+    With K_a = V_a diag(lambda^a) V_a^T and A = Q diag(mu) Q^T, the coupled
+    operator is diagonal in the basis V_1 (x) ... (x) V_p (x) Q, with the
+    eigenvalue sums lambda^1_k1 + ... + lambda^p_kp + mu_i on its diagonal.
+    The right-hand side is rotated into that basis one axis at a time,
+    divided, and rotated back; the largest arrays are fields of nodes * n
+    entries.
 
     Raises ValueError when A is not symmetric, and NotPositiveDefiniteError
-    when a factorization fails or the pooled pivots of the n factors are
-    consistent with a singular operator, e.g. the constant-mode kernel of the
-    potential-free system, or when the solution misses the coupled system
-    K U + U A^T = R by more than 1e-10 relative to the right-hand side.
+    when the smallest eigenvalue sum is at most sqrt(eps) times the largest
+    (the square of the eps^(1/4) bound once put on Cholesky pivots, which
+    are square roots of eigenvalue-sized quantities), e.g. for the
+    constant-mode kernel of the potential-free system or an indefinite A,
+    or when the solution misses the coupled system -laplacian(U) + U A^T = R,
+    applied through the operator itself, by more than 1e-10 relative to the
+    right-hand side.
     """
-    import scipy.linalg  # loaded here, so only the dense oracle pays its import
-
-    K, A = system.kinetic, system.quad_matrix
+    A = system.quad_matrix
     check_symmetric("quad_matrix", A)
-    nodes = K.shape[0]
     mu, Q = np.linalg.eigh(A)
-    rhs = system.rhs.reshape(nodes, system.n)
-    rotated = rhs @ Q
-    work = np.empty_like(K)
-    pivots = []
-    for i, shift in enumerate(mu):
-        np.add(K, K.T, out=work)
-        work *= 0.5
-        work.flat[:: nodes + 1] += shift
-        try:
-            # work is exactly symmetric, so its transpose is the same matrix
-            # in Fortran order, which LAPACK factors in place without a copy
-            factor = scipy.linalg.cho_factor(
-                work.T, lower=True, overwrite_a=True, check_finite=False
-            )
-        except scipy.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError(
-                f"Cholesky factorization failed: {exc}"
-            ) from exc
-        pivots.append(np.abs(np.diag(factor[0])))
-        rotated[:, i] = scipy.linalg.cho_solve(factor, rotated[:, i], check_finite=False)
-    pivots = np.concatenate(pivots)
-    if pivots.min() <= np.finfo(float).eps ** 0.25 * pivots.max():
+    eigen = [np.linalg.eigh(K) for K in system.kinetic_axes]
+    # the extreme eigenvalue sums are the sums of the extremes
+    lowest = mu[0] + sum(lam[0] for lam, _ in eigen)
+    highest = mu[-1] + sum(lam[-1] for lam, _ in eigen)
+    if lowest <= np.finfo(float).eps ** 0.5 * highest:
         raise NotPositiveDefiniteError(
-            "Cholesky pivots collapse toward zero; the system has a numerical "
-            "kernel (a zero-mean-compatible potential block is missing)"
+            f"eigenvalues collapse toward zero (smallest {lowest:.3e}, largest "
+            f"{highest:.3e}); the system has a numerical kernel (a "
+            "zero-mean-compatible potential block is missing) or is indefinite"
         )
-    u = rotated @ Q.T
-    residual = np.abs(K @ u + u @ A.T - rhs).max()
+    p = system.grid.p
+    rhs = system.rhs.reshape(system.grid.shape + (system.n,))
+    u = rhs @ Q
+    sums = mu
+    for a, (lam, V) in enumerate(eigen):
+        u = _along(V.T, u, a)
+        sums = sums + lam.reshape((-1,) + (1,) * (p - a))
+    u = u / sums
+    for a, (_, V) in enumerate(eigen):
+        u = _along(V, u, a)
+    u = u @ Q.T
+    op = system.op
+    residual = np.abs(op._multiply(u, op._lam) + u @ A.T - rhs).max()
     bound = 1e-10 * (1.0 + np.abs(rhs).max())
     if residual > bound:
         raise NotPositiveDefiniteError(
             f"dense solve residual {residual:.3e} exceeds {bound:.3e}; "
-            "the factorization is unreliable"
+            "the eigendecompositions are unreliable"
         )
-    return Field(system.grid, u.reshape(-1), n=system.n)
-
-
-def fd_action_gradient(u: Field, pot: Potential, op: DiffOperator) -> Field:
-    """Full action gradient from central differences, one node value at a time.
-
-    Divides out the quadrature weight, so the result is comparable to
-    action_gradient directly.  Refuses problems above a coordinate cap.
-    """
-    size = u.grid.node_count * u.n
-    if size > FD_COORDINATE_CAP:
-        raise ValueError(
-            f"coordinate-wise differencing over {size} unknowns exceeds the cap "
-            f"of {FD_COORDINATE_CAP}; probe directions instead"
-        )
-    weight = u.grid.cell_weight
-    work = u.values.copy()
-    flat = work.reshape(-1)
-    out = np.empty(size)
-    probe = Field(u.grid, work, _check=False)
-    for j in range(size):
-        saved = flat[j]
-        flat[j] = saved + _FD_STEP
-        f_plus = action_value(probe, pot, op)
-        flat[j] = saved - _FD_STEP
-        f_minus = action_value(probe, pot, op)
-        flat[j] = saved
-        out[j] = (f_plus - f_minus) / (2.0 * _FD_STEP * weight)
-    return Field(u.grid, out, n=u.n)
+    return Field(system.grid, u, n=system.n)

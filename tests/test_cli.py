@@ -674,6 +674,20 @@ def test_certify_process_leaves_scipy_fft_unloaded(tmp_path):
     assert (tmp_path / "report.json").exists()
 
 
+def test_oracle_compare_process_leaves_scipy_linalg_unloaded(tmp_path):
+    # the dense oracle diagonalizes with numpy.linalg alone
+    script = (
+        "import sys, torus_action.cli as cli; "
+        f"code = cli.main(['oracle-compare', '--config', "
+        f"{str(CONFIGS / 'oracle_compare_3d_fd2.json')!r}, '--out', {str(tmp_path)!r}]); "
+        "print(code, 'scipy.linalg' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 False"
+    assert json.loads((tmp_path / "report.json").read_text())["passed"] is True
+
+
 def test_module_invocation(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, manufactured_config(out))

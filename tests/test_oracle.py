@@ -15,18 +15,50 @@ from torus_action import (
     assemble_quadratic_system,
     dense_solve,
     action_value,
-    fd_action_gradient,
     l2_inner,
+    laplacian,
     make_quadratic_form,
     make_quadratic_shift,
     solve,
 )
 
 TWO_PI = 2.0 * np.pi
+# Unequal periods for the grids given unequal resolutions by _box.
+ANISOTROPIC_PERIODS = (1.0, 2.5, TWO_PI)
 
 
 def drift_field(grid, path):
     return Field.from_function(grid, path.n, lambda t: path(t))
+
+
+def _box(p, N):
+    """A 2 pi box with N nodes per axis, or, for a tuple N, unequal periods too."""
+    if isinstance(N, tuple):
+        return TorusGrid(ANISOTROPIC_PERIODS[:p], N)
+    return TorusGrid((TWO_PI,) * p, (N,) * p)
+
+
+def _column_by_column(grid, op):
+    """The scalar kinetic matrix K, one unit field per column, through laplacian."""
+    nodes = grid.node_count
+    dense = np.empty((nodes, nodes))
+    basis = np.zeros(grid.shape + (1,))
+    flat = basis.reshape(-1)
+    for j in range(nodes):
+        flat[j] = 1.0
+        dense[:, j] = -laplacian(op, Field(grid, basis)).values.reshape(-1)
+        flat[j] = 0.0
+    return dense
+
+
+def _kronecker_sum(matrices):
+    """Sum over a of I (x) ... (x) K_a (x) ... (x) I, node-major as Field.flat."""
+    sizes = [K.shape[0] for K in matrices]
+    total = 0.0
+    for a, K in enumerate(matrices):
+        before, after = int(np.prod(sizes[:a])), int(np.prod(sizes[a + 1:]))
+        total = total + np.kron(np.eye(before), np.kron(K, np.eye(after)))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -40,18 +72,36 @@ def test_assembled_matrix_is_symmetric():
     for scheme in (Scheme.SPECTRAL, Scheme.FD2):
         op = DiffOperator(g, scheme)
         system = assemble_quadratic_system(g, op, A, drift_field(g, path))
-        K = system.kinetic
+        (K,) = system.kinetic_axes
         assert K.shape == (16, 16)
-        assert np.max(np.abs(K - K.T)) < 1e-12
+        assert np.array_equal(K, K.T)
         assert np.array_equal(system.quad_matrix, A)
 
 
-def _coupled_matrix(system):
+@pytest.mark.parametrize("scheme", [Scheme.SPECTRAL, Scheme.FD2])
+@pytest.mark.parametrize("p, N", [
+    (1, 10), (2, 6), (3, 4),
+    pytest.param(2, (6, 8), id="2-anisotropic"),
+    pytest.param(3, (4, 6, 8), id="3-anisotropic"),
+])
+def test_axis_matrices_sum_to_the_column_by_column_matrix(scheme, p, N):
+    g = _box(p, N)
+    op = DiffOperator(g, scheme)
+    A = np.arange(1.0, 5.0).reshape(2, 2) / 7.0 + 2.0 * np.eye(2)  # not symmetric
+    system = assemble_quadratic_system(g, op, A, Field(g, np.ones(g.shape + (2,))))
+    assert [K.shape for K in system.kinetic_axes] == [(N_a, N_a) for N_a in g.shape]
+    expected = _column_by_column(g, op)
+    gap = np.abs(_kronecker_sum(system.kinetic_axes) - expected).max()
+    assert gap <= 1e-12 * np.abs(expected).max()
+    assert np.array_equal(system.quad_matrix, A)
+
+
+def _coupled_matrix(kinetic, A):
     """K (x) I_n + I_nodes (x) A, the (nodes n)^2 matrix dense_solve never forms."""
-    nodes, n = system.kinetic.shape[0], system.n
-    dense = np.kron(system.kinetic, np.eye(n))
+    nodes, n = kinetic.shape[0], A.shape[0]
+    dense = np.kron(kinetic, np.eye(n))
     node = np.arange(nodes)
-    dense.reshape(nodes, n, nodes, n)[node, :, node, :] += system.quad_matrix
+    dense.reshape(nodes, n, nodes, n)[node, :, node, :] += A
     return dense
 
 
@@ -93,27 +143,31 @@ def test_dense_solve_factors_without_touching_the_system():
     system = assemble_quadratic_system(
         g, DiffOperator(g, Scheme.FD2), A, drift_field(g, path)
     )
-    before = (system.kinetic.copy(), system.quad_matrix.copy(), system.rhs.copy())
+    before = ([K.copy() for K in system.kinetic_axes], system.quad_matrix.copy(),
+              system.rhs.copy())
     dense_solve(system)
-    assert np.array_equal(system.kinetic, before[0])
+    assert all(np.array_equal(K, K0) for K, K0 in zip(system.kinetic_axes, before[0]))
     assert np.array_equal(system.quad_matrix, before[1])
     assert np.array_equal(system.rhs, before[2])
 
 
 @pytest.mark.parametrize("scheme", [Scheme.SPECTRAL, Scheme.FD2])
-@pytest.mark.parametrize("p, N", [(1, 16), (2, 8), (3, 6)])
+@pytest.mark.parametrize("p, N", [
+    (1, 16), (2, 8), (3, 6), pytest.param(3, (4, 6, 8), id="3-anisotropic"),
+])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_dense_solve_agrees_with_the_full_matrix_cholesky(scheme, p, N, n):
     import scipy.linalg
 
-    g = TorusGrid((TWO_PI,) * p, (N,) * p)
+    g = _box(p, N)
+    op = DiffOperator(g, scheme)
     rng = np.random.default_rng(10 * p + n)
     B = rng.standard_normal((n, n))
     A = B @ B.T + 0.5 * np.eye(n)  # SPD, with off-diagonal entries
     system = assemble_quadratic_system(
-        g, DiffOperator(g, scheme), A, Field(g, rng.standard_normal(g.shape + (n,)))
+        g, op, A, Field(g, rng.standard_normal(g.shape + (n,)))
     )
-    dense = _coupled_matrix(system)
+    dense = _coupled_matrix(_column_by_column(g, op), A)
     expected = scipy.linalg.cho_solve(
         scipy.linalg.cho_factor(0.5 * (dense + dense.T), lower=True), system.rhs
     )
@@ -161,24 +215,22 @@ def test_dense_solve_rejects_a_non_symmetric_matrix_by_name():
     assert np.array_equal(system.quad_matrix, A)
 
 
-def test_dense_solve_allocates_one_node_sized_matrix():
+def test_dense_oracle_allocates_less_than_one_nodes_by_nodes_matrix():
     import tracemalloc
 
     g = TorusGrid((TWO_PI, TWO_PI), (16, 16))
+    op = DiffOperator(g, Scheme.FD2)
     A = np.array([[2.0, 0.3], [0.3, 1.0]])
-    rng = np.random.default_rng(5)
-    system = assemble_quadratic_system(
-        g, DiffOperator(g, Scheme.FD2), A, Field(g, rng.standard_normal(g.shape + (2,)))
-    )
-    dense_solve(system)  # imports scipy.linalg outside the measurement
+    drift = Field(g, np.random.default_rng(5).standard_normal(g.shape + (2,)))
+    dense_solve(assemble_quadratic_system(g, op, A, drift))  # warm the transforms
     tracemalloc.start()
     try:
-        dense_solve(system)
+        dense_solve(assemble_quadratic_system(g, op, A, drift))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the coupled (nodes n)^2 matrix and its symmetrized copy would be 8 of these
-    assert peak <= 2.5 * g.node_count ** 2 * 8
+    # the axis matrices are 16 x 16; K alone would be 256 x 256
+    assert peak < g.node_count ** 2 * 8
 
 
 def test_dense_unknown_cap():
@@ -192,6 +244,39 @@ def test_dense_unknown_cap():
 # ---------------------------------------------------------------------------
 # finite-difference gradients
 # ---------------------------------------------------------------------------
+
+FD_COORDINATE_CAP = 5000
+# The central-difference step of fd_action_gradient.
+_FD_STEP = 1e-6
+
+
+def fd_action_gradient(u, pot, op):
+    """Full action gradient from central differences, one node value at a time.
+
+    Divides out the quadrature weight, so the result is comparable to
+    action_gradient directly.  Refuses problems above a coordinate cap.
+    """
+    size = u.grid.node_count * u.n
+    if size > FD_COORDINATE_CAP:
+        raise ValueError(
+            f"coordinate-wise differencing over {size} unknowns exceeds the cap "
+            f"of {FD_COORDINATE_CAP}; probe directions instead"
+        )
+    weight = u.grid.cell_weight
+    work = u.values.copy()
+    flat = work.reshape(-1)
+    out = np.empty(size)
+    probe = Field(u.grid, work, _check=False)
+    for j in range(size):
+        saved = flat[j]
+        flat[j] = saved + _FD_STEP
+        f_plus = action_value(probe, pot, op)
+        flat[j] = saved - _FD_STEP
+        f_minus = action_value(probe, pot, op)
+        flat[j] = saved
+        out[j] = (f_plus - f_minus) / (2.0 * _FD_STEP * weight)
+    return Field(u.grid, out, n=u.n)
+
 
 def test_fd_action_gradient_matches_analytic():
     g = TorusGrid((TWO_PI,), (12,))
@@ -241,46 +326,3 @@ def test_fd_directional_derivative_agrees_with_pairing():
         worst = max(worst, abs(fd - an) / max(1.0, abs(an)))
     assert worst < 1e-6
 
-
-def _column_by_column(grid, op):
-    """The scalar kinetic matrix one unit field at a time, as the oracle first built it."""
-    from torus_action import laplacian
-
-    nodes = grid.node_count
-    dense = np.empty((nodes, nodes))
-    basis = np.zeros(grid.shape + (1,))
-    flat = basis.reshape(-1)
-    for j in range(nodes):
-        flat[j] = 1.0
-        dense[:, j] = -laplacian(op, Field(grid, basis)).values.reshape(-1)
-        flat[j] = 0.0
-    return dense
-
-
-@pytest.mark.parametrize("scheme", [Scheme.SPECTRAL, Scheme.FD2])
-@pytest.mark.parametrize("p, N", [(1, 10), (2, 6), (3, 4)])
-@pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("block", [7, 64])
-def test_blocked_assembly_is_bit_identical_to_column_by_column(monkeypatch, scheme, p, N,
-                                                                n, block):
-    # 10, 36 and 64 nodes leave a remainder of 3, 1 and 1 with blocks of 7
-    import torus_action.oracle as oracle
-
-    monkeypatch.setattr(oracle, "_ASSEMBLY_BLOCK", block)
-    g = TorusGrid((TWO_PI,) * p, (N,) * p)
-    op = DiffOperator(g, scheme)
-    A = np.arange(1.0, n * n + 1).reshape(n, n) / 7.0 + 2.0 * np.eye(n)  # not symmetric
-    system = assemble_quadratic_system(g, op, A, Field(g, np.ones(g.shape + (n,))))
-    assert np.array_equal(system.kinetic, _column_by_column(g, op))
-    assert np.array_equal(system.quad_matrix, A)
-
-
-def test_blocked_assembly_leaves_a_remainder_at_the_default_block():
-    import torus_action.oracle as oracle
-
-    g = TorusGrid((TWO_PI, TWO_PI), (10, 10))
-    assert g.node_count % oracle._ASSEMBLY_BLOCK != 0
-    op = DiffOperator(g, Scheme.SPECTRAL)
-    A = np.array([[1.0, 0.25], [-0.5, 2.0]])
-    system = assemble_quadratic_system(g, op, A, Field(g, np.zeros(g.shape + (2,))))
-    assert np.array_equal(system.kinetic, _column_by_column(g, op))

@@ -27,6 +27,10 @@ from .grid import Field, TorusGrid, check_symmetric
 from .operators import DiffOperator
 
 DENSE_UNKNOWN_CAP = 20000
+# Unit fields pushed through the operator together by the axis assembly.  A
+# block's arrays hold 64 fields of nodes entries, so a long axis (a 1-D grid
+# near the cap) never holds N_a x nodes of them, with their spectra, at once.
+_ASSEMBLY_BLOCK = 64
 
 
 class NotPositiveDefiniteError(RuntimeError):
@@ -60,16 +64,20 @@ def _axis_matrix(op: DiffOperator, axis: int) -> np.ndarray:
     Unit field j is 1 on the nodes whose index along the axis is j, whatever
     their other indices.  It is constant along the other axes, whose terms
     of -laplacian vanish on it, so any line along the axis carries K_a e_j.
+    The fields go through the operator _ASSEMBLY_BLOCK at a time.
     """
     grid = op.grid
     N = grid.resolutions[axis]
     line = [1] * grid.p
     line[axis] = N
-    basis = np.broadcast_to(np.eye(N).reshape((N,) + tuple(line) + (1,)),
-                            (N,) + grid.shape + (1,))
-    columns = op._multiply(basis, op._lam)
-    index = tuple(slice(None) if b == axis else 0 for b in range(grid.p))
-    K = columns[(slice(None),) + index + (0,)].T
+    index = (slice(None),) + tuple(slice(None) if b == axis else 0
+                                   for b in range(grid.p)) + (0,)
+    K = np.empty((N, N))
+    for start in range(0, N, _ASSEMBLY_BLOCK):
+        m = min(_ASSEMBLY_BLOCK, N - start)
+        units = np.eye(m, N, start).reshape((m,) + tuple(line) + (1,))
+        basis = np.broadcast_to(units, (m,) + grid.shape + (1,))
+        K[:, start:start + m] = op._multiply(basis, op._lam)[index].T
     return 0.5 * (K + K.T)
 
 

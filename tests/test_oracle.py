@@ -96,6 +96,51 @@ def test_axis_matrices_sum_to_the_column_by_column_matrix(scheme, p, N):
     assert np.array_equal(system.quad_matrix, A)
 
 
+def _axis_column_by_column(grid, op, axis):
+    """K_a one unit field at a time through laplacian, symmetrized like the oracle's."""
+    N = grid.resolutions[axis]
+    index = tuple(slice(None) if b == axis else 0 for b in range(grid.p)) + (0,)
+    K = np.empty((N, N))
+    for j in range(N):
+        basis = np.zeros(grid.shape + (1,))
+        basis[(slice(None),) * axis + (j,)] = 1.0
+        K[:, j] = -laplacian(op, Field(grid, basis)).values[index]
+    return 0.5 * (K + K.T)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.SPECTRAL, Scheme.FD2])
+@pytest.mark.parametrize("p, N", [(1, 10), (2, 6), (3, 4)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("block", [7, 64])
+def test_blocked_assembly_is_bit_identical_to_column_by_column(monkeypatch, scheme, p, N,
+                                                                n, block):
+    # an axis of 10 nodes leaves a remainder of 3 with blocks of 7; the
+    # others fit in one short block
+    import torus_action.oracle as oracle
+
+    monkeypatch.setattr(oracle, "_ASSEMBLY_BLOCK", block)
+    g = _box(p, N)
+    op = DiffOperator(g, scheme)
+    A = np.arange(1.0, n * n + 1).reshape(n, n) / 7.0 + 2.0 * np.eye(n)  # not symmetric
+    system = assemble_quadratic_system(g, op, A, Field(g, np.ones(g.shape + (n,))))
+    for a, K in enumerate(system.kinetic_axes):
+        assert np.array_equal(K, _axis_column_by_column(g, op, a))
+    assert np.array_equal(system.quad_matrix, A)
+
+
+def test_blocked_assembly_leaves_a_remainder_at_the_default_block():
+    import torus_action.oracle as oracle
+
+    g = TorusGrid((1.0, TWO_PI), (100, 6))
+    assert g.shape[0] > oracle._ASSEMBLY_BLOCK
+    assert g.shape[0] % oracle._ASSEMBLY_BLOCK != 0
+    op = DiffOperator(g, Scheme.SPECTRAL)
+    A = np.array([[1.0, 0.25], [-0.5, 2.0]])
+    system = assemble_quadratic_system(g, op, A, Field(g, np.zeros(g.shape + (2,))))
+    for a, K in enumerate(system.kinetic_axes):
+        assert np.array_equal(K, _axis_column_by_column(g, op, a))
+
+
 def _coupled_matrix(kinetic, A):
     """K (x) I_n + I_nodes (x) A, the (nodes n)^2 matrix dense_solve never forms."""
     nodes, n = kinetic.shape[0], A.shape[0]

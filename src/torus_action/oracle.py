@@ -12,9 +12,9 @@ solved by fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964):
 one eigendecomposition K_a = V_a diag(lambda^a) V_a^T per axis and one of
 A = Q diag(mu) Q^T, a rotation of the right-hand side by Q and by each V_a^T,
 a division by the eigenvalue sums lambda^1_k1 + ... + lambda^p_kp + mu_i,
-and the rotation back.  Neither K nor the coupled matrix is formed: the
-oracle holds the p axis matrices and a few fields, O(sum_a N_a^2 + nodes n)
-floats.
+and the rotation back.  The coupled matrix is never formed, nor is K on two
+or more axes (on one axis K_1 is K): the oracle holds the p axis matrices
+and a few fields, O(sum_a N_a^2 + nodes n) floats.
 """
 
 from __future__ import annotations
@@ -125,12 +125,14 @@ def dense_solve(system: DenseSystem) -> Field:
     entries.
 
     Raises ValueError when A is not symmetric, and NotPositiveDefiniteError
-    when the smallest eigenvalue sum is at most sqrt(eps) times the largest
-    (the square of the eps^(1/4) bound once put on Cholesky pivots, which
-    are square roots of eigenvalue-sized quantities), e.g. for the
-    constant-mode kernel of the potential-free system or an indefinite A,
-    or when the solution misses the coupled system -laplacian(U) + U A^T = R,
-    applied through the operator itself, by more than 1e-10 relative to the
+    when the smallest eigenvalue sum is zero to rounding or negative, that is
+    at most nodes * n * eps times the largest.  Every K_a has the constant
+    mode at eigenvalue zero, so this catches a semidefinite or indefinite A,
+    the potential-free system among them, and admits any A whose smallest
+    eigenvalue stands above rounding, however small.  Accuracy is left to
+    the residual check: NotPositiveDefiniteError is also raised when the
+    solution misses the coupled system -laplacian(U) + U A^T = R, applied
+    through the operator itself, by more than 1e-10 relative to the
     right-hand side.
     """
     A = system.quad_matrix
@@ -140,7 +142,7 @@ def dense_solve(system: DenseSystem) -> Field:
     # the extreme eigenvalue sums are the sums of the extremes
     lowest = mu[0] + sum(lam[0] for lam, _ in eigen)
     highest = mu[-1] + sum(lam[-1] for lam, _ in eigen)
-    if lowest <= np.finfo(float).eps ** 0.5 * highest:
+    if lowest <= system.grid.node_count * system.n * np.finfo(float).eps * highest:
         raise NotPositiveDefiniteError(
             f"eigenvalues collapse toward zero (smallest {lowest:.3e}, largest "
             f"{highest:.3e}); the system has a numerical kernel (a "

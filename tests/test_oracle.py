@@ -260,6 +260,21 @@ def test_dense_solve_rejects_a_non_symmetric_matrix_by_name():
     assert np.array_equal(system.quad_matrix, A)
 
 
+@pytest.mark.parametrize("scheme", [Scheme.SPECTRAL, Scheme.FD2])
+def test_dense_solve_admits_a_small_positive_matrix(scheme):
+    # mu = 1e-3 against a largest eigenvalue sum of 1.3e5 to 3.2e5: ill
+    # conditioned but well above rounding, so it must be solved, not refused
+    g = TorusGrid((1.0, 1.0), (128, 128))
+    A = np.array([[1e-3]])
+    path = TrigPath((1.0, 1.0), 1, (TrigTerm("sin", (1, 2), (1.0,)),
+                                    TrigTerm("cos", (0, 1), (0.5,))))
+    op = DiffOperator(g, scheme)
+    u_dense = dense_solve(assemble_quadratic_system(g, op, A, drift_field(g, path)))
+    res = solve(g, make_quadratic_form(A, path), op,
+                SolverOptions(tol_grad_inf=1e-10, tol_residual_inf=1e-10, max_iters=2000))
+    assert np.max(np.abs(u_dense.values - res.u.values)) < 1e-8
+
+
 def test_dense_oracle_allocates_less_than_one_nodes_by_nodes_matrix():
     import tracemalloc
 

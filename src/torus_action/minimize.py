@@ -19,14 +19,7 @@ import numpy as np
 
 from .certify import build_mean_potential, coercivity_probe
 from .grid import Field, TorusGrid, check_integer, check_seed, integrate
-from .operators import (
-    ActionReport,
-    DiffOperator,
-    _check_field,
-    _check_potential,
-    l2_norm,
-    mean_decompose,
-)
+from .operators import ActionReport, DiffOperator, _check_field, _check_potential, l2_norm
 from .potentials import Potential
 
 
@@ -165,13 +158,14 @@ def _fitted_preconditioner(op: DiffOperator, hbar: np.ndarray):
     return apply
 
 
-def _box_mean(hess: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    return hess.mean(axis=tuple(range(grid.p)))
+def _box_mean(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """The mean of per-node samples over the grid axes."""
+    return values.mean(axis=tuple(range(grid.p)))
 
 
-def _gradient_samples(uhat: np.ndarray, grad_f: np.ndarray, op: DiffOperator) -> np.ndarray:
-    """Samples of the action gradient -laplacian(u) + grad F(t, u) from u's spectrum."""
-    return op._irfft(op._lam[..., None] * uhat) + grad_f
+def _gradient_samples(lam_uhat: np.ndarray, grad_f: np.ndarray, op: DiffOperator) -> np.ndarray:
+    """Samples of the action gradient -laplacian(u) + grad F(t, u), from lambda * u-hat."""
+    return op._irfft(lam_uhat) + grad_f
 
 
 class _LbfgsMemory:
@@ -239,10 +233,14 @@ def solve(
     per mode, built once from the potential's Hessian (see SolverOptions).
     The kinetic term is exactly quadratic along a search ray, so a
     line-search trial costs one potential evaluation and no transform, and
-    an iteration three transforms.  Where a trial's action ties with the
-    current one to rounding, the slope along the ray decides instead, for
-    one more potential gradient, unless the ray promised a decrease well
-    above rounding: then the trial is past the ray's minimum and is halved.
+    an iteration three transforms; the iteration that meets the tolerance
+    takes two, since only a next direction reads the gradient's spectrum.
+    An iterate meets the tolerance when the action gradient's largest
+    sample is within both tol_grad_inf and tol_residual_inf.  Where a
+    trial's action ties with the current one to rounding, the slope along
+    the ray decides instead, for one more potential gradient, unless the ray
+    promised a decrease well above rounding: then the trial is past the
+    ray's minimum and is halved.
     """
     opts = opts if opts is not None else SolverOptions()
     if op.grid != grid:
@@ -267,8 +265,13 @@ def solve(
     precond = _fitted_preconditioner(op, hbar)
     inner = op._inner
 
+    # the convergence test: grad_inf <= tol
+    tol = min(opts.tol_grad_inf, opts.tol_residual_inf)
+    # lam_uhat, lambda * u-hat, is formed once per iterate: the gradient's
+    # samples and spectrum and the next ray's slope all read it
     uhat = op._rfft(u)
-    kinetic = 0.5 * inner(lam * uhat, uhat)
+    lam_uhat = lam * uhat
+    kinetic = 0.5 * inner(lam_uhat, uhat)
     potential_part = integrate(grid, pot.value(coords, u))
     f = kinetic + potential_part
     if not np.isfinite(f):
@@ -276,10 +279,12 @@ def solve(
     grad_f = pot.gradient(coords, u)
     # of the gradient's samples only the largest is kept: the descent works
     # on spectra
-    grad_inf = float(np.abs(_gradient_samples(uhat, grad_f, op)).max())
+    grad_inf = float(np.abs(_gradient_samples(lam_uhat, grad_f, op)).max())
     if not np.isfinite(grad_inf):
         raise ValueError("action gradient is not finite at the initial field")
-    ghat = lam * uhat + op._rfft(grad_f)
+    converged = grad_inf <= tol
+    # the gradient's spectrum is read only by a next direction
+    ghat = None if converged else lam_uhat + op._rfft(grad_f)
 
     trace = [_trace_row(f, grad_inf, uhat, op)]
     memory = _LbfgsMemory(_LBFGS_MEMORY, inner, precond)
@@ -290,11 +295,7 @@ def solve(
     iterations = 0
     recession_read = False
 
-    for _ in range(opts.max_iters):
-        if grad_inf <= opts.tol_grad_inf and grad_inf <= opts.tol_residual_inf:
-            status = SolveStatus.CONVERGED
-            break
-
+    while not converged and iterations < opts.max_iters:
         d = memory.direction(ghat)
         gd = inner(ghat, d)
         if not gd < 0.0:
@@ -308,7 +309,7 @@ def solve(
 
         # Along u + alpha d the kinetic term is
         # kinetic + alpha D(u, d) + alpha^2 D(d, d) / 2.
-        slope = inner(lam * uhat, d)
+        slope = inner(lam_uhat, d)
         curvature = inner(lam * d, d)
         d_samples = op._irfft(d)
 
@@ -361,10 +362,13 @@ def solve(
         uhat += s
         u = u_try
         grad_f = pot.gradient(coords, u) if grad_try is None else grad_try
-        grad_inf = float(np.abs(_gradient_samples(uhat, grad_f, op)).max())
-        ghat_new = lam * uhat + op._rfft(grad_f)
-        memory.push(s, ghat_new - ghat)
-        ghat = ghat_new
+        lam_uhat = lam * uhat
+        grad_inf = float(np.abs(_gradient_samples(lam_uhat, grad_f, op)).max())
+        converged = grad_inf <= tol
+        if not converged:
+            ghat_new = lam_uhat + op._rfft(grad_f)
+            memory.push(s, ghat_new - ghat)
+            ghat = ghat_new
         f, kinetic, potential_part = f_try, kinetic_try, potential_try
         alpha_prev = alpha
         iterations += 1
@@ -399,28 +403,25 @@ def solve(
                     f"{row[3]:.3e} within ten times its running median {median_fluct:.3e}"
                 )
                 break
-    else:
-        # loop exhausted without convergence or divergence
-        if grad_inf <= opts.tol_grad_inf and grad_inf <= opts.tol_residual_inf:
-            status = SolveStatus.CONVERGED
+    # a diagnosed divergence stands, even at an iterate that meets the tolerance
+    if converged and status is SolveStatus.MAX_ITERS:
+        status = SolveStatus.CONVERGED
 
     # The carried spectrum differs from rfft(u) by rounding, and the residual
     # cancels far below the size of its terms, so the reported residual comes
     # from the returned samples' own spectrum.  The action is the carried one,
     # the last value in the trace.
     uhat = op._rfft(u)
-    g = _gradient_samples(uhat, grad_f, op)
+    g = _gradient_samples(lam * uhat, grad_f, op)
     grad_inf = float(np.abs(g).max())
-    u = Field(grid, u, _check=False)
-    mean, _ = mean_decompose(u)
     return SolveResult(
-        u=u,
+        u=Field(grid, u, _check=False),
         status=status,
         iterations=iterations,
         action=ActionReport(kinetic, potential_part, f, grad_inf),
         residual_inf=grad_inf,
         residual_l2=l2_norm(Field(grid, g, _check=False)),
-        mean=mean,
+        mean=_box_mean(u, grid),
         fluctuation_h1_norm=_fluctuation_h1(uhat, op),
         trace=np.asarray(trace, dtype=float),
         line_search_failed=line_search_failed,
@@ -519,7 +520,7 @@ def newton_krylov_refine(
         """(u-hat, grad F(t, u)) and the residual norms of u."""
         uhat = op._rfft(u)
         grad_f = pot.gradient(coords, u)
-        g = _gradient_samples(uhat, grad_f, op)
+        g = _gradient_samples(lam * uhat, grad_f, op)
         norms = float(np.abs(g).max()), l2_norm(Field(grid, g, _check=False))
         return (uhat, grad_f), *norms
 
@@ -585,17 +586,15 @@ def newton_krylov_refine(
     uhat, _ = state
     kinetic = 0.5 * op._inner(lam * uhat, uhat)
     potential_part = integrate(grid, pot.value(coords, u))
-    u = Field(grid, u, _check=False)
-    mean, _ = mean_decompose(u)
     return replace(
         result,
-        u=u,
+        u=Field(grid, u, _check=False),
         status=status,
         iterations=result.iterations + newton_steps,
         action=ActionReport(kinetic, potential_part, kinetic + potential_part, res_inf),
         residual_inf=res_inf,
         residual_l2=res_l2,
-        mean=mean,
+        mean=_box_mean(u, grid),
         fluctuation_h1_norm=_fluctuation_h1(uhat, op),
         message=message,
     )

@@ -132,8 +132,10 @@ def dense_solve(system: DenseSystem) -> Field:
     eigenvalue stands above rounding, however small.  Accuracy is left to
     the residual check: NotPositiveDefiniteError is also raised when the
     solution misses the coupled system -laplacian(U) + U A^T = R, applied
-    through the operator itself, by more than 1e-10 relative to the
-    right-hand side.
+    through the operator itself, by more than 1e-12 of its rounding scale:
+    the largest eigenvalue sum times max|U|, plus max|R|.  Rounding leaves a
+    residual of at most a few tens of eps times that scale, and the first
+    term dominates where a small A makes U's mean large.
     """
     A = system.quad_matrix
     check_symmetric("quad_matrix", A)
@@ -161,7 +163,7 @@ def dense_solve(system: DenseSystem) -> Field:
     u = u @ Q.T
     op = system.op
     residual = np.abs(op._multiply(u, op._lam) + u @ A.T - rhs).max()
-    bound = 1e-10 * (1.0 + np.abs(rhs).max())
+    bound = 1e-12 * (highest * np.abs(u).max() + np.abs(rhs).max())
     if residual > bound:
         raise NotPositiveDefiniteError(
             f"dense solve residual {residual:.3e} exceeds {bound:.3e}; "

@@ -185,7 +185,10 @@ class Potential:
 
     ``value`` and ``gradient`` are batched: t has shape (..., p), x has shape
     (..., n), and they return shapes (...,) and (..., n).  ``hessian`` is
-    optional and returns (..., n, n) when present.
+    optional and returns (..., n, n) when present.  It may be a read-only
+    view: the kinds with a constant Hessian (quadratic_shift, quadratic_form,
+    manufactured and linear_drift) broadcast their one n x n matrix over
+    the batch, which writes nothing per point.  Copy it to modify it.
 
     ``recession`` declares the recession function G_inf(d) = lim G(r d) / r
     of the averaged potential G(x) = integral of F(t, x) dt: a tuple of rows
@@ -250,6 +253,11 @@ def _combine(planes, terms, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _constant_hessian(matrix: np.ndarray, x) -> np.ndarray:
+    """The n x n ``matrix`` at every point of x, as a read-only view."""
+    return np.broadcast_to(matrix, np.shape(x)[:-1] + matrix.shape)
+
+
 def make_quadratic_shift(n: int, shift: TrigPath) -> Potential:
     """F(t, x) = |x - c(t)|^2 / 2 for a trigonometric shift path c."""
     if shift.n != int(n):
@@ -262,10 +270,10 @@ def make_quadratic_shift(n: int, shift: TrigPath) -> Potential:
     def gradient(t, x):
         return np.asarray(x, dtype=float) - shift(t)
 
+    eye = np.eye(shift.n)
+
     def hessian(t, x):
-        x = np.asarray(x, dtype=float)
-        eye = np.eye(shift.n)
-        return np.broadcast_to(eye, x.shape[:-1] + (shift.n, shift.n)).copy()
+        return _constant_hessian(eye, x)
 
     return Potential(
         n=int(n),
@@ -290,9 +298,10 @@ def make_linear_drift(n: int, drift: TrigPath) -> Potential:
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(drift(t), x.shape).copy()
 
+    zero = np.zeros((drift.n, drift.n))
+
     def hessian(t, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (drift.n, drift.n))
+        return _constant_hessian(zero, x)
 
     return Potential(
         n=int(n),
@@ -326,8 +335,7 @@ def make_quadratic_form(matrix, drift: TrigPath) -> Potential:
         return np.asarray(x, dtype=float) @ A + drift(t)
 
     def hessian(t, x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(A, x.shape[:-1] + (n, n)).copy()
+        return _constant_hessian(A, x)
 
     return Potential(
         n=n,

@@ -439,6 +439,31 @@ def test_lbfgs_solve_stays_within_four_transforms_per_iteration(monkeypatch, sch
     assert counts["real"] <= 4 * res.iterations + 6
 
 
+@pytest.mark.parametrize("scheme", [Scheme.SPECTRAL, Scheme.FD2])
+def test_converged_solve_makes_three_transforms_per_iteration_and_four_more(monkeypatch,
+                                                                            scheme):
+    # an iteration transforms d-hat, grad F and lambda u-hat, but the one that
+    # meets the tolerance skips grad F: only a next direction reads its
+    # spectrum.  The start transforms u and lambda u-hat, and so does the end.
+    counts = count_transforms(monkeypatch)
+    g, pot = lse_problem()
+    op = DiffOperator(g, scheme)
+    res = solve(g, pot, op)
+    assert res.status is SolveStatus.CONVERGED
+    assert res.iterations >= 5
+    assert counts["real"] == 3 * res.iterations + 4
+
+    g, pot = shift_problem()
+    op = DiffOperator(g, scheme)
+    counts["real"] = 0
+    res = solve(g, pot, op)
+    assert (res.status, res.iterations, counts["real"]) == (SolveStatus.CONVERGED, 1, 7)
+    # an initial field that already meets the tolerance takes no iteration
+    counts["real"] = 0
+    again = solve(g, pot, op, init=res.u)
+    assert (again.status, again.iterations, counts["real"]) == (SolveStatus.CONVERGED, 0, 4)
+
+
 def test_extra_line_search_trials_cost_no_transform(monkeypatch):
     periods = (TWO_PI, TWO_PI)
     g = TorusGrid(periods, (16, 16))

@@ -275,6 +275,21 @@ def test_dense_solve_admits_a_small_positive_matrix(scheme):
     assert np.max(np.abs(u_dense.values - res.u.values)) < 1e-8
 
 
+@pytest.mark.parametrize("scheme", [Scheme.SPECTRAL, Scheme.FD2])
+def test_dense_solve_admits_a_small_matrix_under_a_drift_with_a_mean(scheme):
+    # mu = 1e-3 and a white-noise drift whose mean is about 0.016: the
+    # solution's mean is about 16, and the residual's rounding floor grows
+    # with the largest eigenvalue sum times max|u|, far above 1e-10 max|rhs|
+    g = TorusGrid((1.0, 1.0), (64, 64))
+    A = np.array([[1e-3]])
+    drift = Field(g, np.random.default_rng(0).standard_normal(g.shape + (1,)))
+    op = DiffOperator(g, scheme)
+    u = dense_solve(assemble_quadratic_system(g, op, A, drift)).values[..., 0]
+    # the operator is diagonal in the full Fourier basis
+    expected = np.fft.ifftn(np.fft.fftn(-drift.values[..., 0]) / (op.eigenvalues + 1e-3)).real
+    assert np.abs(u - expected).max() <= 1e-8 * np.abs(expected).max()
+
+
 def test_dense_oracle_allocates_less_than_one_nodes_by_nodes_matrix():
     import tracemalloc
 

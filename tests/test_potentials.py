@@ -5,9 +5,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from torus_action import (
+    DiffOperator,
+    Field,
+    Scheme,
+    SolveStatus,
     TorusGrid,
     TrigPath,
     TrigTerm,
+    Verdict,
+    certify,
     check_gradient,
     check_path_resolvable,
     make_linear_drift,
@@ -15,7 +21,9 @@ from torus_action import (
     make_manufactured,
     make_quadratic_form,
     make_quadratic_shift,
+    newton_krylov_refine,
     potential_from_dict,
+    solve,
 )
 from torus_action.potentials import SUPERLINEAR
 
@@ -445,6 +453,63 @@ def test_check_midpoint_convexity_flags_concave():
     from dataclasses import replace
     bad = replace(base, value=lambda t, x: -base.value(t, x))
     assert check_midpoint_convexity(bad, triples=500, seed=1) > 0.1
+
+
+# ---------------------------------------------------------------------------
+# constant Hessians
+# ---------------------------------------------------------------------------
+
+CUBE = TorusGrid((TWO_PI,) * 3, (32,) * 3)
+_WAVE = {"terms": [{"trig": "sin", "freq": [1, 0, 2], "coeff": [0.5, -0.2]}]}
+_FORM = [[2.0, 0.3], [0.3, 1.0]]
+# spec and Hessian of each kind whose Hessian is one constant matrix
+CONSTANT_HESSIANS = {
+    "quadratic_shift": ({"shift": _WAVE}, np.eye(2)),
+    "quadratic_form": ({"matrix": _FORM, "drift": _WAVE}, np.array(_FORM)),
+    "manufactured": ({"target": _WAVE}, np.eye(2)),
+    "linear_drift": ({"drift": _WAVE}, np.zeros((2, 2))),
+}
+
+
+def _constant_hessian_potential(kind):
+    spec, matrix = CONSTANT_HESSIANS[kind]
+    return potential_from_dict(dict(spec, kind=kind, n=2), CUBE).potential, matrix
+
+
+@pytest.mark.parametrize("kind", sorted(CONSTANT_HESSIANS))
+def test_constant_hessian_is_a_read_only_view_of_its_matrix(kind):
+    import tracemalloc
+
+    pot, matrix = _constant_hessian_potential(kind)
+    coords = CUBE.coords()
+    x = np.random.default_rng(0).normal(size=CUBE.shape + (2,))
+    h = pot.hessian(coords, x)
+    assert h.shape == CUBE.shape + (2, 2)
+    assert not h.flags.writeable
+    assert np.array_equal(h, np.broadcast_to(matrix, h.shape))
+    tracemalloc.start()
+    try:
+        pot.hessian(coords, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < CUBE.node_count * 2 * 2 * 8
+
+
+@pytest.mark.parametrize("kind", sorted(CONSTANT_HESSIANS))
+def test_certify_and_the_polish_take_a_constant_hessian_view(kind):
+    pot, _ = _constant_hessian_potential(kind)
+    op = DiffOperator(CUBE, Scheme.SPECTRAL)
+    # the drift has mean zero, so every kind is solvable
+    assert certify(CUBE, pot, op).verdict is Verdict.SOLVABLE
+    res = solve(CUBE, pot, op)
+    assert res.status is SolveStatus.CONVERGED
+    # off the solution, so the polish takes Newton steps with the Hessian
+    noise = np.random.default_rng(1).normal(scale=1e-3, size=CUBE.shape + (2,))
+    start = replace(res, u=Field(CUBE, res.u.values + noise), residual_inf=1.0)
+    refined = newton_krylov_refine(start, pot, op, tol=1e-10)
+    assert refined.status is SolveStatus.CONVERGED
+    assert refined.iterations > res.iterations
 
 
 # ---------------------------------------------------------------------------

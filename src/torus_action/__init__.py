@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .certify import (
     Coercivity,
-    MeanPotentialG,
     SolvabilityCertificate,
     Verdict,
     build_mean_potential,
@@ -31,30 +30,23 @@ from .minimize import (
     solve,
 )
 from .operators import (
-    ActionReport,
     DiffOperator,
     Scheme,
     action_gradient,
     action_value,
-    dirichlet_form,
     l2_inner,
-    l2_norm,
     laplacian,
-    mean_decompose,
 )
 from .oracle import (
-    DenseSystem,
     NotPositiveDefiniteError,
     assemble_quadratic_system,
     dense_solve,
 )
 from .potentials import (
     Potential,
-    PotentialBundle,
     TrigPath,
     TrigTerm,
     check_gradient,
-    check_path_resolvable,
     make_linear_drift,
     make_log_sum_exp,
     make_manufactured,
@@ -71,11 +63,9 @@ __all__ = (
     "integrate",
     # potentials
     "Potential",
-    "PotentialBundle",
     "TrigPath",
     "TrigTerm",
     "check_gradient",
-    "check_path_resolvable",
     "make_linear_drift",
     "make_log_sum_exp",
     "make_manufactured",
@@ -83,16 +73,12 @@ __all__ = (
     "make_quadratic_shift",
     "potential_from_dict",
     # operators
-    "ActionReport",
     "DiffOperator",
     "Scheme",
     "action_gradient",
     "action_value",
-    "dirichlet_form",
     "l2_inner",
-    "l2_norm",
     "laplacian",
-    "mean_decompose",
     # minimize
     "SolveResult",
     "SolveStatus",
@@ -102,7 +88,6 @@ __all__ = (
     "solve",
     # certify
     "Coercivity",
-    "MeanPotentialG",
     "SolvabilityCertificate",
     "Verdict",
     "build_mean_potential",
@@ -113,7 +98,6 @@ __all__ = (
     "wirtinger_audit",
     "wirtinger_constant",
     # oracle
-    "DenseSystem",
     "NotPositiveDefiniteError",
     "assemble_quadratic_system",
     "dense_solve",

@@ -5,8 +5,8 @@ is globally convergent whenever a minimizer exists; when none exists the mean
 component runs away, and the divergence monitor turns that into a diagnosis
 instead of an opaque failure.  Once the mean passes a threshold the monitor
 reads the potential's declared recession function: an escape ray proves that
-no minimizer exists and ends the run at once.  Without one, the run ends when
-the fluctuation stays tame beside the runaway mean.
+no minimizer exists and ends the run at once.  Without one a minimizer
+exists, however far away, and the run goes on.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ _MAX_BACKTRACKS = 60
 _LBFGS_MEMORY = 10
 # Standard deviation of the seeded noise in the default initial field.
 _INIT_NOISE = 1e-3
-# A mean norm past this, with an escape ray or a tame fluctuation, diagnoses a
-# missing minimizer.
+# At the first iterate whose mean norm passes this, the declared recession
+# function is read for an escape ray.
 _DIVERGENCE_MEAN_NORM = 1e6
 # Newton steps the polish takes at most.
 _MAX_NEWTON = 50
@@ -64,7 +64,7 @@ class SolverOptions:
     The descent is L-BFGS, preconditioned by the per-mode inverse
     (lambda_k I + H-bar)^-1, where H-bar is the box mean of the potential's
     Hessian at the initial field, with the H1 smoother 1 / (1 + lambda_k) on
-    the singular directions of H-bar and for a potential without a Hessian.
+    the singular directions of H-bar.
     The Newton-Krylov polish preconditions its CG the same way.
     """
 
@@ -217,15 +217,13 @@ def solve(
 
     Accepted steps satisfy a sufficient-decrease condition, so the action
     trace is monotone up to rounding.  Returns the best iterate found
-    together with residual diagnostics.  A run that drives the mean past the
-    divergence threshold is reported as diverged rather than failed, by one
-    of two rules, which its ``message`` names.  At the first iterate past
-    the threshold the potential's declared recession function is read once,
-    with no potential evaluation (see certify.coercivity_probe): an escape
-    ray proves that no minimizer exists and ends the run there.  Without an
-    escape ray, or with the recession function undeclared, the run ends at
-    an iterate past the threshold whose fluctuation norm is within ten times
-    its running median, the constructive sign that no minimizer exists.
+    together with residual diagnostics.  At the first iterate whose mean
+    passes the divergence threshold the potential's declared recession
+    function is read once, with no potential evaluation (see
+    certify.coercivity_probe).  An escape ray proves that no minimizer
+    exists: the run ends there as diverged rather than failed, and its
+    ``message`` names the ray.  Without one a minimizer exists, and the run
+    goes on.
 
     The iterate is kept both as samples u and as its half spectrum, and
     steps update both.  Directions, preconditioning and inner products (by
@@ -256,13 +254,8 @@ def solve(
     coords = grid.coords()
     lam = op._lam[..., None]
     u = u.values
-    # fixed for the whole run, as L-BFGS needs; without a Hessian every
-    # direction counts as singular, which leaves the H1 smoother
-    if pot.hessian is None:
-        hbar = np.zeros((pot.n, pot.n))
-    else:
-        hbar = _box_mean(pot.hessian(coords, u), grid)
-    precond = _fitted_preconditioner(op, hbar)
+    # fixed for the whole run, as L-BFGS needs
+    precond = _fitted_preconditioner(op, _box_mean(pot.hessian(coords, u), grid))
     inner = op._inner
 
     # the convergence test: grad_inf <= tol
@@ -375,32 +368,18 @@ def solve(
         row = _trace_row(f, grad_inf, uhat, op)
         trace.append(row)
 
-        # Past the threshold, two rules diagnose a missing minimizer.  An
-        # escape ray of the declared recession function proves it; it is
-        # read once, at the first iterate past the threshold.  Without one,
-        # the fluctuation norm must stay within ten times its running median:
-        # a blowing-up fluctuation would point at a broken step rule instead,
-        # and is left to the line search.  The median walks the whole trace,
-        # so it is taken only past the threshold.
-        if not row[2] < _DIVERGENCE_MEAN_NORM:
-            if not recession_read:
-                recession_read = True
-                _, ray = coercivity_probe(build_mean_potential(grid, pot))
-                if ray is not None:
-                    status = SolveStatus.DIVERGED_NON_COERCIVE
-                    message = (
-                        f"no minimizer: the declared recession function has the "
-                        f"escape ray [{', '.join(f'{c:.6g}' for c in ray)}]; mean "
-                        f"norm {row[2]:.3e} past {_DIVERGENCE_MEAN_NORM:.0e}"
-                    )
-                    break
-            median_fluct = float(np.median([r[3] for r in trace]))
-            if row[3] <= 10.0 * median_fluct + 1e-12:
+        # An escape ray of the declared recession function proves that no
+        # minimizer exists; it is read once, at the first iterate past the
+        # threshold.
+        if not recession_read and not row[2] < _DIVERGENCE_MEAN_NORM:
+            recession_read = True
+            _, ray = coercivity_probe(build_mean_potential(grid, pot))
+            if ray is not None:
                 status = SolveStatus.DIVERGED_NON_COERCIVE
                 message = (
-                    f"no minimizer: mean norm {row[2]:.3e} past "
-                    f"{_DIVERGENCE_MEAN_NORM:.0e} with the fluctuation H1 norm "
-                    f"{row[3]:.3e} within ten times its running median {median_fluct:.3e}"
+                    f"no minimizer: the declared recession function has the "
+                    f"escape ray [{', '.join(f'{c:.6g}' for c in ray)}]; mean "
+                    f"norm {row[2]:.3e} past {_DIVERGENCE_MEAN_NORM:.0e}"
                 )
                 break
     # a diagnosed divergence stands, even at an iterate that meets the tolerance
@@ -479,7 +458,7 @@ def newton_krylov_refine(
 
     Each step solves (-laplacian + hess F) d = -(action gradient) by
     preconditioned CG and damps until the residual norm drops.  Requires the
-    potential to carry a Hessian and the input run not to have diverged.
+    input run not to have diverged.
 
     A result whose ``residual_inf`` already meets ``tol`` is returned as
     converged, with a copy of its field and nothing recomputed: no transform
@@ -502,11 +481,6 @@ def newton_krylov_refine(
     """
     if result.status is SolveStatus.DIVERGED_NON_COERCIVE:
         raise ValueError("cannot refine a diverged run; no stationary point exists")
-    if pot.hessian is None:
-        raise ValueError(
-            f"potential kind {pot.kind!r} does not provide a Hessian, "
-            "which Newton refinement requires"
-        )
     _check_field(op, result.u)
     _check_potential(result.u, pot)
     if result.residual_inf <= tol:

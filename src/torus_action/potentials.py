@@ -183,32 +183,37 @@ SUPERLINEAR = "superlinear"
 class Potential:
     """A potential F(t, x) with its x-gradient and the growth of its box mean.
 
-    ``value`` and ``gradient`` are batched: t has shape (..., p), x has shape
-    (..., n), and they return shapes (...,) and (..., n).  ``hessian`` is
-    optional and returns (..., n, n) when present.  It may be a read-only
-    view: the kinds with a constant Hessian (quadratic_shift, quadratic_form,
-    manufactured and linear_drift) broadcast their one n x n matrix over
-    the batch, which writes nothing per point.  Copy it to modify it.
+    ``value``, ``gradient`` and ``hessian`` are batched: t has shape
+    (..., p), x has shape (..., n), and they return shapes (...,), (..., n)
+    and (..., n, n).  The Hessian may be a read-only view: the kinds with a
+    constant Hessian (quadratic_shift, quadratic_form, manufactured and
+    linear_drift) broadcast their one n x n matrix over the batch, which
+    writes nothing per point.  Copy it to modify it.
 
     ``recession`` declares the recession function G_inf(d) = lim G(r d) / r
     of the averaged potential G(x) = integral of F(t, x) dt: a tuple of rows
-    r_j with G_inf(d) = max_j <r_j, d> up to a positive factor, SUPERLINEAR
-    when G_inf is infinite off the origin, or None when undeclared.
+    r_j with G_inf(d) = max_j <r_j, d> up to a positive factor, or
+    SUPERLINEAR when G_inf is infinite off the origin.
+
+    Both are required: the solver's preconditioner and polish and the
+    stationary-mean search read the Hessian, and the recession decides
+    whether a minimizer exists.
     """
 
     n: int
     periods: tuple[float, ...]
     value: Callable[[np.ndarray, np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    hessian: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    hessian: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    recession: Union[tuple[tuple[float, ...], ...], str]
     kind: str = ""
-    recession: Union[tuple[tuple[float, ...], ...], str, None] = None
 
     def __post_init__(self):
-        """Reject a malformed recession, and hold declared rows as a tuple of tuples."""
-        if self.recession is None or (
-            isinstance(self.recession, str) and self.recession == SUPERLINEAR
-        ):
+        """Reject a missing Hessian or recession, or malformed rows; hold rows as tuples."""
+        for name in ("hessian", "recession"):
+            if getattr(self, name) is None:
+                raise ValueError(f"potential {self.kind!r} must declare its {name}")
+        if isinstance(self.recession, str) and self.recession == SUPERLINEAR:
             return
         try:
             rows = np.asarray(self.recession, dtype=float)
@@ -216,8 +221,8 @@ class Potential:
             rows = None
         if rows is None or rows.ndim != 2 or rows.shape[1] != self.n or not np.isfinite(rows).all():
             raise ValueError(
-                f"recession must be rows of {self.n} finite numbers, {SUPERLINEAR!r} "
-                f"or None, got {self.recession!r}"
+                f"recession must be rows of {self.n} finite numbers or "
+                f"{SUPERLINEAR!r}, got {self.recession!r}"
             )
         object.__setattr__(self, "recession", _rows(rows))
 

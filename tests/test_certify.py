@@ -10,6 +10,7 @@ from torus_action import (
     DiffOperator,
     Field,
     Scheme,
+    SolveStatus,
     TorusGrid,
     TrigPath,
     TrigTerm,
@@ -23,9 +24,11 @@ from torus_action import (
     make_log_sum_exp,
     make_quadratic_form,
     make_quadratic_shift,
+    solve,
     wirtinger_audit,
     wirtinger_constant,
 )
+from torus_action.certify import MeanPotentialG
 
 TWO_PI = 2.0 * np.pi
 
@@ -211,22 +214,6 @@ def test_certificate_mean_zero_drift_downgrades_coercivity():
     assert_allclose(cert.stationary_mean, [0.0], atol=0.0)
     assert cert.escape_ray is None
     assert cert.notes == ()
-
-
-def test_certificate_for_an_undeclared_recession_rests_on_the_search():
-    # without a declared recession function only a found mean decides
-    g, op = grid_and_op()
-    mean_zero = TrigPath((TWO_PI,), 1, (TrigTerm("sin", (1,), (1.0,)),))
-    cert = certify(g, replace(make_linear_drift(1, mean_zero), recession=None), op)
-    assert cert.verdict is Verdict.SOLVABLE
-    assert cert.coercivity is Coercivity.INCONCLUSIVE
-    assert_allclose(cert.stationary_mean, [0.0], atol=0.0)
-    constant = TrigPath((TWO_PI,), 1, (TrigTerm("cos", (0,), (1.0,)),))
-    cert = certify(g, replace(make_linear_drift(1, constant), recession=None), op)
-    assert cert.verdict is Verdict.INCONCLUSIVE
-    assert cert.coercivity is Coercivity.INCONCLUSIVE
-    assert cert.stationary_mean is None and cert.escape_ray is None
-    assert_allclose(cert.grad_norm, TWO_PI, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +421,6 @@ def _recession_sweep(sweep):
     from SWEEP_PERIODS, 8 nodes per axis, and each offset a constant plus a
     sine wave, both with coefficients in [-scale, scale].
     """
-    from torus_action import MeanPotentialG
-
     seed, count, scale = SWEEPS[sweep]
     rng = np.random.default_rng(seed)
     calls = {name: 0 for name in SWEEP_G_CALLS}
@@ -549,13 +534,6 @@ def test_a_declared_minimum_that_the_search_misses_is_inconclusive():
     assert len(cert.notes) == 1 and "recession function" in cert.notes[0]
 
 
-def test_certify_rejects_a_potential_without_a_hessian():
-    g, op = grid_and_op()
-    pot = make_quadratic_shift(1, TrigPath.zero((TWO_PI,), 1))
-    with pytest.raises(ValueError, match="Hessian"):
-        certify(g, replace(pot, hessian=None), op)
-
-
 def test_shipped_not_solvable_certificate_carries_its_escape_ray(tmp_path):
     import json
     from pathlib import Path
@@ -571,3 +549,63 @@ def test_shipped_not_solvable_certificate_carries_its_escape_ray(tmp_path):
     S = np.array(config["potential"]["directions"])
     d = np.array(cert["escape_ray"])
     assert (S @ d).max() <= 1e-12 and (S @ d).min() < 0.0
+
+
+# ---------------------------------------------------------------------------
+# solve and certify agree
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("scheme", [Scheme.SPECTRAL, Scheme.FD2])
+@pytest.mark.parametrize("a", [1e-6, 1e-7])
+def test_a_far_minimum_is_found_by_solve_and_by_certify(a, scheme):
+    # F = a x^2 / 2 + x is strictly convex, with its minimizer at the mean
+    # -1 / a, at or past the solver's divergence threshold of 1e6
+    g, op = grid_and_op(scheme=scheme)
+    pot = make_quadratic_form([[a]], TrigPath.constant((TWO_PI,), [1.0]))
+    res = solve(g, pot, op)
+    assert (res.status, res.iterations, res.message) == (SolveStatus.CONVERGED, 1, "")
+    assert_allclose(res.mean, [-1.0 / a], rtol=1e-12)
+    cert = certify(g, pot, op)
+    assert cert.verdict is Verdict.SOLVABLE and cert.notes == ()
+    assert_allclose(cert.stationary_mean, [-1.0 / a], rtol=1e-12)
+
+
+def _agreement_cases():
+    """Seeded quadratic forms with far minima, and drifts with a nonzero mean.
+
+    p = 1-2 and n = 1-2, with 8 nodes per axis on 2 pi boxes.  Each drift is
+    a standard-normal constant plus a standard-normal sine wave.  The form's
+    A is turned by a random orthogonal matrix; its smallest eigenvalue is
+    10^U(-9, 0), and any other lies between that and 1, so minimizers lie
+    up to about 1e9 away.  The drift alone is the second potential.
+    """
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        p, n = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        periods = (TWO_PI,) * p
+        g = TorusGrid(periods, (8,) * p)
+        drift = TrigPath(periods, n, (
+            TrigTerm("cos", (0,) * p, tuple(rng.normal(size=n))),
+            TrigTerm("sin", (1,) * p, tuple(rng.normal(size=n)))))
+        smallest = 10.0 ** rng.uniform(-9.0, 0.0)
+        eigs = np.concatenate([[smallest], 10.0 ** rng.uniform(np.log10(smallest), 0.0, size=n - 1)])
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        A = q @ np.diag(eigs) @ q.T
+        yield g, make_quadratic_form(0.5 * (A + A.T), drift)
+        yield g, make_linear_drift(n, drift)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.SPECTRAL, Scheme.FD2])
+def test_solve_and_certify_agree_on_far_minima_and_drifts(scheme):
+    outcomes = []
+    for case, (g, pot) in enumerate(_agreement_cases()):
+        op = DiffOperator(g, scheme)
+        res, cert = solve(g, pot, op), certify(g, pot, op)
+        outcome = (case, pot.kind, res.status, cert.verdict)
+        assert (res.status is SolveStatus.CONVERGED) == (cert.verdict is Verdict.SOLVABLE), outcome
+        assert (res.status is SolveStatus.DIVERGED_NON_COERCIVE) == (
+            cert.verdict is Verdict.NOT_SOLVABLE), outcome
+        outcomes.append((res.status, np.linalg.norm(res.mean)))
+    far = [norm for status, norm in outcomes if status is SolveStatus.CONVERGED and norm >= 1e6]
+    diverged = [status for status, _ in outcomes if status is SolveStatus.DIVERGED_NON_COERCIVE]
+    assert len(far) >= 5 and len(diverged) >= 20

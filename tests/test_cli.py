@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from torus_action import ActionReport, SolvabilityCertificate, SolveResult, Verdict
+from torus_action import SolvabilityCertificate, SolveResult, Verdict
 from torus_action.cli import (
     CONFIG_SCHEMA,
     dump_field,
@@ -18,6 +18,7 @@ from torus_action.cli import (
     main,
     write_report,
 )
+from torus_action.operators import ActionReport
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -135,6 +136,18 @@ def test_diverging_drift_exits_2_with_certificate(tmp_path):
     assert cert["verdict"] == "not_solvable"
     assert cert["stationary_mean"] is None
     assert cert["coercivity"] == "not_coercive"
+
+
+@pytest.mark.parametrize("command", ["solve", "certify"])
+def test_far_minimum_config_exits_0(tmp_path, command):
+    # A = [[1e-7]] puts the minimizer at mean -1e7, past the divergence
+    # threshold; the recession function has no escape ray there
+    out = tmp_path / "out"
+    assert main([command, "--config", str(CONFIGS / "solve_far_minimum.json"),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    mean = report["mean"] if command == "solve" else report["certificate"]["stationary_mean"]
+    assert mean == pytest.approx([-1e7], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -20,20 +20,18 @@ from torus_action import (
     action_value,
     assemble_quadratic_system,
     dense_solve,
-    dirichlet_form,
     integrate,
     l2_inner,
-    l2_norm,
     make_linear_drift,
     make_log_sum_exp,
     make_manufactured,
     make_quadratic_form,
     make_quadratic_shift,
-    mean_decompose,
     newton_krylov_refine,
     potential_from_dict,
     solve,
 )
+from torus_action.operators import dirichlet_form, l2_norm, mean_decompose
 
 TWO_PI = 2.0 * np.pi
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -99,15 +97,25 @@ def rotated_quadratic_form(g):
     return make_quadratic_form(rotated_spd(0.4, (1.0, 0.05)), drift)
 
 
+def mean_zero_drift(g):
+    """F = <a(t), x> with the mean-zero wave of rotated_quadratic_form's drift.
+
+    Its Hessian is zero, so solve preconditions by the H1 smoother
+    1 / (1 + lambda_k) alone, and the action is quadratic.
+    """
+    return make_linear_drift(2, TrigPath(g.periods, 2, (TrigTerm("sin", (1,) * g.p, (0.5, 0.1)),)))
+
+
 @pytest.mark.parametrize("scheme", [Scheme.SPECTRAL, Scheme.FD2])
 def test_lbfgs_converges_on_a_quadratic_with_or_without_a_hessian(scheme):
-    # without a Hessian the preconditioner is the H1 smoother 1 / (1 + lambda_k)
-    # alone, which does not see A: many iterations instead of one
+    # a quadratic form's Hessian A makes the preconditioner exact: one
+    # iteration.  A zero Hessian leaves the H1 smoother alone, which does not
+    # invert the Laplacian: many iterations instead of one
     g = TorusGrid((TWO_PI,), (16,))
     pot = rotated_quadratic_form(g)
     op = DiffOperator(g, scheme)
     fitted = solve(g, pot, op)
-    smoothed = solve(g, replace(pot, hessian=None), op, SolverOptions(max_iters=2000))
+    smoothed = solve(g, mean_zero_drift(g), op, SolverOptions(max_iters=2000))
     for res in (fitted, smoothed):
         assert res.status is SolveStatus.CONVERGED
         assert res.residual_inf < 1e-8
@@ -149,7 +157,7 @@ def test_solution_satisfies_mean_equation():
 def test_trace_records_monotone_action():
     g, pot = lse_problem()
     op = DiffOperator(g, Scheme.SPECTRAL)
-    res = solve(g, replace(pot, hessian=None), op, SolverOptions(max_iters=500))
+    res = solve(g, pot, op, SolverOptions(max_iters=500))
     assert res.iterations > 5
     trace = res.trace
     assert trace.shape[1] == 4  # action, grad_inf, mean_norm, fluctuation_h1
@@ -193,7 +201,7 @@ def test_max_iters_status():
     g, pot = lse_problem()
     op = DiffOperator(g, Scheme.SPECTRAL)
     opts = SolverOptions(max_iters=2, tol_grad_inf=1e-14, tol_residual_inf=1e-14)
-    res = solve(g, replace(pot, hessian=None), op, opts)
+    res = solve(g, pot, op, opts)
     assert res.status is SolveStatus.MAX_ITERS
     assert res.iterations == 2
 
@@ -251,12 +259,12 @@ def test_refine_drives_residual_to_machine_precision():
 
 def test_refine_quadratic_in_one_newton_step():
     # Newton on a quadratic problem is exact after a single step even from
-    # a sloppy starting point: here three iterations preconditioned by the
-    # H1 smoother alone, which does not see A
+    # a sloppy starting point: here three iterations on a drift, preconditioned
+    # by the H1 smoother alone, which does not see A
     g = TorusGrid((TWO_PI, TWO_PI), (16, 16))
     pot = rotated_quadratic_form(g)
     op = DiffOperator(g, Scheme.SPECTRAL)
-    rough = solve(g, replace(pot, hessian=None), op, SolverOptions(max_iters=3))
+    rough = solve(g, mean_zero_drift(g), op, SolverOptions(max_iters=3))
     assert rough.status is SolveStatus.MAX_ITERS
     refined = newton_krylov_refine(rough, pot, op, tol=1e-10)
     assert refined.status is SolveStatus.CONVERGED
@@ -301,16 +309,6 @@ def test_refine_leaves_trace_untouched():
                                           tol_residual_inf=1e-4))
     refined = newton_krylov_refine(res, pot, op)
     assert np.array_equal(refined.trace, res.trace)
-
-
-def test_refine_requires_hessian():
-    g, pot = drift_problem()
-    op = DiffOperator(g, Scheme.SPECTRAL)
-    from dataclasses import replace
-    no_hess = replace(pot, hessian=None, kind="drift_no_hess")
-    base = solve(g, make_quadratic_shift(1, TrigPath.zero((TWO_PI,), 1)), op)
-    with pytest.raises(ValueError, match="drift_no_hess"):
-        newton_krylov_refine(base, no_hess, op)
 
 
 def test_refine_rejects_diverged_input():
@@ -388,14 +386,15 @@ def counting(pot, attr, calls):
     return replace(pot, **{attr: counted})
 
 
-@pytest.mark.parametrize("hessian", [True, False])
+@pytest.mark.parametrize("fitted", [True, False])
 @pytest.mark.parametrize("scheme", [Scheme.SPECTRAL, Scheme.FD2])
-def test_result_matches_fresh_evaluation_of_the_returned_field(scheme, hessian):
+def test_result_matches_fresh_evaluation_of_the_returned_field(scheme, fitted):
     # solve carries the iterate's spectrum, action and grad F instead of
-    # recomputing them; what it reports must still describe the field it returns
+    # recomputing them; what it reports must still describe the field it
+    # returns, under a fitted preconditioner or the H1 smoother alone
     g, pot = lse_problem()
-    if not hessian:
-        pot = replace(pot, hessian=None)
+    if not fitted:
+        pot = mean_zero_drift(g)
     op = DiffOperator(g, scheme)
     res = solve(g, pot, op, SolverOptions(max_iters=60))
     assert res.iterations > 1
@@ -469,20 +468,23 @@ def test_extra_line_search_trials_cost_no_transform(monkeypatch):
     g = TorusGrid(periods, (16, 16))
     drift = TrigPath(periods, 2, (TrigTerm("sin", (1, 0), (1.0, 0.0)),
                                   TrigTerm("cos", (1, 2), (0.0, 0.5))))
-    pot = make_quadratic_form(8.0 * np.eye(2), drift)
+    quadratic = make_quadratic_form(8.0 * np.eye(2), drift)
+    # log-sum-exp over +-e_i, started where e^x1 and e^x2 dominate: H-bar is
+    # about 0.005 along (1, 1), far below the curvature along the step
+    lse = make_log_sum_exp(np.vstack([np.eye(2), -np.eye(2)]), [TrigPath.zero(periods, 1)] * 4)
     op = DiffOperator(g, Scheme.SPECTRAL)
     counts = count_transforms(monkeypatch)
     seen = {}
-    for hessian in (True, False):
+    for exact, pot, init in ((True, quadratic, None), (False, lse, Field.constant(g, [3.0, 3.0]))):
         values = []
         before = counts["real"]
-        res = solve(g, counting(pot if hessian else replace(pot, hessian=None), "value", values),
-                    op, SolverOptions(max_iters=1, tol_grad_inf=0.0, tol_residual_inf=0.0))
+        res = solve(g, counting(pot, "value", values), op,
+                    SolverOptions(max_iters=1, tol_grad_inf=0.0, tol_residual_inf=0.0), init=init)
         assert res.iterations == 1
-        seen[hessian] = (len(values) - 1, counts["real"] - before)
-    # (lambda_k + 8)^-1 inverts this Hessian exactly, so the first trial is
-    # taken; the H1 smoother alone, without the Hessian, overshoots with the
-    # unit step, which is halved repeatedly
+        seen[exact] = (len(values) - 1, counts["real"] - before)
+    # (lambda_k + 8)^-1 inverts the quadratic's Hessian exactly, so the first
+    # trial is taken; the log-sum-exp's unit step overshoots by far, and is
+    # halved repeatedly
     assert seen[True][0] == 1
     assert seen[False][0] >= 3
     assert seen[False][1] == seen[True][1]
@@ -623,7 +625,7 @@ def test_refine_on_a_quadratic_spends_at_most_one_cg_iteration_per_newton_step(
     g = TorusGrid((TWO_PI, 3.0), (16, 8))
     pot = rotated_quadratic_form(g)
     op = DiffOperator(g, scheme)
-    rough = solve(g, replace(pot, hessian=None), op, SolverOptions(max_iters=3))
+    rough = solve(g, mean_zero_drift(g), op, SolverOptions(max_iters=3))
     assert rough.status is SolveStatus.MAX_ITERS
 
     applications = []
@@ -650,8 +652,9 @@ def test_refine_on_a_quadratic_spends_at_most_one_cg_iteration_per_newton_step(
 ])
 def test_drift_divergence_diagnosis_keeps_its_iteration_count(p, scheme, drift_terms,
                                                               iterations):
-    # a drift has H-bar = 0: every direction is singular, so the run is bit
-    # for bit the run preconditioned by the H1 smoother 1 / (1 + lambda_k)
+    # a drift has H-bar = 0: every direction is singular, so the run is
+    # preconditioned by the H1 smoother 1 / (1 + lambda_k) bit for bit (see
+    # the preconditioner test below)
     periods = (TWO_PI,) * p
     g = TorusGrid(periods, (16,) * p)
     n = len(drift_terms[0][2])
@@ -661,9 +664,6 @@ def test_drift_divergence_diagnosis_keeps_its_iteration_count(p, scheme, drift_t
     res = solve(g, pot, op)
     assert res.status is SolveStatus.DIVERGED_NON_COERCIVE
     assert res.iterations == iterations
-    smoothed = solve(g, replace(pot, hessian=None), op)
-    assert np.array_equal(res.trace, smoothed.trace)
-    assert np.array_equal(res.u.values, smoothed.u.values)
 
 
 def fd2_drift():
@@ -672,21 +672,6 @@ def fd2_drift():
     drift = TrigPath((TWO_PI, TWO_PI), 2, (TrigTerm("cos", (0, 0), (0.5, -0.5)),
                                            TrigTerm("cos", (1, 0), (1.0, 0.0))))
     return g, make_linear_drift(2, drift), DiffOperator(g, Scheme.FD2)
-
-
-def test_undeclared_recession_leaves_the_fluctuation_rule_to_decide():
-    # without a declared recession function the run goes on past the
-    # threshold until the fluctuation test holds: the iterates are those of
-    # the declared run up to its stop, and the run ends with the mean far
-    # beyond the threshold
-    g, pot, op = fd2_drift()
-    declared = solve(g, pot, op)
-    res = solve(g, replace(pot, recession=None), op)
-    assert res.status is SolveStatus.DIVERGED_NON_COERCIVE
-    assert res.iterations == 46
-    assert np.array_equal(res.trace[: declared.iterations + 1], declared.trace)
-    assert res.trace[-1, 2] == pytest.approx(5.008205873873354e20, rel=1e-9)
-    assert "running median" in res.message and "escape ray" not in res.message
 
 
 def lse_not_solvable():
@@ -740,19 +725,22 @@ def test_preconditioner_inverts_lambda_plus_mean_hessian():
 
 
 def test_mirror_point_tie_costs_no_potential_gradient():
-    # u = 0.5 under F = |x|^2 without a Hessian, so the preconditioner is the
-    # H1 smoother, 1 on the mean: the action Hessian is 2 there, so the unit
-    # step lands on -u, the mirror point of the ray's minimum, where the
-    # action ties with the current one.  The ray promised a decrease far
-    # above rounding, so the trial is rejected without the slope test's
-    # gradient, and the half step is exact.
+    # F = log(e^x + e^-x) is even, and from the constant field c the
+    # preconditioned step on the mean is -F'(c) / F''(c) = -sinh(2c) / 2.
+    # With sinh(2c) = 4c the unit step lands on -c, the mirror point of the
+    # ray's minimum, where the action ties with the current one.  The ray
+    # promised a decrease far above rounding, so the trial is rejected
+    # without the slope test's gradient, and the half step lands on 0.
+    c = 1.0
+    for _ in range(50):
+        c -= (np.sinh(2.0 * c) - 4.0 * c) / (2.0 * np.cosh(2.0 * c) - 4.0)
     g = TorusGrid((TWO_PI,), (16,))
-    pot = make_quadratic_form(2.0 * np.eye(1), TrigPath.zero((TWO_PI,), 1))
+    pot = make_log_sum_exp([[1.0], [-1.0]], [TrigPath.zero((TWO_PI,), 1)] * 2)
     grads, values = [], []
-    pot = counting(counting(replace(pot, hessian=None), "gradient", grads), "value", values)
+    pot = counting(counting(pot, "gradient", grads), "value", values)
     res = solve(g, pot, DiffOperator(g, Scheme.SPECTRAL),
                 SolverOptions(max_iters=1, tol_grad_inf=0.0, tol_residual_inf=0.0),
-                init=Field.constant(g, [0.5]))
+                init=Field.constant(g, [c]))
     assert res.iterations == 1
     assert len(values) == 1 + 2  # the start, the mirror point, the half step
     assert len(grads) == 1 + 1  # the start and the accepted step

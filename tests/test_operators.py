@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from torus_action import (
     DiffOperator,
     Field,
-    MeanPotentialG,
     Scheme,
     SolverOptions,
     TorusGrid,
@@ -14,17 +13,16 @@ from torus_action import (
     action_gradient,
     action_value,
     certify,
-    check_path_resolvable,
-    dirichlet_form,
     l2_inner,
-    l2_norm,
     laplacian,
     make_manufactured,
     make_quadratic_shift,
-    mean_decompose,
     newton_krylov_refine,
     solve,
 )
+from torus_action.certify import MeanPotentialG
+from torus_action.operators import dirichlet_form, l2_norm, mean_decompose
+from torus_action.potentials import check_path_resolvable
 
 TWO_PI = 2.0 * np.pi
 

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from torus_action import (
     DiffOperator,
     Field,
+    Potential,
     Scheme,
     SolveStatus,
     TorusGrid,
@@ -15,7 +16,6 @@ from torus_action import (
     Verdict,
     certify,
     check_gradient,
-    check_path_resolvable,
     make_linear_drift,
     make_log_sum_exp,
     make_manufactured,
@@ -25,7 +25,7 @@ from torus_action import (
     potential_from_dict,
     solve,
 )
-from torus_action.potentials import SUPERLINEAR
+from torus_action.potentials import SUPERLINEAR, check_path_resolvable
 
 TWO_PI = 2.0 * np.pi
 
@@ -191,6 +191,19 @@ def test_malformed_recession_is_rejected_when_the_potential_is_built(recession):
     pot = make_linear_drift(2, cos_path(n=2, freq=(1,), coeff=(1.0, 0.5)))
     with pytest.raises(ValueError, match="recession must be rows of 2 finite numbers"):
         replace(pot, recession=recession)
+
+
+@pytest.mark.parametrize("missing", ["hessian", "recession"])
+def test_potential_without_a_hessian_or_a_recession_is_rejected_when_built(missing):
+    # the preconditioner, the polish and the mean search read the Hessian,
+    # and the recession decides whether a minimizer exists
+    pot = make_linear_drift(2, cos_path(n=2, freq=(1,), coeff=(1.0, 0.5)))
+    with pytest.raises(ValueError, match=f"'linear_drift' must declare its {missing}"):
+        replace(pot, **{missing: None})
+    fields = {"n": 2, "periods": pot.periods, "value": pot.value, "gradient": pot.gradient,
+              "hessian": pot.hessian, "recession": pot.recession}
+    with pytest.raises(TypeError, match=f"'{missing}'"):
+        Potential(**{k: v for k, v in fields.items() if k != missing})
 
 
 def test_declared_recession_rows_are_held_as_tuples():

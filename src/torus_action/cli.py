@@ -340,10 +340,11 @@ def run(
         opts = SolverOptions(**config.get("solver", {}), seed=seed)
     except ValueError as exc:
         raise ValueError(f"config {config_path} rejected at $['solver']: {exc}") from exc
-    if command == "oracle-compare" and (bundle.quad_matrix is None or bundle.quad_drift is None):
+    quadratic = ("quadratic_shift", "quadratic_form", "manufactured")
+    if command == "oracle-compare" and pot.kind not in quadratic:
         raise ValueError(
             f"potential kind {pot.kind!r} has no quadratic structure; "
-            "oracle-compare needs quadratic_shift, quadratic_form, or manufactured"
+            f"oracle-compare needs one of {', '.join(quadratic)}"
         )
 
     outputs = config.get("outputs", {})
@@ -407,9 +408,11 @@ def run(
         exit_code = 0 if audit <= bound else 2
 
     elif command == "oracle-compare":
-        g_field = Field(grid, bundle.quad_drift(grid.coords()))
-        system = assemble_quadratic_system(grid, op, bundle.quad_matrix, g_field)
-        dense = dense_solve(system)
+        # F = <A x, x> / 2 + <g(t), x>: A is the Hessian, g the gradient at x = 0
+        origin = np.zeros(grid.shape + (pot.n,))
+        A = pot.hessian(grid.coords(), origin)[(0,) * grid.p]
+        g_field = Field(grid, pot.gradient(grid.coords(), origin))
+        dense = dense_solve(assemble_quadratic_system(grid, op, A, g_field))
         opts = SolverOptions(seed=seed, tol_grad_inf=1e-10)
         result = solve(grid, pot, op, opts)
         gap = float(np.abs(dense.values - result.u.values).max())

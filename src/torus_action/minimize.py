@@ -66,10 +66,11 @@ class SolverOptions:
     Hessian at the initial field, with the H1 smoother 1 / (1 + lambda_k) on
     the singular directions of H-bar.
     The Newton-Krylov polish preconditions its CG the same way.
+    A run has converged once the action gradient's largest sample is within
+    ``tol_grad_inf``, the one stop.
     """
 
     tol_grad_inf: float = 1e-8
-    tol_residual_inf: float = 1e-6
     max_iters: int = 10000
     seed: int = 0
 
@@ -78,10 +79,9 @@ class SolverOptions:
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
         check_seed(self.seed)
-        for name in ("tol_grad_inf", "tol_residual_inf"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+        tol = self.tol_grad_inf
+        if not (np.isfinite(tol) and tol >= 0.0):
+            raise ValueError(f"tol_grad_inf must be finite and non-negative, got {tol}")
 
 
 @dataclass
@@ -234,11 +234,10 @@ def solve(
     an iteration three transforms; the iteration that meets the tolerance
     takes two, since only a next direction reads the gradient's spectrum.
     An iterate meets the tolerance when the action gradient's largest
-    sample is within both tol_grad_inf and tol_residual_inf.  Where a
-    trial's action ties with the current one to rounding, the slope along
-    the ray decides instead, for one more potential gradient, unless the ray
-    promised a decrease well above rounding: then the trial is past the
-    ray's minimum and is halved.
+    sample is within tol_grad_inf.  Where a trial's action ties with the
+    current one to rounding, the slope along the ray decides instead, for
+    one more potential gradient, unless the ray promised a decrease well
+    above rounding: then the trial is past the ray's minimum and is halved.
     """
     opts = opts if opts is not None else SolverOptions()
     if op.grid != grid:
@@ -259,7 +258,7 @@ def solve(
     inner = op._inner
 
     # the convergence test: grad_inf <= tol
-    tol = min(opts.tol_grad_inf, opts.tol_residual_inf)
+    tol = opts.tol_grad_inf
     # lam_uhat, lambda * u-hat, is formed once per iterate: the gradient's
     # samples and spectrum and the next ray's slope all read it
     uhat = op._rfft(u)

@@ -13,8 +13,10 @@ one eigendecomposition K_a = V_a diag(lambda^a) V_a^T per axis and one of
 A = Q diag(mu) Q^T, a rotation of the right-hand side by Q and by each V_a^T,
 a division by the eigenvalue sums lambda^1_k1 + ... + lambda^p_kp + mu_i,
 and the rotation back.  The coupled matrix is never formed, nor is K on two
-or more axes (on one axis K_1 is K): the oracle holds the p axis matrices
-and a few fields, O(sum_a N_a^2 + nodes n) floats.
+or more axes (on one axis K_1 is K).  The largest array the oracle makes
+holds nodes * max(max_a N_a, n) floats: the push of one axis's N_a unit
+fields through the operator, or a field.  DENSE_FLOAT_CAP bounds it, and a
+system over the cap is refused before any array is made.
 """
 
 from __future__ import annotations
@@ -26,11 +28,8 @@ import numpy as np
 from .grid import Field, TorusGrid, check_symmetric
 from .operators import DiffOperator
 
-DENSE_UNKNOWN_CAP = 20000
-# Unit fields pushed through the operator together by the axis assembly.  A
-# block's arrays hold 64 fields of nodes entries, so a long axis (a 1-D grid
-# near the cap) never holds N_a x nodes of them, with their spectra, at once.
-_ASSEMBLY_BLOCK = 64
+# Floats in the largest array the oracle makes, nodes * max(max_a N_a, n).
+DENSE_FLOAT_CAP = 2**22
 
 
 class NotPositiveDefiniteError(RuntimeError):
@@ -46,12 +45,11 @@ class DenseSystem:
     """The stationarity system (K (x) I_n + I_nodes (x) A) U = rhs, kept in factors.
 
     ``kinetic_axes`` holds the p symmetric matrices K_a of -laplacian along
-    one axis, whose Kronecker sum is K; ``quad_matrix`` is A as given;
-    ``rhs`` is -g, node-major; ``op`` is the operator they came from.
+    one axis, whose Kronecker sum is K; ``quad_matrix`` is A as given, so n
+    is its size; ``rhs`` is -g, node-major; ``op`` is the operator they came
+    from, and ``op.grid`` their grid.
     """
 
-    grid: TorusGrid
-    n: int
     op: DiffOperator
     kinetic_axes: tuple[np.ndarray, ...]
     quad_matrix: np.ndarray
@@ -64,7 +62,7 @@ def _axis_matrix(op: DiffOperator, axis: int) -> np.ndarray:
     Unit field j is 1 on the nodes whose index along the axis is j, whatever
     their other indices.  It is constant along the other axes, whose terms
     of -laplacian vanish on it, so any line along the axis carries K_a e_j.
-    The fields go through the operator _ASSEMBLY_BLOCK at a time.
+    All N_a fields go through the operator at once.
     """
     grid = op.grid
     N = grid.resolutions[axis]
@@ -72,12 +70,9 @@ def _axis_matrix(op: DiffOperator, axis: int) -> np.ndarray:
     line[axis] = N
     index = (slice(None),) + tuple(slice(None) if b == axis else 0
                                    for b in range(grid.p)) + (0,)
-    K = np.empty((N, N))
-    for start in range(0, N, _ASSEMBLY_BLOCK):
-        m = min(_ASSEMBLY_BLOCK, N - start)
-        units = np.eye(m, N, start).reshape((m,) + tuple(line) + (1,))
-        basis = np.broadcast_to(units, (m,) + grid.shape + (1,))
-        K[:, start:start + m] = op._multiply(basis, op._lam)[index].T
+    units = np.eye(N).reshape((N,) + tuple(line) + (1,))
+    basis = np.broadcast_to(units, (N,) + grid.shape + (1,))
+    K = op._multiply(basis, op._lam)[index].T
     return 0.5 * (K + K.T)
 
 
@@ -90,8 +85,10 @@ def assemble_quadratic_system(
     acts on each component alike and is a sum over the axes, so only the
     axis matrices K_a are assembled, N_a x N_a each, by pushing unit fields
     through the same frequency-space operator the fast path uses; K_a thus
-    inherits the scheme exactly.  The coupling is left to dense_solve; the
-    cap still counts all nodes * n unknowns.
+    inherits the scheme exactly.  The coupling is left to dense_solve.
+
+    Raises ValueError, before any array is made, when the largest array,
+    nodes * max(max_a N_a, n) floats, exceeds DENSE_FLOAT_CAP.
     """
     if op.grid != grid or g.grid != grid:
         raise ValueError("grid, operator, and drift field must match")
@@ -99,14 +96,13 @@ def assemble_quadratic_system(
     n = g.n
     if A.shape != (n, n):
         raise ValueError(f"matrix shape {A.shape} does not match n={n}")
-    size = grid.node_count * n
-    if size > DENSE_UNKNOWN_CAP:
+    size = grid.node_count * max(max(grid.resolutions), n)
+    if size > DENSE_FLOAT_CAP:
         raise ValueError(
-            f"dense assembly of {size} unknowns exceeds the cap of {DENSE_UNKNOWN_CAP}"
+            f"dense oracle array of {size} floats exceeds the cap of {DENSE_FLOAT_CAP}"
         )
     kinetic_axes = tuple(_axis_matrix(op, a) for a in range(grid.p))
-    return DenseSystem(grid=grid, n=n, op=op, kinetic_axes=kinetic_axes,
-                       quad_matrix=A, rhs=-g.flat)
+    return DenseSystem(op=op, kinetic_axes=kinetic_axes, quad_matrix=A, rhs=-g.flat)
 
 
 def _along(matrix: np.ndarray, values: np.ndarray, axis: int) -> np.ndarray:
@@ -139,24 +135,24 @@ def dense_solve(system: DenseSystem) -> Field:
     """
     A = system.quad_matrix
     check_symmetric("quad_matrix", A)
+    grid, n = system.op.grid, len(A)
     mu, Q = np.linalg.eigh(A)
     eigen = [np.linalg.eigh(K) for K in system.kinetic_axes]
     # the extreme eigenvalue sums are the sums of the extremes
     lowest = mu[0] + sum(lam[0] for lam, _ in eigen)
     highest = mu[-1] + sum(lam[-1] for lam, _ in eigen)
-    if lowest <= system.grid.node_count * system.n * np.finfo(float).eps * highest:
+    if lowest <= grid.node_count * n * np.finfo(float).eps * highest:
         raise NotPositiveDefiniteError(
             f"eigenvalues collapse toward zero (smallest {lowest:.3e}, largest "
             f"{highest:.3e}); the system has a numerical kernel (a "
             "zero-mean-compatible potential block is missing) or is indefinite"
         )
-    p = system.grid.p
-    rhs = system.rhs.reshape(system.grid.shape + (system.n,))
+    rhs = system.rhs.reshape(grid.shape + (n,))
     u = rhs @ Q
     sums = mu
     for a, (lam, V) in enumerate(eigen):
         u = _along(V.T, u, a)
-        sums = sums + lam.reshape((-1,) + (1,) * (p - a))
+        sums = sums + lam.reshape((-1,) + (1,) * (grid.p - a))
     u = u / sums
     for a, (_, V) in enumerate(eigen):
         u = _along(V, u, a)
@@ -169,4 +165,4 @@ def dense_solve(system: DenseSystem) -> Field:
             f"dense solve residual {residual:.3e} exceeds {bound:.3e}; "
             "the eigendecompositions are unreliable"
         )
-    return Field(system.grid, u, n=system.n)
+    return Field(grid, u, n=n)

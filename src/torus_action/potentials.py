@@ -486,22 +486,19 @@ def check_gradient(pot: Potential, samples: int = 100, seed: int = 0) -> float:
 
 @dataclass(frozen=True)
 class PotentialBundle:
-    """A realized potential plus whatever closed-form structure it carries."""
+    """A realized potential, with the exact solution that manufactured carries."""
 
     potential: Potential
     exact: Optional[Field] = None
-    quad_matrix: Optional[np.ndarray] = None
-    quad_drift: Optional[TrigPath] = None
 
 
 def potential_from_dict(spec: dict, grid: TorusGrid) -> PotentialBundle:
     """Realize a JSON-style potential description on a grid.
 
-    Quadratic-family potentials also report their (A, g) data so dense
-    cross-checks can assemble the same stationarity system.  Every path must
-    be resolvable on the grid (see check_path_resolvable): the grid would
-    alias a higher frequency to a lower one, and so realize another
-    potential.
+    A quadratic potential's (A, g) is read off the potential itself, as its
+    Hessian and its gradient at x = 0.  Every path must be resolvable on the
+    grid (see check_path_resolvable): the grid would alias a higher
+    frequency to a lower one, and so realize another potential.
     """
     kind = spec.get("kind")
     n = int(spec.get("n", 0))
@@ -534,19 +531,14 @@ def potential_from_dict(spec: dict, grid: TorusGrid) -> PotentialBundle:
             ) from None
 
     if kind == "quadratic_shift":
-        c = path("shift")
-        pot = make_quadratic_shift(n, c)
-        return PotentialBundle(pot, quad_matrix=np.eye(n), quad_drift=c.scaled(-1.0))
+        return PotentialBundle(make_quadratic_shift(n, path("shift")))
     if kind == "linear_drift":
         a = path("drift", required=True)
         return PotentialBundle(make_linear_drift(n, a))
     if kind == "quadratic_form":
         if "matrix" not in spec:
             raise ValueError("potential kind 'quadratic_form' requires 'matrix'")
-        A = array("matrix")
-        g = path("drift")
-        pot = make_quadratic_form(A, g)
-        return PotentialBundle(pot, quad_matrix=A, quad_drift=g)
+        return PotentialBundle(make_quadratic_form(array("matrix"), path("drift")))
     if kind == "log_sum_exp":
         if spec.get("directions") is None:
             directions = np.vstack([np.eye(n), -np.eye(n)])
@@ -566,8 +558,6 @@ def potential_from_dict(spec: dict, grid: TorusGrid) -> PotentialBundle:
             ]
         return PotentialBundle(make_log_sum_exp(directions, offsets))
     if kind == "manufactured":
-        target = path("target", required=True)
-        pot, exact = make_manufactured(grid, n, target)
-        g_path = target.laplacian().plus(target.scaled(-1.0))
-        return PotentialBundle(pot, exact=exact, quad_matrix=np.eye(n), quad_drift=g_path)
+        pot, exact = make_manufactured(grid, n, path("target", required=True))
+        return PotentialBundle(pot, exact=exact)
     raise ValueError(f"unknown potential kind {kind!r}")

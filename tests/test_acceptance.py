@@ -51,9 +51,7 @@ SCHEMES = (Scheme.SPECTRAL, Scheme.FD2)
 
 def _solve_deep(grid, pot, op):
     """Line-searched descent to its floor, then Newton polish."""
-    res = solve(grid, pot, op, SolverOptions(tol_grad_inf=1e-6,
-                                             tol_residual_inf=1e-6,
-                                             max_iters=5000))
+    res = solve(grid, pot, op, SolverOptions(tol_grad_inf=1e-6, max_iters=5000))
     if res.status is SolveStatus.CONVERGED:
         res = newton_krylov_refine(res, pot, op, tol=1e-10)
     return res

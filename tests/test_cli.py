@@ -3,6 +3,7 @@ import json
 from dataclasses import fields
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -360,12 +361,29 @@ def test_oracle_compare_needs_quadratic_structure(tmp_path):
 
 
 def test_oracle_compare_over_the_dense_cap_leaves_no_output_directory(tmp_path, capsys):
-    # the cap is met after the config checks, inside the command itself
+    # the cap is met after the config checks, inside the command itself; one
+    # axis of 4096 nodes would push a 4096 x 4096 array of unit fields, and
+    # is refused before it is made
     out = tmp_path / "out"
-    cfg = write_config(tmp_path, manufactured_config(out, N=128))
+    cfg_dict = qshift_1d_config(out)
+    cfg_dict["grid"]["resolutions"] = [4096]
+    cfg = write_config(tmp_path, cfg_dict)
+    started = time.perf_counter()
     assert main(["oracle-compare", "--config", cfg]) == 1
+    assert time.perf_counter() - started < 1.0
     assert "exceeds the cap" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_four_axis_oracle_config_agrees_with_the_minimizer(tmp_path):
+    # 12^4 x 1 = 20736 unknowns: refused by the old nodes * n cap
+    out = tmp_path / "out"
+    assert main(["oracle-compare", "--config", str(CONFIGS / "oracle_compare_4d.json"),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["dense_unknowns"] == 12**4
+    assert report["passed"] is True
+    assert report["max_abs_gap"] <= 1e-8
 
 
 @pytest.mark.parametrize("command", ["solve", "certify", "check-grad", "wirtinger",
@@ -622,7 +640,8 @@ def test_non_finite_or_negative_tolerances_are_rejected_up_front(tmp_path, capsy
                                                                  solver, name):
     # the config is solvable: a NaN divergence threshold used to report it
     # diverged, and a negative tolerance ended in a line-search failure; the
-    # threshold is a constant now, so the key itself is rejected
+    # threshold is a constant now, and tol_grad_inf the one tolerance, so the
+    # other keys themselves are rejected
     cfg_dict = qshift_1d_config(tmp_path / "out")
     cfg_dict["solver"] = solver
     cfg = write_config(tmp_path, cfg_dict)

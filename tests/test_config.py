@@ -222,10 +222,9 @@ def test_solver_options_accept_numpy_integers():
 def test_solver_block_is_built_from_the_options():
     solver = CONFIG_SCHEMA["properties"]["solver"]
     names = [f.name for f in fields(SolverOptions)]
-    assert names == ["tol_grad_inf", "tol_residual_inf", "max_iters", "seed"]
+    assert names == ["tol_grad_inf", "max_iters", "seed"]
     assert solver["properties"] == {
         "tol_grad_inf": {"type": "number"},
-        "tol_residual_inf": {"type": "number"},
         "max_iters": {"type": "integer"},
     }
 

@@ -133,8 +133,7 @@ def test_log_sum_exp_converges():
     pot = make_log_sum_exp(S, offs)
     # line-searched descent bottoms out near sqrt(eps) on an O(1) action,
     # so ask for 1e-7 here; the refine tests below push further
-    opts = SolverOptions(max_iters=2000, tol_grad_inf=1e-7,
-                         tol_residual_inf=1e-7)
+    opts = SolverOptions(max_iters=2000, tol_grad_inf=1e-7)
     res = solve(g, pot, op=DiffOperator(g, Scheme.SPECTRAL), opts=opts)
     assert res.status is SolveStatus.CONVERGED
     assert res.residual_inf < 1e-7
@@ -186,8 +185,7 @@ def test_mean_zero_drift_is_solvable():
     drift = TrigPath((TWO_PI,), 1, (TrigTerm("cos", (1,), (1.0,)),))
     pot = make_linear_drift(1, drift)
     op = DiffOperator(g, Scheme.SPECTRAL)
-    res = solve(g, pot, op, SolverOptions(tol_grad_inf=1e-7,
-                                          tol_residual_inf=1e-7))
+    res = solve(g, pot, op, SolverOptions(tol_grad_inf=1e-7))
     assert res.status is SolveStatus.CONVERGED
     refined = newton_krylov_refine(res, pot, op, tol=1e-12)
     assert refined.status is SolveStatus.CONVERGED
@@ -200,7 +198,7 @@ def test_mean_zero_drift_is_solvable():
 def test_max_iters_status():
     g, pot = lse_problem()
     op = DiffOperator(g, Scheme.SPECTRAL)
-    opts = SolverOptions(max_iters=2, tol_grad_inf=1e-14, tol_residual_inf=1e-14)
+    opts = SolverOptions(max_iters=2, tol_grad_inf=1e-14)
     res = solve(g, pot, op, opts)
     assert res.status is SolveStatus.MAX_ITERS
     assert res.iterations == 2
@@ -249,8 +247,7 @@ def test_refine_drives_residual_to_machine_precision():
     ]
     pot = make_log_sum_exp(S, offs)
     op = DiffOperator(g, Scheme.SPECTRAL)
-    coarse = solve(g, pot, op, SolverOptions(tol_grad_inf=1e-4,
-                                             tol_residual_inf=1e-4))
+    coarse = solve(g, pot, op, SolverOptions(tol_grad_inf=1e-4))
     refined = newton_krylov_refine(coarse, pot, op, tol=1e-12)
     assert refined.status is SolveStatus.CONVERGED
     assert refined.residual_inf < 1e-12
@@ -293,8 +290,7 @@ def test_refine_builds_the_hessian_once_per_newton_step():
 
     counting = replace(pot, hessian=counted)
     op = DiffOperator(g, Scheme.SPECTRAL)
-    coarse = solve(g, pot, op, SolverOptions(tol_grad_inf=1e-4,
-                                             tol_residual_inf=1e-4))
+    coarse = solve(g, pot, op, SolverOptions(tol_grad_inf=1e-4))
     refined = newton_krylov_refine(coarse, counting, op, tol=1e-12)
     steps = refined.iterations - coarse.iterations
     assert refined.status is SolveStatus.CONVERGED
@@ -305,8 +301,7 @@ def test_refine_builds_the_hessian_once_per_newton_step():
 def test_refine_leaves_trace_untouched():
     g, pot = shift_problem()
     op = DiffOperator(g, Scheme.SPECTRAL)
-    res = solve(g, pot, op, SolverOptions(tol_grad_inf=1e-4,
-                                          tol_residual_inf=1e-4))
+    res = solve(g, pot, op, SolverOptions(tol_grad_inf=1e-4))
     refined = newton_krylov_refine(res, pot, op)
     assert np.array_equal(refined.trace, res.trace)
 
@@ -420,7 +415,7 @@ def test_solve_evaluates_grad_f_once_per_iteration_and_once_at_the_start():
     g, pot = lse_problem()
     calls = []
     res = solve(g, counting(pot, "gradient", calls), DiffOperator(g, Scheme.SPECTRAL),
-                SolverOptions(tol_grad_inf=1e-6, tol_residual_inf=1e-6))
+                SolverOptions(tol_grad_inf=1e-6))
     assert res.status is SolveStatus.CONVERGED
     assert res.iterations >= 3
     assert len(calls) == res.iterations + 1
@@ -479,7 +474,7 @@ def test_extra_line_search_trials_cost_no_transform(monkeypatch):
         values = []
         before = counts["real"]
         res = solve(g, counting(pot, "value", values), op,
-                    SolverOptions(max_iters=1, tol_grad_inf=0.0, tol_residual_inf=0.0), init=init)
+                    SolverOptions(max_iters=1, tol_grad_inf=0.0), init=init)
         assert res.iterations == 1
         seen[exact] = (len(values) - 1, counts["real"] - before)
     # (lambda_k + 8)^-1 inverts the quadratic's Hessian exactly, so the first
@@ -500,7 +495,7 @@ def test_refine_spends_two_transforms_per_cg_iteration(monkeypatch):
     ]
     pot = make_log_sum_exp(S, offs)
     op = DiffOperator(g, Scheme.SPECTRAL)
-    coarse = solve(g, pot, op, SolverOptions(tol_grad_inf=1e-4, tol_residual_inf=1e-4))
+    coarse = solve(g, pot, op, SolverOptions(tol_grad_inf=1e-4))
 
     applications = []
     pcg = minimize_module._pcg
@@ -739,7 +734,7 @@ def test_mirror_point_tie_costs_no_potential_gradient():
     grads, values = [], []
     pot = counting(counting(pot, "gradient", grads), "value", values)
     res = solve(g, pot, DiffOperator(g, Scheme.SPECTRAL),
-                SolverOptions(max_iters=1, tol_grad_inf=0.0, tol_residual_inf=0.0),
+                SolverOptions(max_iters=1, tol_grad_inf=0.0),
                 init=Field.constant(g, [c]))
     assert res.iterations == 1
     assert len(values) == 1 + 2  # the start, the mirror point, the half step
@@ -755,8 +750,6 @@ def test_mirror_point_tie_costs_no_potential_gradient():
     ("tol_grad_inf", -1.0),
     ("tol_grad_inf", float("nan")),
     ("tol_grad_inf", float("inf")),
-    ("tol_residual_inf", -1e-8),
-    ("tol_residual_inf", float("nan")),
 ])
 def test_options_reject_non_finite_or_negative_tolerances(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
@@ -828,8 +821,7 @@ def test_refine_of_a_result_that_meets_tol_makes_no_transform_and_no_potential_c
         monkeypatch):
     g, pot = lse_problem()
     op = DiffOperator(g, Scheme.SPECTRAL)
-    res = solve(g, pot, op, SolverOptions(max_iters=60, tol_grad_inf=1e-10,
-                                          tol_residual_inf=1e-10))
+    res = solve(g, pot, op, SolverOptions(max_iters=60, tol_grad_inf=1e-10))
     capped = replace(res, status=SolveStatus.MAX_ITERS)
     calls = []
     for attr in ("value", "gradient", "hessian"):

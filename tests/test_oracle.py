@@ -109,16 +109,13 @@ def _axis_column_by_column(grid, op, axis):
 
 
 @pytest.mark.parametrize("scheme", [Scheme.SPECTRAL, Scheme.FD2])
-@pytest.mark.parametrize("p, N", [(1, 10), (2, 6), (3, 4)])
+@pytest.mark.parametrize("p, N", [
+    (1, 10), (2, 6), (3, 4),
+    pytest.param(2, (6, 8), id="2-anisotropic"),
+    pytest.param(3, (4, 6, 8), id="3-anisotropic"),
+])
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("block", [7, 64])
-def test_blocked_assembly_is_bit_identical_to_column_by_column(monkeypatch, scheme, p, N,
-                                                                n, block):
-    # an axis of 10 nodes leaves a remainder of 3 with blocks of 7; the
-    # others fit in one short block
-    import torus_action.oracle as oracle
-
-    monkeypatch.setattr(oracle, "_ASSEMBLY_BLOCK", block)
+def test_axis_assembly_is_bit_identical_to_column_by_column(scheme, p, N, n):
     g = _box(p, N)
     op = DiffOperator(g, scheme)
     A = np.arange(1.0, n * n + 1).reshape(n, n) / 7.0 + 2.0 * np.eye(n)  # not symmetric
@@ -128,15 +125,24 @@ def test_blocked_assembly_is_bit_identical_to_column_by_column(monkeypatch, sche
     assert np.array_equal(system.quad_matrix, A)
 
 
-def test_blocked_assembly_leaves_a_remainder_at_the_default_block():
-    import torus_action.oracle as oracle
+@pytest.mark.parametrize("scheme", [Scheme.SPECTRAL, Scheme.FD2])
+def test_long_axis_is_assembled_in_one_push(scheme):
+    # all 100 unit fields of the long axis go through the operator at once:
+    # the same bits as one at a time, in a few nodes x N_a arrays
+    import tracemalloc
 
     g = TorusGrid((1.0, TWO_PI), (100, 6))
-    assert g.shape[0] > oracle._ASSEMBLY_BLOCK
-    assert g.shape[0] % oracle._ASSEMBLY_BLOCK != 0
-    op = DiffOperator(g, Scheme.SPECTRAL)
+    op = DiffOperator(g, scheme)
     A = np.array([[1.0, 0.25], [-0.5, 2.0]])
-    system = assemble_quadratic_system(g, op, A, Field(g, np.zeros(g.shape + (2,))))
+    drift = Field(g, np.zeros(g.shape + (2,)))
+    assemble_quadratic_system(g, op, A, drift)  # warm the transforms
+    tracemalloc.start()
+    try:
+        system = assemble_quadratic_system(g, op, A, drift)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * g.node_count * max(g.shape) * 8
     for a, K in enumerate(system.kinetic_axes):
         assert np.array_equal(K, _axis_column_by_column(g, op, a))
 
@@ -174,9 +180,7 @@ def test_dense_solve_matches_minimizer():
         op = DiffOperator(g, scheme)
         system = assemble_quadratic_system(g, op, A, drift_field(g, path))
         u_dense = dense_solve(system)
-        res = solve(g, pot, op, SolverOptions(tol_grad_inf=1e-10,
-                                              tol_residual_inf=1e-10,
-                                              max_iters=2000))
+        res = solve(g, pot, op, SolverOptions(tol_grad_inf=1e-10, max_iters=2000))
         gap = np.max(np.abs(u_dense.values - res.u.values))
         assert gap < 1e-8, scheme
 
@@ -271,7 +275,7 @@ def test_dense_solve_admits_a_small_positive_matrix(scheme):
     op = DiffOperator(g, scheme)
     u_dense = dense_solve(assemble_quadratic_system(g, op, A, drift_field(g, path)))
     res = solve(g, make_quadratic_form(A, path), op,
-                SolverOptions(tol_grad_inf=1e-10, tol_residual_inf=1e-10, max_iters=2000))
+                SolverOptions(tol_grad_inf=1e-10, max_iters=2000))
     assert np.max(np.abs(u_dense.values - res.u.values)) < 1e-8
 
 
@@ -308,12 +312,39 @@ def test_dense_oracle_allocates_less_than_one_nodes_by_nodes_matrix():
     assert peak < g.node_count ** 2 * 8
 
 
-def test_dense_unknown_cap():
-    g = TorusGrid((TWO_PI, TWO_PI, TWO_PI, TWO_PI), (12, 12, 12, 12))
+def test_dense_oracle_solves_a_four_axis_grid_past_the_old_unknown_cap():
+    # 12^4 x 1 = 20736 unknowns, over the nodes * n cap the oracle used to
+    # keep; its largest array is a field, far inside the float cap
+    g = _box(4, 12)
     op = DiffOperator(g, Scheme.FD2)
-    zero = Field.zeros(g, 1)
-    with pytest.raises(ValueError, match="unknowns"):
-        assemble_quadratic_system(g, op, np.eye(1), zero)
+    A = np.array([[0.5]])
+    drift = Field(g, np.random.default_rng(6).standard_normal(g.shape + (1,)))
+    u = dense_solve(assemble_quadratic_system(g, op, A, drift)).values[..., 0]
+    # the operator is diagonal in the full Fourier basis
+    expected = np.fft.ifftn(np.fft.fftn(-drift.values[..., 0]) / (op.eigenvalues + 0.5)).real
+    assert np.abs(u - expected).max() <= 1e-8
+
+
+def test_dense_float_cap_refuses_a_long_axis_before_any_array_is_made():
+    # one axis of 4096 nodes: the push of its unit fields would be 4096^2
+    # floats, 128 MB, four times the cap
+    import tracemalloc
+
+    import torus_action.oracle as oracle
+
+    g = TorusGrid((TWO_PI,), (4096,))
+    assert g.node_count * 4096 > oracle.DENSE_FLOAT_CAP
+    op = DiffOperator(g, Scheme.FD2)
+    drift = Field.zeros(g, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            assemble_quadratic_system(g, op, np.eye(1), drift)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # less than one field of the grid
+    assert peak < g.node_count * 8
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -538,8 +538,9 @@ def test_potential_from_dict_dispatch():
     }
     bundle = potential_from_dict(spec, g)
     assert bundle.potential.kind == "quadratic_shift"
-    assert bundle.quad_matrix is not None
-    assert_allclose(bundle.quad_matrix, np.eye(1))
+    # a quadratic's A and g are the potential's own (see the test below)
+    assert [f.name for f in fields(bundle)] == ["potential", "exact"]
+    assert bundle.exact is None
 
     spec = {
         "kind": "linear_drift",
@@ -557,6 +558,37 @@ def test_potential_from_dict_dispatch():
     bundle = potential_from_dict(spec, g)
     assert bundle.exact is not None
     assert bundle.exact.n == 1
+
+
+@pytest.mark.parametrize("spec, A, drift", [
+    ({"kind": "quadratic_shift", "n": 2,
+      "shift": {"terms": [{"trig": "cos", "freq": [1, 2], "coeff": [0.8, -0.3]},
+                          {"trig": "cos", "freq": [0, 0], "coeff": [0.1, 0.2]}]}},
+     np.eye(2),
+     lambda t: -np.stack([0.8 * np.cos(t[..., 0] + 2 * t[..., 1]) + 0.1,
+                          -0.3 * np.cos(t[..., 0] + 2 * t[..., 1]) + 0.2], axis=-1)),
+    ({"kind": "quadratic_form", "n": 2, "matrix": [[0.9, 0.2], [0.2, 0.6]],
+      "drift": {"terms": [{"trig": "sin", "freq": [3, 1], "coeff": [0.06, -0.12]}]}},
+     np.array([[0.9, 0.2], [0.2, 0.6]]),
+     lambda t: np.sin(3 * t[..., 0] + t[..., 1])[..., None] * np.array([0.06, -0.12])),
+    ({"kind": "manufactured", "n": 1,
+      "target": {"terms": [{"trig": "sin", "freq": [1, 2], "coeff": [0.5]}]}},
+     np.eye(1),
+     # lap(target) - target, with lap = -(1 + 4) on this mode
+     lambda t: (-5.0 * 0.5 - 0.5) * np.sin(t[..., 0] + 2 * t[..., 1])[..., None]),
+], ids=["quadratic_shift", "quadratic_form", "manufactured"])
+def test_quadratic_data_is_the_hessian_and_the_gradient_at_the_origin(spec, A, drift):
+    # oracle-compare reads F = <A x, x> / 2 + <g(t), x> off the potential:
+    # A is its Hessian and g its gradient at x = 0
+    g = TorusGrid((TWO_PI, TWO_PI), (8, 8))
+    pot = potential_from_dict(spec, g).potential
+    coords = g.coords()
+    origin = np.zeros(g.shape + (pot.n,))
+    hessian = pot.hessian(coords, origin)
+    assert hessian.shape == g.shape + A.shape
+    assert np.array_equal(hessian[0, 0], A)
+    assert np.array_equal(hessian, np.broadcast_to(A, hessian.shape))
+    assert_allclose(pot.gradient(coords, origin), drift(coords), rtol=0, atol=1e-14)
 
 
 def test_potential_from_dict_rejects_unknown_kind():

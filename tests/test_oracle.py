@@ -108,6 +108,20 @@ def _axis_column_by_column(grid, op, axis):
     return 0.5 * (K + K.T)
 
 
+def _axis_blocked(grid, op, axis, block):
+    """K_a ``block`` unit fields at a time, one field component each, through laplacian."""
+    N = grid.resolutions[axis]
+    index = tuple(slice(None) if b == axis else 0 for b in range(grid.p))
+    K = np.empty((N, N))
+    for start in range(0, N, block):
+        m = min(block, N - start)
+        basis = np.zeros(grid.shape + (m,))
+        for k in range(m):
+            basis[(slice(None),) * axis + (start + k,) + (Ellipsis, k)] = 1.0
+        K[:, start:start + m] = -laplacian(op, Field(grid, basis)).values[index]
+    return 0.5 * (K + K.T)
+
+
 @pytest.mark.parametrize("scheme", [Scheme.SPECTRAL, Scheme.FD2])
 @pytest.mark.parametrize("p, N", [
     (1, 10), (2, 6), (3, 4),
@@ -115,13 +129,18 @@ def _axis_column_by_column(grid, op, axis):
     pytest.param(3, (4, 6, 8), id="3-anisotropic"),
 ])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_axis_assembly_is_bit_identical_to_column_by_column(scheme, p, N, n):
+@pytest.mark.parametrize("block", [7, 64])
+def test_blocked_assembly_is_bit_identical_to_column_by_column(scheme, p, N, n, block):
+    # the oracle pushes all N_a unit fields at once; blocks of 7 leave a
+    # remainder on the axes of 8 and 10 nodes, blocks of 64 hold every axis
     g = _box(p, N)
     op = DiffOperator(g, scheme)
     A = np.arange(1.0, n * n + 1).reshape(n, n) / 7.0 + 2.0 * np.eye(n)  # not symmetric
     system = assemble_quadratic_system(g, op, A, Field(g, np.ones(g.shape + (n,))))
     for a, K in enumerate(system.kinetic_axes):
-        assert np.array_equal(K, _axis_column_by_column(g, op, a))
+        expected = _axis_column_by_column(g, op, a)
+        assert np.array_equal(_axis_blocked(g, op, a, block), expected)
+        assert np.array_equal(K, expected)
     assert np.array_equal(system.quad_matrix, A)
 
 

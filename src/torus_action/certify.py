@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import Field, TorusGrid, check_periods, check_seed, integrate
-from .operators import DiffOperator, dirichlet_form, l2_norm, mean_decompose
+from .operators import DiffOperator, _check_operator, dirichlet_form, l2_norm, mean_decompose
 from .potentials import SUPERLINEAR, Potential
 
 
@@ -258,16 +258,20 @@ def fluctuation_ratio(u: Field, op: DiffOperator) -> float:
     return num / den
 
 
-def wirtinger_audit(op: DiffOperator, trials: int = 100, seed: int = 0) -> float:
-    """Max fluctuation ratio over the extremal mode and random zero-mean fields.
+# The seeded random fields that wirtinger_audit tries.
+AUDIT_TRIALS = 100
+
+
+def wirtinger_audit(op: DiffOperator, seed: int = 0) -> float:
+    """Max fluctuation ratio over the extremal mode and random fields.
 
     Always bounded by wirtinger_constant(op); the bound is attained by the
-    lowest nonzero-frequency harmonic, which is prepended to the trial set so
-    the audit touches it.
+    lowest nonzero-frequency harmonic, which is tried first so the audit
+    touches it, then AUDIT_TRIALS seeded normal fields.
     """
     rng = np.random.default_rng(check_seed(seed))
     worst = fluctuation_ratio(_extremal_mode(op), op)
-    for _ in range(trials):
+    for _ in range(AUDIT_TRIALS):
         values = rng.normal(size=op.grid.shape + (1,))
         u = Field(op.grid, values)
         worst = max(worst, fluctuation_ratio(u, op))
@@ -281,8 +285,10 @@ def certify(grid: TorusGrid, pot: Potential, op: DiffOperator) -> SolvabilityCer
     coercivity_probe) makes the verdict not solvable, and the stationary-mean
     search is skipped.  Otherwise G has a minimum, and the verdict is
     solvable when the search finds it; a search that misses it leaves the
-    verdict inconclusive, with a note that records the miss.
+    verdict inconclusive, with a note that records the miss.  The operator
+    must be built for ``grid``, since it sets the Wirtinger constant.
     """
+    _check_operator(op, grid)
     G = build_mean_potential(grid, pot)
     coercivity, escape_ray = coercivity_probe(G)
     notes = ()

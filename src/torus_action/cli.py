@@ -17,14 +17,21 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .certify import certify, wirtinger_audit, wirtinger_constant
+from .certify import AUDIT_TRIALS, certify, wirtinger_audit, wirtinger_constant
 from .grid import Field, build_grid
 from .minimize import TRACE_COLUMNS, SolveStatus, SolverOptions, solve
 from .operators import DiffOperator
 from .oracle import assemble_quadratic_system, dense_solve
-from .potentials import check_gradient, potential_from_dict
+from .potentials import GRADIENT_SAMPLES, POTENTIAL_KEYS, check_gradient, potential_from_dict
 
-COMMANDS = ("solve", "certify", "check-grad", "wirtinger", "oracle-compare")
+# The subcommands and their help; the config's command enum, run and main read it.
+COMMANDS = {
+    "solve": "minimize the action and report the field",
+    "certify": "decide solvability without running the field solver",
+    "check-grad": "audit the potential gradient by central differences",
+    "wirtinger": "report the mean-zero Poincare constant and audit it",
+    "oracle-compare": "cross-check the minimizer against a dense solve",
+}
 
 _PATH_SCHEMA = {
     "type": "object",
@@ -47,66 +54,26 @@ _PATH_SCHEMA = {
     },
 }
 
+_FORM_SCHEMAS = {
+    "path": _PATH_SCHEMA,
+    "matrix": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
+    "paths": {"type": "array", "items": _PATH_SCHEMA},
+}
+
+# One branch per potential kind, built from the table potential_from_dict checks.
 _POTENTIAL_SCHEMA = {
     "oneOf": [
         {
             "type": "object",
             "additionalProperties": False,
-            "required": ["kind", "n"],
+            "required": ["kind", "n"] + [k for k, (_, required) in keys.items() if required],
             "properties": {
-                "kind": {"const": "quadratic_shift"},
+                "kind": {"const": kind},
                 "n": {"type": "integer", "minimum": 1},
-                "shift": _PATH_SCHEMA,
+                **{k: _FORM_SCHEMAS[form] for k, (form, _) in keys.items()},
             },
-        },
-        {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind", "n", "drift"],
-            "properties": {
-                "kind": {"const": "linear_drift"},
-                "n": {"type": "integer", "minimum": 1},
-                "drift": _PATH_SCHEMA,
-            },
-        },
-        {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind", "n", "matrix"],
-            "properties": {
-                "kind": {"const": "quadratic_form"},
-                "n": {"type": "integer", "minimum": 1},
-                "matrix": {
-                    "type": "array",
-                    "items": {"type": "array", "items": {"type": "number"}},
-                },
-                "drift": _PATH_SCHEMA,
-            },
-        },
-        {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind", "n"],
-            "properties": {
-                "kind": {"const": "log_sum_exp"},
-                "n": {"type": "integer", "minimum": 1},
-                "directions": {
-                    "type": "array",
-                    "items": {"type": "array", "items": {"type": "number"}},
-                },
-                "offsets": {"type": "array", "items": _PATH_SCHEMA},
-            },
-        },
-        {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind", "n", "target"],
-            "properties": {
-                "kind": {"const": "manufactured"},
-                "n": {"type": "integer", "minimum": 1},
-                "target": _PATH_SCHEMA,
-            },
-        },
+        }
+        for kind, keys in POTENTIAL_KEYS.items()
     ]
 }
 
@@ -176,11 +143,12 @@ def _schema_errors(instance, schema: dict, path: tuple = ()):
     """Yield (path, message) for each way ``instance`` breaks ``schema``.
 
     Interprets the keywords CONFIG_SCHEMA uses, with jsonschema's messages:
-    type, enum, const, required, additionalProperties (false), properties,
-    items, minimum and oneOf.  ``integer`` means a JSON integer, so 10.0 is
-    not one, and no bool passes for a number.  A oneOf of objects told apart
-    by a ``kind`` const takes the branch that ``kind`` names, so an error
-    inside it is reported where it is.
+    type, enum, required, additionalProperties (false), properties, items,
+    minimum and oneOf.  ``integer`` means a JSON integer, so 10.0 is not one,
+    and no bool passes for a number.  A oneOf of objects told apart by a
+    ``kind`` const takes the branch that ``kind`` names, so an error inside
+    it is reported where it is.  That dispatch is the only reader of
+    ``const``: the branch it takes always matches its own const.
     """
     if "oneOf" in schema:
         branches = {b["properties"]["kind"]["const"]: b for b in schema["oneOf"]}
@@ -199,8 +167,6 @@ def _schema_errors(instance, schema: dict, path: tuple = ()):
         return
     if "enum" in schema and instance not in schema["enum"]:
         yield path, f"{instance!r} is not one of {schema['enum']!r}"
-    if "const" in schema and instance != schema["const"]:
-        yield path, f"{schema['const']!r} was expected"
     if "minimum" in schema and instance < schema["minimum"]:
         yield path, f"{instance!r} is less than the minimum of {schema['minimum']!r}"
     if isinstance(instance, dict):
@@ -381,12 +347,12 @@ def run(
         exit_code = 0 if cert.verdict.value == "solvable" else 2
 
     elif command == "check-grad":
-        worst = check_gradient(pot, samples=200, seed=seed)
+        worst = check_gradient(pot, seed=seed)
         threshold = 1e-5
         report.update(
             {
                 "max_relative_error": worst,
-                "samples": 200,
+                "samples": GRADIENT_SAMPLES,
                 "threshold": threshold,
                 "passed": bool(worst <= threshold),
             }
@@ -395,13 +361,13 @@ def run(
 
     elif command == "wirtinger":
         constant = wirtinger_constant(op)
-        audit = wirtinger_audit(op, trials=100, seed=seed)
+        audit = wirtinger_audit(op, seed=seed)
         bound = constant * (1.0 + 1e-10)
         report.update(
             {
                 "constant": constant,
                 "audit_max_ratio": audit,
-                "trials": 100,
+                "trials": AUDIT_TRIALS,
                 "passed": bool(audit <= bound),
             }
         )
@@ -453,13 +419,7 @@ def main(argv=None) -> int:
         description="Multi-periodic Poisson-gradient solver and certification tool",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("solve", "minimize the action and report the field"),
-        ("certify", "decide solvability without running the field solver"),
-        ("check-grad", "audit the potential gradient by central differences"),
-        ("wirtinger", "report the mean-zero Poincare constant and audit it"),
-        ("oracle-compare", "cross-check the minimizer against a dense solve"),
-    ):
+    for name, text in COMMANDS.items():
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", required=True, help="path to a JSON config")
         cmd.add_argument("--out", default=None, help="output directory override")

@@ -19,7 +19,9 @@ import numpy as np
 
 from .certify import build_mean_potential, coercivity_probe
 from .grid import Field, TorusGrid, check_integer, check_seed, integrate
-from .operators import ActionReport, DiffOperator, _check_field, _check_potential, l2_norm
+from .operators import (
+    ActionReport, DiffOperator, _check_field, _check_operator, _check_potential, l2_norm,
+)
 from .potentials import Potential
 
 
@@ -240,8 +242,7 @@ def solve(
     above rounding: then the trial is past the ray's minimum and is halved.
     """
     opts = opts if opts is not None else SolverOptions()
-    if op.grid != grid:
-        raise ValueError("operator was built for a different grid")
+    _check_operator(op, grid)
     if init is None:
         u = default_init(grid, pot.n, opts)
     else:

@@ -112,6 +112,11 @@ class ActionReport:
     grad_inf_norm: float
 
 
+def _check_operator(op: DiffOperator, grid: TorusGrid) -> None:
+    if op.grid != grid:
+        raise ValueError("operator was built for a different grid")
+
+
 def _check_field(op: DiffOperator, u: Field) -> None:
     if u.grid != op.grid:
         raise ValueError("field and operator live on different grids")

@@ -142,14 +142,6 @@ class TrigPath:
             for a in range(len(self.periods))
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "terms": [
-                {"trig": t.trig, "freq": list(t.freq), "coeff": list(t.coeff)}
-                for t in self.terms
-            ]
-        }
-
     @classmethod
     def from_dict(cls, data: dict, periods, n: int) -> "TrigPath":
         terms = tuple(
@@ -461,17 +453,22 @@ def make_manufactured(grid: TorusGrid, n: int, target: TrigPath):
     return replace(base, kind="manufactured"), exact
 
 
-def check_gradient(pot: Potential, samples: int = 100, seed: int = 0) -> float:
+# The (t, x) pairs that check_gradient draws.
+GRADIENT_SAMPLES = 200
+
+
+def check_gradient(pot: Potential, seed: int = 0) -> float:
     """Central-difference audit of the declared gradient.
 
-    Draws (t, x) pairs, compares the analytic gradient against central
-    differences of the value with step 1e-5 * (1 + |x|), and returns the
-    largest relative discrepancy (scaled by max(1, |gradient|)).
+    Draws GRADIENT_SAMPLES seeded (t, x) pairs, compares the analytic
+    gradient against central differences of the value with step
+    1e-5 * (1 + |x|), and returns the largest relative discrepancy (scaled
+    by max(1, |gradient|)).
     """
     rng = np.random.default_rng(check_seed(seed))
     p = len(pot.periods)
-    t = rng.uniform(0.0, 1.0, size=(samples, p)) * np.asarray(pot.periods)
-    x = rng.normal(0.0, 2.0, size=(samples, pot.n))
+    t = rng.uniform(0.0, 1.0, size=(GRADIENT_SAMPLES, p)) * np.asarray(pot.periods)
+    x = rng.normal(0.0, 2.0, size=(GRADIENT_SAMPLES, pot.n))
     grad = pot.gradient(t, x)
     fd = np.empty_like(grad)
     step = 1e-5 * (1.0 + np.linalg.norm(x, axis=-1))
@@ -492,18 +489,38 @@ class PotentialBundle:
     exact: Optional[Field] = None
 
 
+# The keys each potential kind reads besides "kind" and "n", in order, as
+# key: (form, required).  A form is "path" (a TrigPath's dict), "matrix" (rows
+# of numbers) or "paths" (a list of scalar path dicts).  The CLI's config
+# schema is built from this table, and potential_from_dict checks it.
+POTENTIAL_KEYS = {
+    "quadratic_shift": {"shift": ("path", False)},
+    "linear_drift": {"drift": ("path", True)},
+    "quadratic_form": {"matrix": ("matrix", True), "drift": ("path", False)},
+    "log_sum_exp": {"directions": ("matrix", False), "offsets": ("paths", False)},
+    "manufactured": {"target": ("path", True)},
+}
+
+
 def potential_from_dict(spec: dict, grid: TorusGrid) -> PotentialBundle:
     """Realize a JSON-style potential description on a grid.
 
-    A quadratic potential's (A, g) is read off the potential itself, as its
-    Hessian and its gradient at x = 0.  Every path must be resolvable on the
-    grid (see check_path_resolvable): the grid would alias a higher
-    frequency to a lower one, and so realize another potential.
+    The kind must be one of POTENTIAL_KEYS, and the keys it marks required
+    must not be missing or null.  A missing or null optional key takes its
+    default: a zero path, or the directions +-e_i.
+    Every path must be resolvable on the grid (see check_path_resolvable):
+    the grid would alias a higher frequency to a lower one, and so realize
+    another potential.
     """
     kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in POTENTIAL_KEYS:
+        raise ValueError(f"unknown potential kind {kind!r}")
     n = int(spec.get("n", 0))
     if n < 1:
         raise ValueError(f"potential needs a positive component count, got n={n}")
+    for key, (_, required) in POTENTIAL_KEYS[kind].items():
+        if required and spec.get(key) is None:
+            raise ValueError(f"potential kind {kind!r} requires {key!r}")
     periods = grid.periods
 
     def resolvable(key, data, components):
@@ -514,11 +531,9 @@ def potential_from_dict(spec: dict, grid: TorusGrid) -> PotentialBundle:
             raise ValueError(f"potential {key!r}: {exc}") from None
         return path
 
-    def path(key, required=False):
+    def path(key):
         data = spec.get(key)
         if data is None:
-            if required:
-                raise ValueError(f"potential kind {kind!r} requires {key!r}")
             return TrigPath.zero(periods, n)
         return resolvable(key, data, n)
 
@@ -533,11 +548,8 @@ def potential_from_dict(spec: dict, grid: TorusGrid) -> PotentialBundle:
     if kind == "quadratic_shift":
         return PotentialBundle(make_quadratic_shift(n, path("shift")))
     if kind == "linear_drift":
-        a = path("drift", required=True)
-        return PotentialBundle(make_linear_drift(n, a))
+        return PotentialBundle(make_linear_drift(n, path("drift")))
     if kind == "quadratic_form":
-        if "matrix" not in spec:
-            raise ValueError("potential kind 'quadratic_form' requires 'matrix'")
         return PotentialBundle(make_quadratic_form(array("matrix"), path("drift")))
     if kind == "log_sum_exp":
         if spec.get("directions") is None:
@@ -557,7 +569,5 @@ def potential_from_dict(spec: dict, grid: TorusGrid) -> PotentialBundle:
                 resolvable(f"offsets[{j}]", d, 1) for j, d in enumerate(offsets_data)
             ]
         return PotentialBundle(make_log_sum_exp(directions, offsets))
-    if kind == "manufactured":
-        pot, exact = make_manufactured(grid, n, path("target", required=True))
-        return PotentialBundle(pot, exact=exact)
-    raise ValueError(f"unknown potential kind {kind!r}")
+    pot, exact = make_manufactured(grid, n, path("target"))
+    return PotentialBundle(pot, exact=exact)

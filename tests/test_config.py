@@ -15,8 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from torus_action import SolverOptions
+from torus_action import SolverOptions, TorusGrid, potential_from_dict
 from torus_action.cli import CONFIG_SCHEMA, load_config, main
+from torus_action.potentials import POTENTIAL_KEYS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -227,6 +228,30 @@ def test_solver_block_is_built_from_the_options():
         "tol_grad_inf": {"type": "number"},
         "max_iters": {"type": "integer"},
     }
+
+
+# One value of each form in the table, all for n = 1 on a 2 pi box.
+_PATH = {"terms": [{"trig": "cos", "freq": [1], "coeff": [0.5]}]}
+_FORM_VALUES = {"path": _PATH, "matrix": [[2.0]], "paths": [_PATH]}
+
+
+@pytest.mark.parametrize("kind", list(POTENTIAL_KEYS))
+def test_each_kind_in_the_table_is_checked_alike_by_the_schema_and_the_builder(kind):
+    grid = TorusGrid((TWO_PI,), (8,))
+    keys = POTENTIAL_KEYS[kind]
+    required = [key for key, (_, needed) in keys.items() if needed]
+    every = {"kind": kind, "n": 1, **{key: _FORM_VALUES[form] for key, (form, _) in keys.items()}}
+    least = {k: v for k, v in every.items() if k in ("kind", "n", *required)}
+    config = {"grid": {"p": 1, "periods": [TWO_PI], "resolutions": [8]}, "scheme": "spectral"}
+    for spec in (every, least):
+        assert ours(dict(config, potential=spec)) is None
+        assert potential_from_dict(spec, grid).potential.kind == kind
+    for key in required:
+        spec = {k: v for k, v in least.items() if k != key}
+        assert ours(dict(config, potential=spec)) == (
+            "$['potential']", f"{key!r} is a required property")
+        with pytest.raises(ValueError, match=f"^potential kind {kind!r} requires {key!r}$"):
+            potential_from_dict(spec, grid)
 
 
 def _keywords(schema, found):

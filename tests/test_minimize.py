@@ -306,6 +306,36 @@ def test_refine_leaves_trace_untouched():
     assert np.array_equal(refined.trace, res.trace)
 
 
+def test_a_line_search_that_finds_no_decrease_stops_and_says_so():
+    # a gradient 1e6 times too large promises a decrease that no step along
+    # the ray delivers, so every one of the halvings is rejected
+    g, pot = shift_problem()
+    op = DiffOperator(g, Scheme.SPECTRAL)
+    steep = replace(pot, gradient=lambda t, x: 1e6 * pot.gradient(t, x))
+    res = solve(g, steep, op)
+    assert res.status is SolveStatus.MAX_ITERS
+    assert res.line_search_failed
+    assert res.iterations == 0
+    assert res.message.startswith("line search failed after 60 halvings")
+
+
+def test_refine_stops_where_cg_meets_non_positive_curvature():
+    # with the Hessian negated, -laplacian + hess F is -1 on the mean, so CG
+    # meets negative curvature at its first step on a shifted mean
+    g, pot = shift_problem()
+    op = DiffOperator(g, Scheme.SPECTRAL)
+    res = solve(g, pot, op)
+    assert res.status is SolveStatus.CONVERGED
+    u = res.u + Field.constant(g, [1e-3])
+    residual = float(np.abs(action_gradient(u, pot, op).values).max())
+    perturbed = replace(res, u=u, residual_inf=residual)
+    concave = replace(pot, hessian=lambda t, x: -pot.hessian(t, x))
+    refined = newton_krylov_refine(perturbed, concave, op)
+    assert refined.status is SolveStatus.MAX_ITERS
+    assert refined.iterations == res.iterations
+    assert refined.message == "newton refinement stopped: CG met non-positive curvature"
+
+
 def test_refine_rejects_diverged_input():
     g, pot = drift_problem()
     op = DiffOperator(g, Scheme.SPECTRAL)

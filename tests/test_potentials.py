@@ -135,6 +135,13 @@ def test_trig_path_algebra_and_mean():
 
 
 def test_trig_path_dict_round_trip():
+    # a config path, as the schema admits it, reads back as the path it describes
+    data = {
+        "terms": [
+            {"trig": "cos", "freq": [1, 0], "coeff": [1, 0.5]},
+            {"trig": "sin", "freq": [2, 1], "coeff": [0.0, -3.0]},
+        ]
+    }
     path = TrigPath(
         (TWO_PI, 4.0),
         2,
@@ -143,7 +150,8 @@ def test_trig_path_dict_round_trip():
             TrigTerm("sin", (2, 1), (0.0, -3.0)),
         ),
     )
-    again = TrigPath.from_dict(path.to_dict(), periods=(TWO_PI, 4.0), n=2)
+    again = TrigPath.from_dict(data, periods=[TWO_PI, 4], n=2)
+    assert again == path
     t = np.array([0.4, 2.2])
     assert_allclose(again(t), path(t), rtol=1e-15)
 
@@ -418,16 +426,16 @@ def test_manufactured_rejects_unresolvable_target():
 
 def test_check_gradient_accepts_correct_potentials():
     shift = make_quadratic_shift(2, cos_path(n=2, coeff=(1.0, 0.3)))
-    assert check_gradient(shift, samples=100, seed=0) < 1e-9
+    assert check_gradient(shift, seed=0) < 1e-9
     drift = make_linear_drift(1, cos_path())
-    assert check_gradient(drift, samples=100, seed=0) < 1e-9
+    assert check_gradient(drift, seed=0) < 1e-9
 
 
 def test_check_gradient_flags_corrupted_gradient():
     base = make_quadratic_shift(1, TrigPath.zero((TWO_PI,), 1))
     from dataclasses import replace
     bad = replace(base, gradient=lambda t, x: 0.9 * base.gradient(t, x))
-    assert check_gradient(bad, samples=100, seed=0) > 0.05
+    assert check_gradient(bad, seed=0) > 0.05
 
 
 
@@ -436,7 +444,7 @@ def test_check_gradient_flags_corrupted_gradient():
 def test_check_gradient_rejects_a_bad_seed(seed, message):
     drift = make_linear_drift(1, cos_path())
     with pytest.raises(ValueError, match=message):
-        check_gradient(drift, samples=2, seed=seed)
+        check_gradient(drift, seed=seed)
 
 
 def check_midpoint_convexity(pot, triples, seed):

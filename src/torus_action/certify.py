@@ -17,9 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import Field, TorusGrid, check_periods, check_seed, integrate
+from .grid import Field, TorusGrid, check_seed, integrate
 from .operators import DiffOperator, _check_operator, dirichlet_form, l2_norm, mean_decompose
-from .potentials import SUPERLINEAR, Potential
+from .potentials import SUPERLINEAR, Potential, check_potential
 
 
 class Coercivity(str, Enum):
@@ -59,7 +59,7 @@ class MeanPotentialG:
     """
 
     def __init__(self, grid: TorusGrid, pot: Potential):
-        check_periods("potential", pot.periods, grid)
+        check_potential(pot, grid)
         self.grid = grid
         self.pot = pot
         self.n = pot.n

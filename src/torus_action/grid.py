@@ -129,20 +129,6 @@ def build_grid(p: int, periods, resolutions) -> TorusGrid:
     return TorusGrid(periods, resolutions)
 
 
-def check_periods(what: str, periods, grid: TorusGrid) -> None:
-    """Reject periods that differ from the grid's beyond rounding.
-
-    ``what`` names the owner of the periods in the message, such as
-    "potential" or "path".
-    """
-    if len(periods) != grid.p or not np.allclose(
-        periods, grid.periods, rtol=1e-12, atol=0.0
-    ):
-        raise ValueError(
-            f"{what} periods {periods} do not match grid periods {grid.periods}"
-        )
-
-
 def integrate(grid: TorusGrid, node_values) -> float:
     """Periodic trapezoid quadrature of scalar node samples.
 

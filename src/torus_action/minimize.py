@@ -246,8 +246,7 @@ def solve(
     if init is None:
         u = default_init(grid, pot.n, opts)
     else:
-        if init.grid != grid or init.n != pot.n:
-            raise ValueError("initial field does not match the grid or potential")
+        _check_field(op, init)
         u = Field(grid, init.values.copy())
     _check_potential(u, pot)
 
@@ -479,6 +478,8 @@ def newton_krylov_refine(
     at every node.  Relative to the residual's L2 norm that is clamped to
     [1e-13, 1e-2], so CG never solves tighter than 1e-13.
     """
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     if result.status is SolveStatus.DIVERGED_NON_COERCIVE:
         raise ValueError("cannot refine a diverged run; no stationary point exists")
     _check_field(op, result.u)

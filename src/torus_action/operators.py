@@ -14,8 +14,8 @@ from enum import Enum
 
 import numpy as np
 
-from .grid import Field, TorusGrid, check_periods, integrate
-from .potentials import Potential
+from .grid import Field, TorusGrid, integrate
+from .potentials import Potential, check_potential
 
 
 class Scheme(str, Enum):
@@ -125,7 +125,7 @@ def _check_field(op: DiffOperator, u: Field) -> None:
 def _check_potential(u: Field, pot: Potential) -> None:
     if pot.n != u.n:
         raise ValueError(f"potential has n={pot.n}, field has n={u.n}")
-    check_periods("potential", pot.periods, u.grid)
+    check_potential(pot, u.grid)
 
 
 def laplacian(op: DiffOperator, u: Field) -> Field:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, TorusGrid, check_symmetric
-from .operators import DiffOperator
+from .operators import DiffOperator, _check_field, _check_operator
 
 # Floats in the largest array the oracle makes, nodes * max(max_a N_a, n).
 DENSE_FLOAT_CAP = 2**22
@@ -90,8 +90,8 @@ def assemble_quadratic_system(
     Raises ValueError, before any array is made, when the largest array,
     nodes * max(max_a N_a, n) floats, exceeds DENSE_FLOAT_CAP.
     """
-    if op.grid != grid or g.grid != grid:
-        raise ValueError("grid, operator, and drift field must match")
+    _check_operator(op, grid)
+    _check_field(op, g)
     A = np.asarray(matrix, dtype=float)
     n = g.n
     if A.shape != (n, n):

@@ -12,7 +12,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .grid import Field, TorusGrid, check_integer, check_periods, check_seed, check_symmetric
+from .grid import Field, TorusGrid, check_integer, check_seed, check_symmetric
 
 
 @dataclass(frozen=True)
@@ -155,18 +155,6 @@ class TrigPath:
         return cls(tuple(float(T) for T in periods), int(n), terms)
 
 
-def check_path_resolvable(path: TrigPath, grid: TorusGrid) -> None:
-    """Reject coefficient frequencies at or beyond the per-axis Nyquist limit."""
-    check_periods("path", path.periods, grid)
-    kmax = path.max_abs_freq()
-    for a, (k, N) in enumerate(zip(kmax, grid.resolutions)):
-        if 2 * k >= N:
-            raise ValueError(
-                f"frequency {k} on axis {a + 1} is not resolvable below the "
-                f"Nyquist limit of an N={N} grid"
-            )
-
-
 # The recession of an averaged potential that outgrows every linear function.
 SUPERLINEAR = "superlinear"
 
@@ -187,9 +175,13 @@ class Potential:
     r_j with G_inf(d) = max_j <r_j, d> up to a positive factor, or
     SUPERLINEAR when G_inf is infinite off the origin.
 
-    Both are required: the solver's preconditioner and polish and the
-    stationary-mean search read the Hessian, and the recession decides
-    whether a minimizer exists.
+    ``paths`` declares the (name, TrigPath) pairs that F's t-dependence is
+    built from, named by their config keys and on F's periods, or () when F
+    does not depend on t.
+
+    All three are required: the solver's preconditioner and polish and the
+    stationary-mean search read the Hessian, the recession decides whether
+    a minimizer exists, and check_potential reads the paths' frequencies.
     """
 
     n: int
@@ -198,13 +190,18 @@ class Potential:
     gradient: Callable[[np.ndarray, np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray, np.ndarray], np.ndarray]
     recession: Union[tuple[tuple[float, ...], ...], str]
+    paths: tuple[tuple[str, TrigPath], ...]
     kind: str = ""
 
     def __post_init__(self):
-        """Reject a missing Hessian or recession, or malformed rows; hold rows as tuples."""
-        for name in ("hessian", "recession"):
+        """Reject a missing declaration, a path off F's periods or malformed rows."""
+        for name in ("hessian", "recession", "paths"):
             if getattr(self, name) is None:
                 raise ValueError(f"potential {self.kind!r} must declare its {name}")
+        object.__setattr__(self, "paths", tuple(self.paths))
+        for name, path in self.paths:
+            if path.periods != self.periods:
+                raise ValueError(f"path {name!r} has periods {path.periods}, not {self.periods}")
         if isinstance(self.recession, str) and self.recession == SUPERLINEAR:
             return
         try:
@@ -217,6 +214,26 @@ class Potential:
                 f"{SUPERLINEAR!r}, got {self.recession!r}"
             )
         object.__setattr__(self, "recession", _rows(rows))
+
+
+def check_potential(pot: Potential, grid: TorusGrid) -> None:
+    """Reject a grid off ``pot``'s periods, or one that aliases a declared path.
+
+    A path frequency at or beyond the per-axis Nyquist limit is sampled as a
+    lower one, so the grid would realize another potential.
+    """
+    periods = pot.periods
+    if periods != grid.periods and (
+        len(periods) != grid.p or not np.allclose(periods, grid.periods, rtol=1e-12, atol=0.0)
+    ):
+        raise ValueError(f"potential periods {periods} do not match grid periods {grid.periods}")
+    for name, path in pot.paths:
+        for a, (k, N) in enumerate(zip(path.max_abs_freq(), grid.resolutions)):
+            if 2 * k >= N:
+                raise ValueError(
+                    f"potential {name!r}: frequency {k} on axis {a + 1} is not "
+                    f"resolvable below the Nyquist limit of an N={N} grid"
+                )
 
 
 def _rows(matrix) -> tuple[tuple[float, ...], ...]:
@@ -280,6 +297,7 @@ def make_quadratic_shift(n: int, shift: TrigPath) -> Potential:
         hessian=hessian,
         kind="quadratic_shift",
         recession=SUPERLINEAR,
+        paths=(("shift", shift),),
     )
 
 
@@ -308,6 +326,7 @@ def make_linear_drift(n: int, drift: TrigPath) -> Potential:
         hessian=hessian,
         kind="linear_drift",
         recession=_rows(drift.box_mean()),
+        paths=(("drift", drift),),
     )
 
 
@@ -342,6 +361,7 @@ def make_quadratic_form(matrix, drift: TrigPath) -> Potential:
         hessian=hessian,
         kind="quadratic_form",
         recession=SUPERLINEAR,
+        paths=(("drift", drift),),
     )
 
 
@@ -355,14 +375,12 @@ def make_log_sum_exp(directions, offsets: list[TrigPath]) -> Potential:
     if S.ndim != 2:
         raise ValueError("directions must be a (terms, n) array")
     J, n = S.shape
+    if J == 0:
+        raise ValueError("log_sum_exp needs at least one direction")
     if len(offsets) != J:
         raise ValueError(f"got {len(offsets)} offset paths for {J} directions")
-    periods = offsets[0].periods
-    for b in offsets:
-        if b.n != 1:
-            raise ValueError("offset paths must be scalar (n=1)")
-        if b.periods != periods:
-            raise ValueError("offset paths disagree on periods")
+    if any(b.n != 1 for b in offsets):
+        raise ValueError("offset paths must be scalar (n=1)")
     # The kernel works on J contiguous planes, one per term, and combines
     # them by multiply-adds with the nonzero direction coefficients: each
     # logit plane from its (m, S_jm), each gradient entry from its (j, S_ja)
@@ -428,12 +446,13 @@ def make_log_sum_exp(directions, offsets: list[TrigPath]) -> Potential:
 
     return Potential(
         n=n,
-        periods=periods,
+        periods=offsets[0].periods,
         value=value,
         gradient=gradient,
         hessian=hessian,
         kind="log_sum_exp",
         recession=_rows(S),
+        paths=tuple((f"offsets[{j}]", b) for j, b in enumerate(offsets)),
     )
 
 
@@ -446,11 +465,13 @@ def make_manufactured(grid: TorusGrid, n: int, target: TrigPath):
     """
     if target.n != int(n):
         raise ValueError(f"target path has {target.n} components, expected {n}")
-    check_path_resolvable(target, grid)
     g_path = target.laplacian().plus(target.scaled(-1.0))
+    # the drift has the target's frequencies, so the target stands for both
     base = make_quadratic_form(np.eye(int(n)), g_path)
+    pot = replace(base, kind="manufactured", paths=(("target", target),))
+    check_potential(pot, grid)
     exact = Field(grid, target(grid.coords()).copy())
-    return replace(base, kind="manufactured"), exact
+    return pot, exact
 
 
 # The (t, x) pairs that check_gradient draws.
@@ -508,9 +529,8 @@ def potential_from_dict(spec: dict, grid: TorusGrid) -> PotentialBundle:
     The kind must be one of POTENTIAL_KEYS, and the keys it marks required
     must not be missing or null.  A missing or null optional key takes its
     default: a zero path, or the directions +-e_i.
-    Every path must be resolvable on the grid (see check_path_resolvable):
-    the grid would alias a higher frequency to a lower one, and so realize
-    another potential.
+    The built potential must pass check_potential on the grid, which names
+    the key of a path that the grid cannot resolve.
     """
     kind = spec.get("kind")
     if not isinstance(kind, str) or kind not in POTENTIAL_KEYS:
@@ -523,19 +543,9 @@ def potential_from_dict(spec: dict, grid: TorusGrid) -> PotentialBundle:
             raise ValueError(f"potential kind {kind!r} requires {key!r}")
     periods = grid.periods
 
-    def resolvable(key, data, components):
-        path = TrigPath.from_dict(data, periods, components)
-        try:
-            check_path_resolvable(path, grid)
-        except ValueError as exc:
-            raise ValueError(f"potential {key!r}: {exc}") from None
-        return path
-
     def path(key):
         data = spec.get(key)
-        if data is None:
-            return TrigPath.zero(periods, n)
-        return resolvable(key, data, n)
+        return TrigPath.from_dict({} if data is None else data, periods, n)
 
     def array(key):
         try:
@@ -545,13 +555,16 @@ def potential_from_dict(spec: dict, grid: TorusGrid) -> PotentialBundle:
                 f"potential {key!r} must be a rectangular array of numbers"
             ) from None
 
+    if kind == "manufactured":
+        pot, exact = make_manufactured(grid, n, path("target"))
+        return PotentialBundle(pot, exact=exact)
     if kind == "quadratic_shift":
-        return PotentialBundle(make_quadratic_shift(n, path("shift")))
-    if kind == "linear_drift":
-        return PotentialBundle(make_linear_drift(n, path("drift")))
-    if kind == "quadratic_form":
-        return PotentialBundle(make_quadratic_form(array("matrix"), path("drift")))
-    if kind == "log_sum_exp":
+        pot = make_quadratic_shift(n, path("shift"))
+    elif kind == "linear_drift":
+        pot = make_linear_drift(n, path("drift"))
+    elif kind == "quadratic_form":
+        pot = make_quadratic_form(array("matrix"), path("drift"))
+    else:
         if spec.get("directions") is None:
             directions = np.vstack([np.eye(n), -np.eye(n)])
         else:
@@ -563,11 +576,8 @@ def potential_from_dict(spec: dict, grid: TorusGrid) -> PotentialBundle:
                 )
         offsets_data = spec.get("offsets")
         if offsets_data is None:
-            offsets = [TrigPath.zero(periods, 1) for _ in range(len(directions))]
-        else:
-            offsets = [
-                resolvable(f"offsets[{j}]", d, 1) for j, d in enumerate(offsets_data)
-            ]
-        return PotentialBundle(make_log_sum_exp(directions, offsets))
-    pot, exact = make_manufactured(grid, n, path("target"))
-    return PotentialBundle(pot, exact=exact)
+            offsets_data = [{}] * len(directions)
+        offsets = [TrigPath.from_dict(d, periods, 1) for d in offsets_data]
+        pot = make_log_sum_exp(directions, offsets)
+    check_potential(pot, grid)
+    return PotentialBundle(pot)

@@ -1,4 +1,6 @@
 import inspect
+import re
+from pathlib import Path
 
 import torus_action
 
@@ -70,3 +72,13 @@ def test_all_is_the_pinned_names_and_holds_no_module():
     assert set(torus_action.__all__) == PUBLIC_NAMES
     assert not [name for name in torus_action.__all__
                 if inspect.ismodule(getattr(torus_action, name))]
+
+
+def test_readme_python_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    status, verdict = capsys.readouterr().out.splitlines()
+    assert status.startswith("SolveStatus.CONVERGED ")
+    assert verdict.startswith("Verdict.SOLVABLE Coercivity.COERCIVE ")

@@ -15,6 +15,7 @@ from torus_action import (
     TrigPath,
     TrigTerm,
     Verdict,
+    assemble_quadratic_system,
     build_mean_potential,
     certify,
     coercivity_probe,
@@ -189,6 +190,9 @@ def test_certify_refuses_an_operator_built_for_another_grid():
     for call in (certify, solve):
         with pytest.raises(ValueError, match="^operator was built for a different grid$"):
             call(g, pot, other)
+    # the dense oracle shares the rule
+    with pytest.raises(ValueError, match="^operator was built for a different grid$"):
+        assemble_quadratic_system(g, other, [[1.0]], Field.zeros(g, 1))
 
 
 def test_certificate_not_solvable_drift():
@@ -533,15 +537,23 @@ def test_balanced_directions_that_miss_an_axis_are_solvable_but_not_coercive(the
 
 
 def test_a_declared_minimum_that_the_search_misses_is_inconclusive():
-    # cos(8 t) has box mean 0, so its recession row is 0 and a minimum
-    # exists; an 8-node grid samples it as the constant 1, so the grid's G
-    # is linear with slope 2 pi and the search finds none
-    g, op = grid_and_op(res=(8,))
-    drift = TrigPath((TWO_PI,), 1, (TrigTerm("cos", (8,), (1.0,)),))
-    cert = certify(g, make_linear_drift(1, drift), op)
-    assert cert.verdict is Verdict.INCONCLUSIVE
+    # case 211 of the sweep at seed 11, 300 cases and offset scale 20: the
+    # directions have opposite signs, so a minimum exists, but the offsets
+    # of about +-20 saturate the softmax on the first direction, where the
+    # search stops with |grad G| = volume * |s_0|.  ROADMAP item 2 is to
+    # find this minimum, and will turn this case into a solvable pin.
+    g, op = grid_and_op(periods=(0.3, 1.0), res=(8, 8))
+
+    def offset(constant, freq, amplitude):
+        return TrigPath(g.periods, 1, (TrigTerm("cos", (0, 0), (constant,)),
+                                       TrigTerm("sin", freq, (amplitude,))))
+
+    pot = make_log_sum_exp([[-0.10525], [0.01984]],
+                           [offset(19.34, (1, 2), 1.115), offset(-19.63, (1, 0), 10.97)])
+    cert = certify(g, pot, op)
+    assert cert.verdict is Verdict.INCONCLUSIVE and cert.coercivity is Coercivity.COERCIVE
     assert cert.stationary_mean is None and cert.escape_ray is None
-    assert_allclose(cert.grad_norm, TWO_PI, rtol=1e-12)
+    assert_allclose(cert.grad_norm, 0.3 * 0.10525, rtol=1e-6)
     assert len(cert.notes) == 1 and "recession function" in cert.notes[0]
 
 

@@ -227,6 +227,15 @@ def test_custom_init_is_respected():
     assert res.trace[0, minimize_module.TRACE_COLUMNS.index("mean_norm")] == pytest.approx(5.0, rel=1e-12)
 
 
+def test_custom_init_is_checked_by_the_shared_field_rules():
+    g, pot = shift_problem()
+    op = DiffOperator(g, Scheme.SPECTRAL)
+    with pytest.raises(ValueError, match="^field and operator live on different grids$"):
+        solve(g, pot, op, init=Field.zeros(TorusGrid((TWO_PI,), (8,)), 1))
+    with pytest.raises(ValueError, match="^potential has n=1, field has n=2$"):
+        solve(g, pot, op, init=Field.zeros(g, 2))
+
+
 def test_options_validation():
     with pytest.raises(TypeError, match="precondition_h1"):
         SolverOptions(precondition_h1=False)
@@ -784,6 +793,16 @@ def test_mirror_point_tie_costs_no_potential_gradient():
 def test_options_reject_non_finite_or_negative_tolerances(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         SolverOptions(**{name: value})
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+def test_refine_rejects_a_non_finite_or_negative_tol(tol):
+    # a negative tol ran every Newton step, and nan took none, both as max_iters
+    g, pot = shift_problem()
+    op = DiffOperator(g, Scheme.SPECTRAL)
+    res = solve(g, pot, op, SolverOptions(max_iters=1))
+    with pytest.raises(ValueError, match=f"^tol must be finite and non-negative, got {tol}$"):
+        newton_krylov_refine(res, pot, op, tol=tol)
 
 
 def _reference_lbfgs_direction(pairs, g, inner, precond):

@@ -22,7 +22,7 @@ from torus_action import (
 )
 from torus_action.certify import MeanPotentialG
 from torus_action.operators import dirichlet_form, l2_norm, mean_decompose
-from torus_action.potentials import check_path_resolvable
+from torus_action.potentials import check_potential, make_linear_drift
 
 TWO_PI = 2.0 * np.pi
 
@@ -240,21 +240,20 @@ def test_action_rejects_mismatched_potential_periods():
         action_value(Field.zeros(g, 1), pot, op)
 
 
-def _refine(g, op, pot, path):
+def _refine(g, op, pot):
     matched = make_quadratic_shift(1, TrigPath.zero(g.periods, 1))
     newton_krylov_refine(solve(g, matched, op, SolverOptions(max_iters=1)), pot, op)
 
 
-# entry point -> (owner named in the message, call on grid, operator, potential, path)
+# entry point -> call on grid, operator and potential
 PERIOD_CHECKS = {
-    "action_value": (
-        "potential", lambda g, op, pot, path: action_value(Field.zeros(g, 1), pot, op)
-    ),
-    "solve": ("potential", lambda g, op, pot, path: solve(g, pot, op)),
-    "newton_krylov_refine": ("potential", _refine),
-    "MeanPotentialG": ("potential", lambda g, op, pot, path: MeanPotentialG(g, pot)),
-    "certify": ("potential", lambda g, op, pot, path: certify(g, pot, op)),
-    "check_path_resolvable": ("path", lambda g, op, pot, path: check_path_resolvable(path, g)),
+    "action_value": lambda g, op, pot: action_value(Field.zeros(g, 1), pot, op),
+    "action_gradient": lambda g, op, pot: action_gradient(Field.zeros(g, 1), pot, op),
+    "solve": lambda g, op, pot: solve(g, pot, op),
+    "newton_krylov_refine": _refine,
+    "MeanPotentialG": lambda g, op, pot: MeanPotentialG(g, pot),
+    "certify": lambda g, op, pot: certify(g, pot, op),
+    "check_potential": lambda g, op, pot: check_potential(pot, g),
 }
 
 
@@ -263,11 +262,23 @@ PERIOD_CHECKS = {
 def test_every_entry_point_rejects_mismatched_periods(entry, periods):
     g = TorusGrid((TWO_PI,), (16,))
     op = DiffOperator(g, Scheme.SPECTRAL)
-    path = TrigPath.zero(periods, 1)
-    pot = make_quadratic_shift(1, path)
-    owner, call = PERIOD_CHECKS[entry]
-    with pytest.raises(ValueError, match=rf"^{owner} periods .* do not match grid periods"):
-        call(g, op, pot, path)
+    pot = make_quadratic_shift(1, TrigPath.zero(periods, 1))
+    with pytest.raises(ValueError, match=r"^potential periods .* do not match grid periods"):
+        PERIOD_CHECKS[entry](g, op, pot)
+
+
+@pytest.mark.parametrize("entry", sorted(PERIOD_CHECKS))
+def test_every_entry_point_rejects_an_aliased_api_built_drift(entry):
+    # an 8-node grid samples cos(8 t) as the constant 1, so it would solve
+    # another problem; solve ran to max_iters on it and certify missed
+    g = TorusGrid((TWO_PI,), (8,))
+    op = DiffOperator(g, Scheme.SPECTRAL)
+    pot = make_linear_drift(1, TrigPath((TWO_PI,), 1, (TrigTerm("cos", (8,), (1.0,)),)))
+    message = ("potential 'drift': frequency 8 on axis 1 is not resolvable below "
+               "the Nyquist limit of an N=8 grid")
+    with pytest.raises(ValueError) as caught:
+        PERIOD_CHECKS[entry](g, op, pot)
+    assert str(caught.value) == message
 
 
 # ---------------------------------------------------------------------------

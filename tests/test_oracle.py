@@ -175,6 +175,13 @@ def _coupled_matrix(kinetic, A):
     return dense
 
 
+def test_assembly_refuses_a_drift_field_on_another_grid():
+    g = _box(1, 8)
+    op = DiffOperator(g, Scheme.SPECTRAL)
+    with pytest.raises(ValueError, match="^field and operator live on different grids$"):
+        assemble_quadratic_system(g, op, [[1.0]], Field.zeros(_box(1, 16), 1))
+
+
 def test_dense_solve_recovers_analytic_solution():
     # (-lap + 1) u = 2 sin t has the exact solution u = sin t on the
     # spectral grid

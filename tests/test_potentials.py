@@ -25,7 +25,7 @@ from torus_action import (
     potential_from_dict,
     solve,
 )
-from torus_action.potentials import SUPERLINEAR, check_path_resolvable
+from torus_action.potentials import SUPERLINEAR, check_potential
 
 TWO_PI = 2.0 * np.pi
 
@@ -156,13 +156,46 @@ def test_trig_path_dict_round_trip():
     assert_allclose(again(t), path(t), rtol=1e-15)
 
 
-def test_check_path_resolvable_nyquist():
+def test_check_potential_nyquist():
     g = TorusGrid((TWO_PI,), (8,))
-    check_path_resolvable(cos_path(freq=(3,)), g)  # 2*3 < 8, fine
-    with pytest.raises(ValueError, match="resolvabl"):
-        check_path_resolvable(cos_path(freq=(4,)), g)
+    check_potential(make_quadratic_shift(1, cos_path(freq=(3,))), g)  # 2*3 < 8, fine
+    with pytest.raises(ValueError, match="^potential 'shift': frequency 4 .* resolvabl"):
+        check_potential(make_quadratic_shift(1, cos_path(freq=(4,))), g)
     with pytest.raises(ValueError, match="period"):
-        check_path_resolvable(cos_path(periods=(4.0,)), g)
+        check_potential(make_quadratic_shift(1, cos_path(periods=(4.0,))), g)
+
+
+def test_every_kind_declares_the_paths_its_t_dependence_is_built_from():
+    drift = cos_path(freq=(2,))
+    offsets = [cos_path(freq=(1,)), cos_path(freq=(3,))]
+    target = cos_path(freq=(1,))
+    assert make_quadratic_shift(1, drift).paths == (("shift", drift),)
+    assert make_linear_drift(1, drift).paths == (("drift", drift),)
+    assert make_quadratic_form([[1.0]], drift).paths == (("drift", drift),)
+    lse = make_log_sum_exp([[1.0], [-1.0]], offsets)
+    assert lse.paths == (("offsets[0]", offsets[0]), ("offsets[1]", offsets[1]))
+    pot, _ = make_manufactured(TorusGrid((TWO_PI,), (8,)), 1, target)
+    assert pot.paths == (("target", target),)
+
+
+def test_a_declared_path_on_other_periods_is_rejected_when_built():
+    pot = make_linear_drift(1, cos_path())
+    with pytest.raises(ValueError, match="^path 'drift' has periods \\(4.0,\\)"):
+        replace(pot, paths=(("drift", cos_path(periods=(4.0,))),))
+    with pytest.raises(ValueError, match="^path 'offsets\\[1\\]' has periods \\(4.0,\\)"):
+        make_log_sum_exp([[1.0], [-1.0]], [cos_path(), cos_path(periods=(4.0,))])
+
+
+def test_a_config_is_checked_against_the_grid_once_its_potential_is_built():
+    # the rule reads the built potential's paths, so a matrix that is not
+    # positive definite is reported before an aliased drift
+    g = TorusGrid((TWO_PI,), (8,))
+    aliased = {"terms": [{"trig": "cos", "freq": [8], "coeff": [1.0]}]}
+    spec = {"kind": "quadratic_form", "n": 1, "matrix": [[-1.0]], "drift": aliased}
+    with pytest.raises(ValueError, match="positive definite"):
+        potential_from_dict(spec, g)
+    with pytest.raises(ValueError, match="^potential 'drift': frequency 8"):
+        potential_from_dict({**spec, "matrix": [[1.0]]}, g)
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +234,16 @@ def test_malformed_recession_is_rejected_when_the_potential_is_built(recession):
         replace(pot, recession=recession)
 
 
-@pytest.mark.parametrize("missing", ["hessian", "recession"])
+@pytest.mark.parametrize("missing", ["hessian", "recession", "paths"])
 def test_potential_without_a_hessian_or_a_recession_is_rejected_when_built(missing):
     # the preconditioner, the polish and the mean search read the Hessian,
-    # and the recession decides whether a minimizer exists
+    # the recession decides whether a minimizer exists, and the paths
+    # decide which grids can carry the potential
     pot = make_linear_drift(2, cos_path(n=2, freq=(1,), coeff=(1.0, 0.5)))
     with pytest.raises(ValueError, match=f"'linear_drift' must declare its {missing}"):
         replace(pot, **{missing: None})
     fields = {"n": 2, "periods": pot.periods, "value": pot.value, "gradient": pot.gradient,
-              "hessian": pot.hessian, "recession": pot.recession}
+              "hessian": pot.hessian, "recession": pot.recession, "paths": pot.paths}
     with pytest.raises(TypeError, match=f"'{missing}'"):
         Potential(**{k: v for k, v in fields.items() if k != missing})
 
@@ -217,6 +251,11 @@ def test_potential_without_a_hessian_or_a_recession_is_rejected_when_built(missi
 def test_declared_recession_rows_are_held_as_tuples():
     pot = make_linear_drift(1, cos_path())
     assert replace(pot, recession=np.array([[-2.0]])).recession == ((-2.0,),)
+
+
+def test_log_sum_exp_needs_a_direction():
+    with pytest.raises(ValueError, match="at least one direction"):
+        make_log_sum_exp(np.zeros((0, 2)), [])
 
 
 def test_quadratic_form_requires_spd():

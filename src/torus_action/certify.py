@@ -95,7 +95,8 @@ def build_mean_potential(grid: TorusGrid, pot: Potential) -> MeanPotentialG:
 # the log-sum-exp, is cut back.
 _NEWTON_ALPHA = 0.25
 _NEWTON_HALVINGS = 60
-# G's values are trusted to this share of |G|.
+# Computed values are trusted to this share of their size: G's values here,
+# the action's kinetic and potential parts in minimize.solve's line search.
 _VALUE_ROUNDING = 1e-13
 # The search's tolerance on the Newton decrement and on the gradient off H's
 # range, and its step budget.
@@ -103,22 +104,28 @@ _MEAN_TOL = 1e-8
 _MEAN_MAX_ITERS = 10000
 
 
+def _above_floor(mu: np.ndarray) -> np.ndarray:
+    """Mask of the eigenvalues mu above the singular floor 1e-10 max(1, max |mu|)."""
+    return mu > 1e-10 * max(1.0, float(np.abs(mu).max()))
+
+
 def find_stationary_mean(G: MeanPotentialG):
     """Search G for a stationary point from the origin; report it or its absence.
 
     Damped Newton (Boyd & Vandenberghe, Convex Optimization, 2004, section
     9.5) on the range of H, the box integral of hess F: H's eigendirections
-    with eigenvalues above 1e-10 of its scale.  The step solves H d = -grad G
-    there, and its length halves until G falls by a share of the decrement
-    grad G^T H^+ grad G, unless that decrement is too small for G's values
-    to show, when the whole step is taken.  The search stops once the
-    decrement is at most _MEAN_TOL^2; that test is affine invariant, so the
-    size of the box does not move it, and a quadratic G stops after one
-    step.  A gradient component off the range larger than _MEAN_TOL ends the
-    search: along H's null space G is affine, with that slope.  For every
-    built-in kind the null space does not depend on x (empty for the
-    quadratics, null(S - s_0) for the log-sum-exp, everything for a linear
-    drift), so that ending is exact there.
+    above the floor that _above_floor states, as solve's preconditioner
+    does.  The step solves H d = -grad G there, and its length halves until
+    G falls by a share of the decrement grad G^T H^+ grad G, unless that
+    decrement is too small for G's values to show (_VALUE_ROUNDING), when
+    the whole step is taken.  The search stops once the decrement is at most
+    _MEAN_TOL^2; that test is affine invariant, so the size of the box does
+    not move it, and a quadratic G stops after one step.  A gradient
+    component off the range larger than _MEAN_TOL ends the search: along H's
+    null space G is affine, with that slope.  For every built-in kind the
+    null space does not depend on x (empty for the quadratics, null(S - s_0)
+    for the log-sum-exp, everything for a linear drift), so that ending is
+    exact there.
 
     Returns (x, grad_norm) with x None when the search ends that way or the
     budget runs out.  certify runs it only where the declared recession
@@ -130,7 +137,7 @@ def find_stationary_mean(G: MeanPotentialG):
         g = G.gradient(x)
         gnorm = float(np.linalg.norm(g))
         mu, q = np.linalg.eigh(G.hessian(x))
-        kept = mu > 1e-10 * max(1.0, float(np.abs(mu).max()))
+        kept = _above_floor(mu)
         c = q.T @ g
         if np.linalg.norm(c[~kept]) > _MEAN_TOL:
             return None, gnorm

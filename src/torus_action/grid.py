@@ -30,6 +30,12 @@ def check_seed(value) -> int:
     return seed
 
 
+def check_tolerance(name: str, value) -> None:
+    """Reject a tolerance that is not a finite, non-negative number."""
+    if not (np.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and non-negative, got {value}")
+
+
 def check_symmetric(name: str, matrix: np.ndarray) -> None:
     """Reject a square matrix that differs from its transpose beyond rounding."""
     if not np.allclose(matrix, matrix.T, rtol=1e-12, atol=1e-12):

@@ -17,12 +17,12 @@ from enum import Enum
 
 import numpy as np
 
-from .certify import build_mean_potential, coercivity_probe
-from .grid import Field, TorusGrid, check_integer, check_seed, integrate
+from .certify import _VALUE_ROUNDING, _above_floor, build_mean_potential, coercivity_probe
+from .grid import Field, TorusGrid, check_integer, check_seed, check_tolerance, integrate
 from .operators import (
     ActionReport, DiffOperator, _check_field, _check_operator, _check_potential, l2_norm,
 )
-from .potentials import Potential
+from .potentials import Potential, _combine
 
 
 class SolveStatus(str, Enum):
@@ -32,7 +32,8 @@ class SolveStatus(str, Enum):
 
 
 # Sufficient decrease (Armijo) constant of the line search; a rejected trial
-# step is multiplied by the factor, at most the given number of times.
+# step is multiplied by the factor, at most the given number of times.  The
+# polish damps its Newton steps by the same rules.
 _ARMIJO_C1 = 1e-4
 _BACKTRACK_FACTOR = 0.5
 _MAX_BACKTRACKS = 60
@@ -46,13 +47,12 @@ _DIVERGENCE_MEAN_NORM = 1e6
 # Newton steps the polish takes at most.
 _MAX_NEWTON = 50
 
-# Action values closer than this, relative to the size of their kinetic and
-# potential parts, tie to rounding in the line search.
-_ACTION_TIE = 1e-13
-# The slope test that breaks such ties asks for at least this sufficient
-# decrease (Hager & Zhang's default).  With the Armijo constant 1e-4 it would
-# take the mirror point 2 alpha* of the ray's minimum wherever the curvature
-# falls along the ray, and the iterates would creep.
+# Action values closer than _VALUE_ROUNDING times the size of their kinetic
+# and potential parts tie to rounding in the line search.  The slope test
+# that breaks such ties asks for at least this sufficient decrease (Hager &
+# Zhang's default).  With the Armijo constant 1e-4 it would take the mirror
+# point 2 alpha* of the ray's minimum wherever the curvature falls along the
+# ray, and the iterates would creep.
 _TIE_DECREASE = 0.1
 # A tied trial whose ray promised a first-order decrease -alpha g.d above this
 # many tie widths is taken for the mirror point and rejected outright.
@@ -81,9 +81,7 @@ class SolverOptions:
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
         check_seed(self.seed)
-        tol = self.tol_grad_inf
-        if not (np.isfinite(tol) and tol >= 0.0):
-            raise ValueError(f"tol_grad_inf must be finite and non-negative, got {tol}")
+        check_tolerance("tol_grad_inf", self.tol_grad_inf)
 
 
 @dataclass
@@ -128,36 +126,31 @@ def _fitted_preconditioner(op: DiffOperator, hbar: np.ndarray):
     ``hbar`` is a box mean of the potential's Hessian, so for a quadratic
     potential this inverts the action's Hessian exactly, and the zero mode
     takes a Newton step on the mean.  Along an eigendirection of ``hbar``
-    that is singular to 1e-10 of its scale the scale is the H1 smoother
-    1 / (1 + lambda_k); with ``hbar`` zero or the identity the map is that
-    smoother bit for bit.  The per-mode n x n matrices are real and are
-    applied as multiply-adds over the component columns, skipping the
-    entries that vanish, at no transform cost.
+    at or below the singular floor of certify._above_floor, which the mean
+    search shares, the scale is the H1 smoother 1 / (1 + lambda_k); with
+    ``hbar`` zero or the identity the map is that smoother bit for bit.  The
+    per-mode n x n matrices are real and are applied by _apply_rows,
+    skipping the entries that vanish, at no transform cost.
     """
     mu, q = np.linalg.eigh(hbar)
-    floor = 1e-10 * max(1.0, float(np.abs(mu).max()))
-    scales = [1.0 / (op._lam + m) if m > floor else op._smooth for m in mu]
+    scales = [1.0 / (op._lam + m) if kept else op._smooth
+              for m, kept in zip(mu, _above_floor(mu))]
     n = len(mu)
     rows = []
     for a in range(n):
-        row = []
-        for b in range(n):
-            table = sum(q[a, j] * q[b, j] * scales[j] for j in range(n))
-            if np.any(table != 0.0):
-                row.append((b, table))
-        rows.append(row)
+        tables = ((b, sum(q[a, j] * q[b, j] * scales[j] for j in range(n))) for b in range(n))
+        rows.append([(b, table) for b, table in tables if np.any(table != 0.0)])
+    return lambda w: _apply_rows(rows, w)
 
-    def apply(w):
-        out = np.empty_like(w)
-        for a, row in enumerate(rows):
-            (b, table), *rest = row
-            col = out[..., a]
-            np.multiply(table, w[..., b], out=col)
-            for b, table in rest:
-                col += table * w[..., b]
-        return out
 
-    return apply
+def _apply_rows(rows, w: np.ndarray) -> np.ndarray:
+    """A field of n x n matrices applied to the n-vector field w, where
+    ``rows[a]`` lists the (b, entry) terms of row a, by potentials._combine."""
+    out = np.empty_like(w)
+    columns = [w[..., b] for b in range(w.shape[-1])]
+    for a, terms in enumerate(rows):
+        _combine(columns, terms, out[..., a])
+    return out
 
 
 def _box_mean(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -187,7 +180,7 @@ class _LbfgsMemory:
         inner = self.inner
         sy = inner(s, y)
         guard = 1e-10 * np.sqrt(max(inner(s, s) * inner(y, y), 0.0))
-        if sy > guard and sy > 0.0:
+        if sy > guard:
             denom = inner(y, self.precond(y))
             gamma = sy / denom if denom > 0 else 1.0
             self.pairs.append((s, y, 1.0 / sy, gamma))
@@ -314,7 +307,7 @@ def solve(
 
         alpha = trial
         accepted = False
-        tie = _ACTION_TIE * (abs(kinetic) + abs(potential_part))
+        tie = _VALUE_ROUNDING * (abs(kinetic) + abs(potential_part))
         for _bt in range(_MAX_BACKTRACKS + 1):
             u_try = alpha * d_samples
             u_try += u
@@ -385,25 +378,38 @@ def solve(
     if converged and status is SolveStatus.MAX_ITERS:
         status = SolveStatus.CONVERGED
 
-    # The carried spectrum differs from rfft(u) by rounding, and the residual
-    # cancels far below the size of its terms, so the reported residual comes
-    # from the returned samples' own spectrum.  The action is the carried one,
-    # the last value in the trace.
-    uhat = op._rfft(u)
-    g = _gradient_samples(lam * uhat, grad_f, op)
-    grad_inf = float(np.abs(g).max())
+    # the action is the carried one, the last value in the trace
     return SolveResult(
-        u=Field(grid, u, _check=False),
         status=status,
         iterations=iterations,
-        action=ActionReport(kinetic, potential_part, f, grad_inf),
-        residual_inf=grad_inf,
-        residual_l2=l2_norm(Field(grid, g, _check=False)),
-        mean=_box_mean(u, grid),
-        fluctuation_h1_norm=_fluctuation_h1(uhat, op),
         trace=np.asarray(trace, dtype=float),
         line_search_failed=line_search_failed,
         message=message,
+        **_measured(op, u, _residual(u, grad_f, op), kinetic, potential_part, f),
+    )
+
+
+def _residual(u: np.ndarray, grad_f: np.ndarray, op: DiffOperator):
+    """(u-hat, residual_inf, residual_l2) of the samples u.
+
+    A carried spectrum differs from rfft(u) by rounding, and the residual
+    cancels far below the size of its terms, so it is taken from u's own.
+    """
+    uhat = op._rfft(u)
+    g = _gradient_samples(op._lam[..., None] * uhat, grad_f, op)
+    return uhat, float(np.abs(g).max()), l2_norm(Field(op.grid, g, _check=False))
+
+
+def _measured(op: DiffOperator, u, residual, kinetic, potential_part, f) -> dict:
+    """The SolveResult fields measured on u, from its _residual and action."""
+    uhat, res_inf, res_l2 = residual
+    return dict(
+        u=Field(op.grid, u, _check=False),
+        action=ActionReport(kinetic, potential_part, f, res_inf),
+        residual_inf=res_inf,
+        residual_l2=res_l2,
+        mean=_box_mean(u, op.grid),
+        fluctuation_h1_norm=_fluctuation_h1(uhat, op),
     )
 
 
@@ -478,8 +484,7 @@ def newton_krylov_refine(
     at every node.  Relative to the residual's L2 norm that is clamped to
     [1e-13, 1e-2], so CG never solves tighter than 1e-13.
     """
-    if not (np.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+    check_tolerance("tol", tol)
     if result.status is SolveStatus.DIVERGED_NON_COERCIVE:
         raise ValueError("cannot refine a diverged run; no stationary point exists")
     _check_field(op, result.u)
@@ -491,33 +496,24 @@ def newton_krylov_refine(
     coords = grid.coords()
     lam = op._lam[..., None]
 
-    def residual(u):
-        """(u-hat, grad F(t, u)) and the residual norms of u."""
-        uhat = op._rfft(u)
-        grad_f = pot.gradient(coords, u)
-        g = _gradient_samples(lam * uhat, grad_f, op)
-        norms = float(np.abs(g).max()), l2_norm(Field(grid, g, _check=False))
-        return (uhat, grad_f), *norms
-
     u = result.u.values.copy()
-    state, res_inf, res_l2 = residual(u)
-    message = result.message
+    grad_f = pot.gradient(coords, u)
+    residual = _residual(u, grad_f, op)
+    notes = [result.message]
     newton_steps = 0
     cg_failed = False
 
-    while res_inf > tol and newton_steps < _MAX_NEWTON:
-        uhat, grad_f = state
+    while residual[1] > tol and newton_steps < _MAX_NEWTON:
+        uhat, _, res_l2 = residual
         ghat = lam * uhat + op._rfft(grad_f)
         hess = pot.hessian(coords, u)
+        rows = [[(b, hess[..., a, b]) for b in range(pot.n)] for a in range(pot.n)]
 
         def apply_j(v):
+            # allocations in this order: forming lam * v first, or freeing w
+            # before it, raised the large-grid benchmark's peak RSS by 1 MB
             w = op._irfft(v)
-            hv = np.empty_like(w)
-            for a in range(pot.n):
-                col = hv[..., a]
-                np.multiply(hess[..., a, 0], w[..., 0], out=col)
-                for b in range(1, pot.n):
-                    col += hess[..., a, b] * w[..., b]
+            hv = _apply_rows(rows, w)
             return lam * v + op._rfft(hv)
 
         forcing = 0.1 * tol * grid.cell_weight**0.5 / res_l2
@@ -531,45 +527,34 @@ def newton_krylov_refine(
         )
         if not ok:
             cg_failed = True
-            message = (message + "; " if message else "") + (
-                "newton refinement stopped: CG met non-positive curvature"
-            )
+            notes.append("newton refinement stopped: CG met non-positive curvature")
             break
         step = op._irfft(step)
+        # damped by solve's Armijo constant and factor, in _MAX_BACKTRACKS
+        # trials: one fewer than solve's line search takes
         alpha = 1.0
-        improved = False
-        for _ in range(60):
+        for _ in range(_MAX_BACKTRACKS):
             u_try = u + alpha * step
-            trial, trial_inf, trial_l2 = residual(u_try)
-            if trial_l2 <= (1.0 - 1e-4 * alpha) * res_l2:
-                u, state, res_inf, res_l2 = u_try, trial, trial_inf, trial_l2
-                improved = True
+            grad_try = pot.gradient(coords, u_try)
+            trial = _residual(u_try, grad_try, op)
+            if trial[2] <= (1.0 - _ARMIJO_C1 * alpha) * res_l2:
+                u, grad_f, residual = u_try, grad_try, trial
                 break
-            alpha *= 0.5
-        if not improved:
-            message = (message + "; " if message else "") + (
-                "newton refinement stopped: damping found no residual decrease"
-            )
+            alpha *= _BACKTRACK_FACTOR
+        else:
+            notes.append("newton refinement stopped: damping found no residual decrease")
             break
         newton_steps += 1
 
     if newton_steps > 0 and not cg_failed:
-        message = (message + "; " if message else "") + (
-            f"newton refinement: {newton_steps} step(s)"
-        )
-    status = SolveStatus.CONVERGED if res_inf <= tol else SolveStatus.MAX_ITERS
-    uhat, _ = state
+        notes.append(f"newton refinement: {newton_steps} step(s)")
+    uhat, res_inf, _ = residual
     kinetic = 0.5 * op._inner(lam * uhat, uhat)
     potential_part = integrate(grid, pot.value(coords, u))
     return replace(
         result,
-        u=Field(grid, u, _check=False),
-        status=status,
+        status=SolveStatus.CONVERGED if res_inf <= tol else SolveStatus.MAX_ITERS,
         iterations=result.iterations + newton_steps,
-        action=ActionReport(kinetic, potential_part, kinetic + potential_part, res_inf),
-        residual_inf=res_inf,
-        residual_l2=res_l2,
-        mean=_box_mean(u, grid),
-        fluctuation_h1_norm=_fluctuation_h1(uhat, op),
-        message=message,
+        message="; ".join(note for note in notes if note),
+        **_measured(op, u, residual, kinetic, potential_part, kinetic + potential_part),
     )

@@ -345,6 +345,25 @@ def test_refine_stops_where_cg_meets_non_positive_curvature():
     assert refined.message == "newton refinement stopped: CG met non-positive curvature"
 
 
+@pytest.mark.parametrize("scheme, steps", [(Scheme.SPECTRAL, 15), (Scheme.FD2, 5)])
+def test_refine_stops_where_damping_finds_no_residual_decrease(scheme, steps):
+    # a Hessian 1e6 times too small makes Newton steps 1e6 times too long;
+    # damping recovers for a while, until the residual stalls short of tol
+    g, pot = lse_problem()
+    op = DiffOperator(g, scheme)
+    res = solve(g, pot, op, SolverOptions(tol_grad_inf=1e-3))
+    assert res.status is SolveStatus.CONVERGED and res.message == ""
+    flat = replace(pot, hessian=lambda t, x: 1e-6 * pot.hessian(t, x))
+    refined = newton_krylov_refine(res, flat, op, tol=1e-12)
+    assert refined.status is SolveStatus.MAX_ITERS
+    assert refined.iterations == res.iterations + steps
+    assert refined.message == (
+        "newton refinement stopped: damping found no residual decrease; "
+        f"newton refinement: {steps} step(s)"
+    )
+    assert refined.residual_inf < res.residual_inf
+
+
 def test_refine_rejects_diverged_input():
     g, pot = drift_problem()
     op = DiffOperator(g, Scheme.SPECTRAL)

@@ -233,13 +233,30 @@ def load_field(path) -> Field:
     parts = header.split()
     if parts[:2] != ["TORUSFIELD", "v1"]:
         raise ValueError(f"not a TORUSFIELD v1 dump: header {header!r}")
-    fields = dict(part.split("=", 1) for part in parts[2:])
-    if fields.get("layout") != "node-major":
-        raise ValueError(f"unsupported layout {fields.get('layout')!r}")
-    p = int(fields["p"])
-    n = int(fields["n"])
-    resolutions = tuple(int(N) for N in fields["N"].split(","))
-    periods = tuple(float(T) for T in fields["T"].split(","))
+    fields = {}
+    for part in parts[2:]:
+        key, sep, value = part.partition("=")
+        if not sep:
+            raise ValueError(
+                f"field dump header entry {part!r} is not key=value: header {header!r}"
+            )
+        fields[key] = value
+    missing = [key for key in ("p", "n", "N", "T", "layout") if key not in fields]
+    if missing:
+        raise ValueError(f"field dump header has no {', '.join(missing)}: header {header!r}")
+    if fields["layout"] != "node-major":
+        raise ValueError(f"unsupported layout {fields['layout']!r}")
+
+    def read(key, parse):
+        try:
+            return parse(fields[key])
+        except ValueError:
+            raise ValueError(f"field dump header has a malformed {key}={fields[key]!r}") from None
+
+    p = read("p", int)
+    n = read("n", int)
+    resolutions = read("N", lambda text: tuple(int(N) for N in text.split(",")))
+    periods = read("T", lambda text: tuple(float(T) for T in text.split(",")))
     grid = build_grid(p, periods, resolutions)
     values = np.frombuffer(payload, dtype="<f8")
     if values.size != grid.node_count * n:

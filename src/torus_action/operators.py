@@ -9,13 +9,46 @@ which makes discrete integration by parts exact to rounding.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
 from .grid import Field, TorusGrid, integrate
 from .potentials import Potential, check_potential
+
+
+def _load_pocketfft(scipy_dir: Path):
+    """scipy's pocketfft extension, loaded by path from the scipy package at ``scipy_dir``.
+
+    Loading the file alone runs neither ``scipy/__init__`` nor ``scipy.fft``,
+    whose imports cost a process about 0.2 s; the extension loads in under a
+    millisecond.  There is no other transform kernel to fall back on.
+    """
+    folder = scipy_dir / "fft" / "_pocketfft"
+    found = [
+        path for path in (folder / f"pypocketfft{suffix}"
+                          for suffix in importlib.machinery.EXTENSION_SUFFIXES)
+        if path.is_file()
+    ]
+    if len(found) != 1:
+        raise ImportError(
+            f"expected one pocketfft extension pypocketfft.* in {folder}, found {len(found)}"
+        )
+    spec = importlib.util.spec_from_file_location("scipy.fft._pocketfft.pypocketfft", found[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_scipy_spec = importlib.util.find_spec("scipy")
+if _scipy_spec is None:
+    raise ImportError("torus_action needs scipy for its pocketfft transform extension")
+_pocketfft = _load_pocketfft(Path(_scipy_spec.submodule_search_locations[0]))
+del _scipy_spec
 
 
 class Scheme(str, Enum):
@@ -30,9 +63,11 @@ class DiffOperator:
     Laplacian (shape ``grid.shape``); the zero mode is exactly zero and every
     other entry is positive.
 
-    Fields are real, so every operator works on the half spectrum of
-    ``scipy.fft.rfftn`` over the grid axes, with the real transform along
-    the first grid axis, which keeps modes 0 .. N/2.  The grid axes are
+    Fields are real, so every operator works on the half spectrum of the
+    real n-D transform over the grid axes, with the real transform along the
+    first grid axis, which keeps modes 0 .. N/2.  The kernel calls scipy's
+    pocketfft extension directly, as ``scipy.fft.rfftn``/``irfftn`` do after
+    their argument handling, and gives their bits.  The grid axes are
     counted from the end, ahead of the component axis, so a stack of fields
     with leading batch axes goes through one transform.  The private tables
     below are the half-spectrum views the kernel multiplies by, and
@@ -46,10 +81,10 @@ class DiffOperator:
     def __init__(self, grid: TorusGrid, scheme):
         self.grid = grid
         self.scheme = Scheme(scheme)
-        # rfftn halves the last axis it is given; values end in (*grid.shape, n)
+        # r2c halves the last axis it is given, here the first grid axis;
+        # values end in (*grid.shape, n)
         axes = tuple(range(1, grid.p)) + (0,)
         self._axes = tuple(a - grid.p - 1 for a in axes)
-        self._sizes = tuple(grid.shape[a] for a in axes)
         table = np.zeros(grid.shape)
         for a, (N, T, h) in enumerate(zip(grid.resolutions, grid.periods, grid.spacings)):
             if self.scheme is Scheme.SPECTRAL:
@@ -69,17 +104,14 @@ class DiffOperator:
         self._fluct_h1 = 1.0 + lam
         self._fluct_h1[(0,) * grid.p] = 0.0
 
-    # scipy.fft is imported on first use, so that processes which make no
-    # transform (certify, check-grad) do not pay its import
+    # pocketfft's r2c/c2r take (array, axes, [last size,] forward, norm, out,
+    # threads); norm 0 leaves the forward transform unscaled and 2 divides the
+    # inverse by the node count
     def _rfft(self, values: np.ndarray) -> np.ndarray:
-        import scipy.fft
-
-        return scipy.fft.rfftn(values, s=self._sizes, axes=self._axes)
+        return _pocketfft.r2c(values, self._axes, True, 0, None, 1)
 
     def _irfft(self, spectrum: np.ndarray) -> np.ndarray:
-        import scipy.fft
-
-        return scipy.fft.irfftn(spectrum, s=self._sizes, axes=self._axes)
+        return _pocketfft.c2r(spectrum, self._axes, self.grid.resolutions[0], False, 2, None, 1)
 
     def _multiply(self, values: np.ndarray, table: np.ndarray) -> np.ndarray:
         """Apply the diagonal half-spectrum multiplier ``table`` to real samples."""

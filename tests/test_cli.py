@@ -290,6 +290,19 @@ def test_payload_is_little_endian_node_major(tmp_path):
     assert_allclose(values, field.values, rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("header, message", [
+    (b"TORUSFIELD v1 p=2 n=1", "has no N, T, layout"),
+    (b"TORUSFIELD v1 p=1 n=1 N=4 T=1.0 layout=node-major stray",
+     "entry 'stray' is not key=value"),
+    (b"TORUSFIELD v1 p=1 n=one N=4 T=1.0 layout=node-major", "malformed n='one'"),
+])
+def test_field_dump_header_errors_name_the_key(tmp_path, header, message):
+    path = tmp_path / "field.bin"
+    path.write_bytes(header + b"\n" + np.zeros(4).astype("<f8").tobytes())
+    with pytest.raises(ValueError, match=message):
+        load_field(path)
+
+
 # ---------------------------------------------------------------------------
 # other commands
 # ---------------------------------------------------------------------------
@@ -682,42 +695,26 @@ def test_load_config_round_trip(tmp_path):
 # module entry point
 # ---------------------------------------------------------------------------
 
-def test_cli_import_leaves_scipy_linalg_unloaded():
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, torus_action.cli; print('scipy.linalg' in sys.modules)"],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-
-
-def test_certify_process_leaves_scipy_fft_unloaded(tmp_path):
-    # certify makes no transform, so it must not pay the scipy.fft import
+@pytest.mark.parametrize("command, config", [
+    ("solve", "manufactured_2d.json"),
+    ("certify", "certify_log_sum_exp.json"),
+    ("oracle-compare", "oracle_compare_3d_fd2.json"),
+    ("check-grad", "solve_far_minimum.json"),
+    ("wirtinger", "solve_far_minimum.json"),
+])
+def test_command_process_loads_no_scipy_module(tmp_path, command, config):
+    # the transforms load scipy's pocketfft extension by path, and the dense
+    # oracle diagonalizes with numpy.linalg, so no command pays scipy's imports
     script = (
         "import sys, torus_action.cli as cli; "
-        f"code = cli.main(['certify', '--config', {str(CONFIGS / 'certify_log_sum_exp.json')!r}, "
+        f"code = cli.main([{command!r}, '--config', {str(CONFIGS / config)!r}, "
         f"'--out', {str(tmp_path)!r}]); "
-        "print(code, 'scipy.fft' in sys.modules)"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0 False"
+    assert proc.stdout.strip() == "0 []"
     assert (tmp_path / "report.json").exists()
-
-
-def test_oracle_compare_process_leaves_scipy_linalg_unloaded(tmp_path):
-    # the dense oracle diagonalizes with numpy.linalg alone
-    script = (
-        "import sys, torus_action.cli as cli; "
-        f"code = cli.main(['oracle-compare', '--config', "
-        f"{str(CONFIGS / 'oracle_compare_3d_fd2.json')!r}, '--out', {str(tmp_path)!r}]); "
-        "print(code, 'scipy.linalg' in sys.modules)"
-    )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0 False"
-    assert json.loads((tmp_path / "report.json").read_text())["passed"] is True
 
 
 def test_module_invocation(tmp_path):

@@ -1,3 +1,5 @@
+import importlib.machinery
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -20,6 +22,7 @@ from torus_action import (
     newton_krylov_refine,
     solve,
 )
+import torus_action.operators as operators_module
 from torus_action.certify import MeanPotentialG
 from torus_action.operators import dirichlet_form, l2_norm, mean_decompose
 from torus_action.potentials import check_potential, make_linear_drift
@@ -338,42 +341,66 @@ def test_kernel_matches_complex_reference(p, n, scheme):
         assert_matches(np.array(dirichlet_form(a, b, op)), reference)
 
 
-def count_transforms(monkeypatch):
-    import scipy.fft
-
-    counts = {"rfftn": 0, "irfftn": 0, "complex": 0}
-    for name in ("rfftn", "irfftn"):
-        def counted(*args, _name=name, _fn=getattr(scipy.fft, name), **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.fft, name, counted)
-    for mod in (np.fft, scipy.fft):
-        for name in ("fftn", "ifftn"):
-            def refused(*args, **kwargs):
-                counts["complex"] += 1
-                raise AssertionError("complex transform on the real-data path")
-
-            monkeypatch.setattr(mod, name, refused)
-    return counts
-
-
-def test_dirichlet_form_of_a_field_with_itself_transforms_once(monkeypatch):
+def test_dirichlet_form_of_a_field_with_itself_transforms_once(count_transforms):
     g = TorusGrid((TWO_PI, 4.0), (8, 6))
     op = DiffOperator(g, Scheme.SPECTRAL)
     u = random_field(g, 2, 0)
     v = random_field(g, 2, 1)
-    counts = count_transforms(monkeypatch)
+    counts = count_transforms()
     dirichlet_form(u, u, op)
-    assert counts == {"rfftn": 1, "irfftn": 0, "complex": 0}
+    assert counts == {"rfft": 1, "irfft": 0, "complex": 0}
     dirichlet_form(u, v, op)
-    assert counts == {"rfftn": 3, "irfftn": 0, "complex": 0}
+    assert counts == {"rfft": 3, "irfft": 0, "complex": 0}
 
 
-def test_kernel_operators_use_one_real_transform_pair(monkeypatch):
+def test_kernel_operators_use_one_real_transform_pair(count_transforms):
     g = TorusGrid((TWO_PI, 4.0), (8, 6))
     op = DiffOperator(g, Scheme.SPECTRAL)
     u = random_field(g, 2, 0)
-    counts = count_transforms(monkeypatch)
+    counts = count_transforms()
     laplacian(op, u)
-    assert counts == {"rfftn": 1, "irfftn": 1, "complex": 0}
+    assert counts == {"rfft": 1, "irfft": 1, "complex": 0}
+
+
+# the private pocketfft extension is pinned to scipy.fft's public transforms,
+# so a scipy release that moves or re-signs it fails here
+OTHER_AXES = (6, 4, 10)
+TRANSFORM_SHAPES = sorted({
+    shape
+    for p in (1, 2, 3, 4)
+    for N in (4, 8, 18, 32)
+    for shape in ((N, *OTHER_AXES[: p - 1]), (*OTHER_AXES[: p - 1], N))
+})
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("shape", TRANSFORM_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_transform_pair_is_bit_identical_to_scipy_fft(shape, scheme):
+    import scipy.fft
+
+    p = len(shape)
+    op = DiffOperator(TorusGrid((TWO_PI,) * p, shape), scheme)
+    axes = tuple(range(-p - 1, -1))[1:] + (-p - 1,)
+    sizes = shape[1:] + shape[:1]
+    rng = np.random.default_rng(sum(shape) + p)
+    for n in (1, 2, 3):
+        for batch in ((), (2,)):
+            values = rng.standard_normal(batch + shape + (n,))
+            spectrum = op._rfft(values)
+            assert np.array_equal(spectrum, scipy.fft.rfftn(values, s=sizes, axes=axes))
+            spectrum = spectrum + 0.25j * rng.standard_normal(spectrum.shape)
+            assert np.array_equal(op._irfft(spectrum),
+                                  scipy.fft.irfftn(spectrum, s=sizes, axes=axes))
+
+
+def test_missing_pocketfft_extension_names_the_folder_searched(tmp_path):
+    folder = tmp_path / "fft" / "_pocketfft"
+    with pytest.raises(ImportError, match="found 0") as missing:
+        operators_module._load_pocketfft(tmp_path)
+    assert str(folder) in str(missing.value)
+    folder.mkdir(parents=True)
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES[:2]:
+        (folder / f"pypocketfft{suffix}").write_bytes(b"")
+    with pytest.raises(ImportError, match="found 2") as ambiguous:
+        operators_module._load_pocketfft(tmp_path)
+    assert str(folder) in str(ambiguous.value)

@@ -288,22 +288,14 @@ def write_report(report: dict, path) -> None:
     )
 
 
-def run(
-    config_path,
-    command: str | None = None,
-    out_dir=None,
-    seed: int | None = None,
-) -> int:
-    """Execute one config end to end; returns the process exit code."""
+def run(config_path, command: str, out_dir=None, seed: int | None = None) -> int:
+    """Execute one config end to end under ``command``; returns the exit code."""
     started = time.perf_counter()
     config = load_config(config_path)
 
-    config_command = config.get("command")
-    if command is None:
-        command = config_command or "solve"
-    elif config_command is not None and config_command != command:
+    if config.get("command", command) != command:
         raise ValueError(
-            f"config requests command {config_command!r} but {command!r} was invoked"
+            f"config requests command {config['command']!r} but {command!r} was invoked"
         )
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")

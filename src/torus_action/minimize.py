@@ -226,13 +226,17 @@ def solve(
     per mode, built once from the potential's Hessian (see SolverOptions).
     The kinetic term is exactly quadratic along a search ray, so a
     line-search trial costs one potential evaluation and no transform, and
-    an iteration three transforms; the iteration that meets the tolerance
-    takes two, since only a next direction reads the gradient's spectrum.
-    An iterate meets the tolerance when the action gradient's largest
-    sample is within tol_grad_inf.  Where a trial's action ties with the
-    current one to rounding, the slope along the ray decides instead, for
-    one more potential gradient, unless the ray promised a decrease well
-    above rounding: then the trial is past the ray's minimum and is halved.
+    an iteration three transforms.  The last iterate takes two whether the
+    run converges, hits max_iters or diverges, since only a next direction
+    reads the gradient's spectrum, so such a run of k iterations makes
+    3k + 4 in all.  Each iterate, the initial field first, is measured once:
+    a gradient that is not finite there is refused with a ValueError naming
+    the iteration, and an iterate meets the tolerance when the action
+    gradient's largest sample is within tol_grad_inf.  Where a trial's
+    action ties with the current one to rounding, the slope along the ray
+    decides instead, for one more potential gradient, unless the ray
+    promised a decrease well above rounding: then the trial is past the
+    ray's minimum and is halved.
     """
     opts = opts if opts is not None else SolverOptions()
     _check_operator(op, grid)
@@ -250,8 +254,6 @@ def solve(
     precond = _fitted_preconditioner(op, _box_mean(pot.hessian(coords, u), grid))
     inner = op._inner
 
-    # the convergence test: grad_inf <= tol
-    tol = opts.tol_grad_inf
     # lam_uhat, lambda * u-hat, is formed once per iterate: the gradient's
     # samples and spectrum and the next ray's slope all read it
     uhat = op._rfft(u)
@@ -262,25 +264,52 @@ def solve(
     if not np.isfinite(f):
         raise ValueError("action is not finite at the initial field")
     grad_f = pot.gradient(coords, u)
-    # of the gradient's samples only the largest is kept: the descent works
-    # on spectra
-    grad_inf = float(np.abs(_gradient_samples(lam_uhat, grad_f, op)).max())
-    if not np.isfinite(grad_inf):
-        raise ValueError("action gradient is not finite at the initial field")
-    converged = grad_inf <= tol
-    # the gradient's spectrum is read only by a next direction
-    ghat = None if converged else lam_uhat + op._rfft(grad_f)
 
-    trace = [_trace_row(f, grad_inf, uhat, op)]
+    trace = []
     memory = _LbfgsMemory(_LBFGS_MEMORY, inner, precond)
     alpha_prev = None
-    status = SolveStatus.MAX_ITERS
     line_search_failed = False
     message = ""
     iterations = 0
     recession_read = False
 
-    while not converged and iterations < opts.max_iters:
+    # Each pass measures the current iterate, iteration 0 being the initial
+    # field, then decides whether to stop, and only then steps.
+    while True:
+        # of the gradient's samples only the largest is kept: the descent
+        # works on spectra
+        grad_inf = float(np.abs(_gradient_samples(lam_uhat, grad_f, op)).max())
+        if not np.isfinite(grad_inf):
+            raise ValueError(f"action gradient is not finite at iteration {iterations}")
+        row = _trace_row(f, grad_inf, uhat, op)
+        trace.append(row)
+
+        # An escape ray of the declared recession function proves that no
+        # minimizer exists; it is read once, at the first stepped iterate
+        # past the threshold, and wins over the tolerance.
+        if iterations and not recession_read and not row[2] < _DIVERGENCE_MEAN_NORM:
+            recession_read = True
+            _, ray = coercivity_probe(build_mean_potential(grid, pot))
+            if ray is not None:
+                status = SolveStatus.DIVERGED_NON_COERCIVE
+                message = (
+                    f"no minimizer: the declared recession function has the "
+                    f"escape ray [{', '.join(f'{c:.6g}' for c in ray)}]; mean "
+                    f"norm {row[2]:.3e} past {_DIVERGENCE_MEAN_NORM:.0e}"
+                )
+                break
+        if grad_inf <= opts.tol_grad_inf:
+            status = SolveStatus.CONVERGED
+            break
+        if iterations >= opts.max_iters:
+            status = SolveStatus.MAX_ITERS
+            break
+
+        # the gradient's spectrum is read only by a next direction
+        ghat_new = lam_uhat + op._rfft(grad_f)
+        if iterations:
+            memory.push(s, ghat_new - ghat)
+        ghat = ghat_new
         d = memory.direction(ghat)
         gd = inner(ghat, d)
         if not gd < 0.0:
@@ -336,6 +365,7 @@ def solve(
                 break
             alpha *= _BACKTRACK_FACTOR
         if not accepted:
+            status = SolveStatus.MAX_ITERS
             line_search_failed = True
             message = (
                 f"line search failed after {_MAX_BACKTRACKS} halvings "
@@ -348,35 +378,9 @@ def solve(
         u = u_try
         grad_f = pot.gradient(coords, u) if grad_try is None else grad_try
         lam_uhat = lam * uhat
-        grad_inf = float(np.abs(_gradient_samples(lam_uhat, grad_f, op)).max())
-        converged = grad_inf <= tol
-        if not converged:
-            ghat_new = lam_uhat + op._rfft(grad_f)
-            memory.push(s, ghat_new - ghat)
-            ghat = ghat_new
         f, kinetic, potential_part = f_try, kinetic_try, potential_try
         alpha_prev = alpha
         iterations += 1
-        row = _trace_row(f, grad_inf, uhat, op)
-        trace.append(row)
-
-        # An escape ray of the declared recession function proves that no
-        # minimizer exists; it is read once, at the first iterate past the
-        # threshold.
-        if not recession_read and not row[2] < _DIVERGENCE_MEAN_NORM:
-            recession_read = True
-            _, ray = coercivity_probe(build_mean_potential(grid, pot))
-            if ray is not None:
-                status = SolveStatus.DIVERGED_NON_COERCIVE
-                message = (
-                    f"no minimizer: the declared recession function has the "
-                    f"escape ray [{', '.join(f'{c:.6g}' for c in ray)}]; mean "
-                    f"norm {row[2]:.3e} past {_DIVERGENCE_MEAN_NORM:.0e}"
-                )
-                break
-    # a diagnosed divergence stands, even at an iterate that meets the tolerance
-    if converged and status is SolveStatus.MAX_ITERS:
-        status = SolveStatus.CONVERGED
 
     # the action is the carried one, the last value in the trace
     return SolveResult(

@@ -404,24 +404,18 @@ def make_log_sum_exp(directions, offsets: list[TrigPath]) -> Potential:
                 plane += offsets[j](t)[..., 0]
         return z
 
-    def _reduce(ufunc, z):
-        out = z[0, ...].copy()
-        for j in range(1, J):
-            ufunc(out, z[j, ...], out=out)
-        return out
-
     # value and _softmax work in place on their fresh logit planes
     def value(t, x):
         z = _logits(t, x)
-        m = _reduce(np.maximum, z)
+        m = z.max(axis=0)
         z -= m
-        return m + np.log(_reduce(np.add, np.exp(z, out=z)))
+        return m + np.log(np.exp(z, out=z).sum(axis=0))
 
     def _softmax(t, x):
         z = _logits(t, x)
-        z -= _reduce(np.maximum, z)
+        z -= z.max(axis=0)
         np.exp(z, out=z)
-        z /= _reduce(np.add, z)
+        z /= z.sum(axis=0)
         return z
 
     def _gradient(prob):

@@ -82,6 +82,42 @@ def test_stationary_mean_absent_for_constant_drift():
     assert_allclose(gnorm, TWO_PI, rtol=1e-12)
 
 
+def drifted_unit_quadratic():
+    # F = x^2 / 2 - 2x on an 8-node box, so G = 2 pi (x^2 / 2 - 2x), whose
+    # minimum at x = 2 lies where grad G(0) = -4 pi points away from
+    g, op = grid_and_op(res=(8,))
+    drift = TrigPath((TWO_PI,), 1, (TrigTerm("cos", (0,), (-2.0,)),))
+    return g, op, make_quadratic_form([[1.0]], drift)
+
+
+def test_stationary_mean_search_that_runs_out_of_halvings_misses_the_minimum():
+    # G is inf everywhere off the origin, so no step length lowers it
+    g, op, pot = drifted_unit_quadratic()
+    value = pot.value
+    pot = replace(pot, value=lambda t, x: np.where(np.all(x == 0.0, axis=-1), value(t, x), np.inf))
+    x, gnorm = find_stationary_mean(build_mean_potential(g, pot))
+    assert x is None
+    assert_allclose(gnorm, 2.0 * TWO_PI, rtol=1e-12)
+    cert = certify(g, pot, op)
+    assert cert.verdict is Verdict.INCONCLUSIVE and cert.coercivity is Coercivity.COERCIVE
+    assert cert.stationary_mean is None and cert.grad_norm == gnorm
+    assert cert.notes == (
+        "the recession function says that G attains its minimum, but the "
+        "Newton search stopped at |grad G| = 1.257e+01 without locating it",
+    )
+
+
+def test_stationary_mean_search_that_runs_out_of_steps_misses_the_minimum():
+    # a Hessian 1e6 times too large makes each Newton step 1e-6 of the way
+    # to x = 2, so the gradient is 4 pi (1 - 1e-6)^10000 after the budget
+    g, _, pot = drifted_unit_quadratic()
+    hessian = pot.hessian
+    pot = replace(pot, hessian=lambda t, x: 1e6 * hessian(t, x))
+    x, gnorm = find_stationary_mean(build_mean_potential(g, pot))
+    assert x is None
+    assert_allclose(gnorm, 2.0 * TWO_PI * (1.0 - 1e-6) ** 10000, rtol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # coercivity probe
 # ---------------------------------------------------------------------------

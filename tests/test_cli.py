@@ -17,6 +17,7 @@ from torus_action.cli import (
     load_config,
     load_field,
     main,
+    run,
     write_report,
 )
 from torus_action.operators import ActionReport
@@ -520,7 +521,16 @@ def test_command_key_must_match_subcommand(tmp_path, capsys):
     cfg_dict["command"] = "solve"
     cfg = write_config(tmp_path, cfg_dict)
     assert main(["certify", "--config", cfg]) == 1
-    assert "solve" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "torus-action: error: config requests command 'solve' but 'certify' was invoked\n")
+
+
+def test_run_refuses_an_unknown_command_before_writing(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, manufactured_config(out))
+    with pytest.raises(ValueError, match="^unknown command 'frobnicate'$"):
+        run(cfg, "frobnicate")
+    assert not out.exists()
 
 
 def test_command_key_matching_is_accepted(tmp_path):

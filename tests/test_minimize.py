@@ -204,6 +204,40 @@ def test_max_iters_status():
     assert res.iterations == 2
 
 
+def nan_where(fn, mask):
+    """fn with its value replaced by NaN at the points x where mask(x) holds."""
+    def wrapped(t, x):
+        out = np.array(fn(t, x), dtype=float)
+        out[mask(np.asarray(x))[..., 0]] = np.nan
+        return out
+
+    return wrapped
+
+
+def test_gradient_that_turns_nan_after_a_step_is_refused():
+    # the first step lands near the shift 1 + 0.3 cos t, where the gradient
+    # is NaN; the run must not end as converged with a NaN residual
+    g = TorusGrid((TWO_PI,), (16,))
+    shift = TrigPath((TWO_PI,), 1, (TrigTerm("cos", (0,), (1.0,)),
+                                     TrigTerm("cos", (1,), (0.3,))))
+    pot = make_quadratic_shift(1, shift)
+    pot = replace(pot, gradient=nan_where(pot.gradient, lambda x: x > 0.5))
+    op = DiffOperator(g, Scheme.SPECTRAL)
+    with pytest.raises(ValueError, match="^action gradient is not finite at iteration 1$"):
+        solve(g, pot, op)
+
+
+@pytest.mark.parametrize("attr, message", [
+    ("value", "^action is not finite at the initial field$"),
+    ("gradient", "^action gradient is not finite at iteration 0$"),
+], ids=["value", "gradient"])
+def test_initial_field_with_a_non_finite_action_or_gradient_is_refused(attr, message):
+    g, pot = shift_problem()
+    pot = replace(pot, **{attr: nan_where(getattr(pot, attr), lambda x: x == x)})
+    with pytest.raises(ValueError, match=message):
+        solve(g, pot, DiffOperator(g, Scheme.SPECTRAL))
+
+
 # ---------------------------------------------------------------------------
 # determinism and options
 # ---------------------------------------------------------------------------
@@ -476,12 +510,28 @@ def test_lbfgs_solve_stays_within_four_transforms_per_iteration(count_transforms
 
 
 @pytest.mark.parametrize("scheme", [Scheme.SPECTRAL, Scheme.FD2])
-def test_converged_solve_makes_three_transforms_per_iteration_and_four_more(count_transforms,
-                                                                            scheme):
-    # an iteration transforms d-hat, grad F and lambda u-hat, but the one that
-    # meets the tolerance skips grad F: only a next direction reads its
+@pytest.mark.parametrize("end", ["converged", "capped", "diverged"])
+def test_solve_makes_three_transforms_per_iteration_plus_four(count_transforms, end, scheme):
+    # an iteration transforms d-hat, grad F and lambda u-hat, but the last
+    # one skips grad F however the run ends: only a next direction reads its
     # spectrum.  The start transforms u and lambda u-hat, and so does the end.
     counts = count_transforms()
+    if end == "capped":
+        g, pot = lse_problem()
+        op = DiffOperator(g, scheme)
+        for max_iters in (1, 3, 5):
+            before = real(counts)
+            res = solve(g, pot, op, SolverOptions(max_iters=max_iters))
+            assert (res.status, res.iterations) == (SolveStatus.MAX_ITERS, max_iters)
+            assert real(counts) - before == 3 * max_iters + 4
+        return
+    if end == "diverged":
+        g, pot = drift_problem()
+        res = solve(g, pot, DiffOperator(g, scheme))
+        assert res.status is SolveStatus.DIVERGED_NON_COERCIVE
+        assert res.iterations >= 2
+        assert real(counts) == 3 * res.iterations + 4
+        return
     g, pot = lse_problem()
     op = DiffOperator(g, scheme)
     res = solve(g, pot, op)

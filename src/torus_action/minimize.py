@@ -18,11 +18,13 @@ from enum import Enum
 import numpy as np
 
 from .certify import _VALUE_ROUNDING, _above_floor, build_mean_potential, coercivity_probe
-from .grid import Field, TorusGrid, check_integer, check_seed, check_tolerance, integrate
-from .operators import (
-    ActionReport, DiffOperator, _check_field, _check_operator, _check_potential, l2_norm,
+from .grid import (
+    MIN_RESOLUTION, Field, TorusGrid, check_integer, check_seed, check_tolerance, integrate,
 )
-from .potentials import Potential, _combine
+from .operators import (
+    ActionReport, DiffOperator, Scheme, _check_field, _check_operator, _check_potential, l2_norm,
+)
+from .potentials import Potential, _combine, check_potential
 
 
 class SolveStatus(str, Enum):
@@ -46,6 +48,12 @@ _INIT_NOISE = 1e-3
 _DIVERGENCE_MEAN_NORM = 1e6
 # Newton steps the polish takes at most.
 _MAX_NEWTON = 50
+# A spectral solve starts from the minimizer on the grid of half the
+# resolution only where that grid has at least this many nodes.  On
+# log-sum-exp problems in 2-D to 4-D, one coarse level took 0.8 to 1.1 times
+# the time of a cold solve below it, and 0.2 to 0.6 times at it and above
+# (best of 7 runs on a 2-core x86-64 box).
+_MIN_COARSE_NODES = 2**12
 
 # Action values closer than _VALUE_ROUNDING times the size of their kinetic
 # and potential parts tie to rounding in the line search.  The slope test
@@ -220,6 +228,19 @@ def solve(
     ``message`` names the ray.  Without one a minimizer exists, and the run
     goes on.
 
+    A spectral solve starts from the minimizer on the grid of half the
+    resolution (nested iteration) where every resolution is divisible by 4,
+    the half grid resolves every path of the potential and it has at least
+    _MIN_COARSE_NODES = 2**12 nodes.  The given or default ``init``,
+    truncated to the half grid's modes, seeds that coarse solve, which
+    follows the same rule, so a 512 x 512 grid starts on 64 x 64.  A
+    converged coarse minimizer, zero-padded in the half spectrum, starts
+    the descent on the grid; ``message`` adds "coarse start: k iterations
+    on the 64x64 grid" for each such level.  Any other coarse outcome, a
+    refused iterate included, is thrown away, and the descent starts from
+    ``init``.  ``iterations`` and ``trace`` count the grid's own iterations
+    alone.
+
     The iterate is kept both as samples u and as its half spectrum, and
     steps update both.  Directions, preconditioning and inner products (by
     Parseval) work on spectra; the preconditioner is a real n x n matrix
@@ -229,7 +250,10 @@ def solve(
     an iteration three transforms.  The last iterate takes two whether the
     run converges, hits max_iters or diverges, since only a next direction
     reads the gradient's spectrum, so such a run of k iterations makes
-    3k + 4 in all.  Each iterate, the initial field first, is measured once:
+    3k + 4 in all, and 2 when the initial field meets the tolerance, whose
+    first measurement is also its result's.  A coarse level adds its own
+    count and two transforms each way between the grids, or two when it is
+    thrown away.  Each iterate, the initial field first, is measured once:
     a gradient that is not finite there is refused with a ValueError naming
     the iteration, and an iterate meets the tolerance when the action
     gradient's largest sample is within tol_grad_inf.  Where a trial's
@@ -246,10 +270,85 @@ def solve(
         _check_field(op, init)
         u = Field(grid, init.values.copy())
     _check_potential(u, pot)
+    result, notes = _nested(op, pot, opts, u.values)
+    result.message = "; ".join(note for note in notes + [result.message] if note)
+    return result
 
+
+def _coarse_operator(op: DiffOperator, pot: Potential) -> DiffOperator | None:
+    """The operator on the grid of half op's resolution, if solve starts there.
+
+    It does where the scheme is spectral, every resolution is divisible by 4
+    and halves to a grid, that grid resolves every path of ``pot`` and it has
+    at least _MIN_COARSE_NODES nodes.
+    """
+    grid = op.grid
+    if (
+        op.scheme is not Scheme.SPECTRAL
+        or any(N % 4 or N < 2 * MIN_RESOLUTION for N in grid.resolutions)
+        or grid.node_count < _MIN_COARSE_NODES * 2**grid.p
+    ):
+        return None
+    coarse = TorusGrid(grid.periods, [N // 2 for N in grid.resolutions])
+    try:
+        check_potential(pot, coarse)
+    except ValueError:
+        return None
+    return DiffOperator(coarse, op.scheme)
+
+
+def _resample(u: np.ndarray, src: DiffOperator, dst: DiffOperator) -> np.ndarray:
+    """The samples on dst's grid of the band-limited part of u, sampled on src's.
+
+    The half-spectrum modes below the coarser grid's Nyquist frequency on
+    every axis are copied, scaled by the node ratio for the unnormalized
+    forward transform; the coarser grid's Nyquist planes and every mode above
+    them are dropped.  From the fine grid this truncates u's spectrum, from
+    the coarse one it zero-pads it (band-limited interpolation, Trefethen,
+    Spectral Methods in MATLAB, 2000).
+    """
+    halves = [min(N, M) // 2 for N, M in zip(src.grid.resolutions, dst.grid.resolutions)]
+
+    def band(resolutions):
+        # modes 0 .. h - 1, and on a full axis -h + 1 .. -1 too, stored at its end
+        return np.ix_(*(np.arange(h) if a == 0 else np.r_[0:h, N - h + 1:N]
+                        for a, (N, h) in enumerate(zip(resolutions, halves))))
+
+    spectrum = np.zeros(dst._lam.shape + u.shape[-1:], dtype=complex)
+    spectrum[band(dst.grid.resolutions)] = src._rfft(u)[band(src.grid.resolutions)] * (
+        dst.grid.node_count / src.grid.node_count)
+    return dst._irfft(spectrum)
+
+
+def _nested(op: DiffOperator, pot: Potential, opts: SolverOptions, u: np.ndarray):
+    """solve's result from the samples u, and the notes of its coarse levels.
+
+    Where _coarse_operator gives a half grid, u truncated to it seeds a
+    coarse solve, itself nested; a converged coarse minimizer, zero-padded,
+    starts the descent here.  Any other coarse outcome, a refused iterate
+    included, is thrown away and the descent starts from u.
+    """
+    notes = []
+    coarse_op = _coarse_operator(op, pot)
+    if coarse_op is not None:
+        try:
+            coarse, coarse_notes = _nested(coarse_op, pot, opts, _resample(u, op, coarse_op))
+        except ValueError:
+            coarse = None
+        if coarse is not None and coarse.status is SolveStatus.CONVERGED:
+            u = _resample(coarse.u.values, coarse_op, op)
+            shape = "x".join(str(N) for N in coarse_op.grid.resolutions)
+            notes = coarse_notes + [
+                f"coarse start: {coarse.iterations} iterations on the {shape} grid"
+            ]
+    return _descend(op, pot, opts, u), notes
+
+
+def _descend(op: DiffOperator, pot: Potential, opts: SolverOptions, u: np.ndarray) -> SolveResult:
+    """solve's descent on op's grid from the samples u, which it may keep."""
+    grid = op.grid
     coords = grid.coords()
     lam = op._lam[..., None]
-    u = u.values
     # fixed for the whole run, as L-BFGS needs
     precond = _fitted_preconditioner(op, _box_mean(pot.hessian(coords, u), grid))
     inner = op._inner
@@ -272,13 +371,15 @@ def solve(
     message = ""
     iterations = 0
     recession_read = False
+    residual = None
 
     # Each pass measures the current iterate, iteration 0 being the initial
     # field, then decides whether to stop, and only then steps.
     while True:
         # of the gradient's samples only the largest is kept: the descent
         # works on spectra
-        grad_inf = float(np.abs(_gradient_samples(lam_uhat, grad_f, op)).max())
+        g = _gradient_samples(lam_uhat, grad_f, op)
+        grad_inf = float(np.abs(g).max())
         if not np.isfinite(grad_inf):
             raise ValueError(f"action gradient is not finite at iteration {iterations}")
         row = _trace_row(f, grad_inf, uhat, op)
@@ -300,6 +401,10 @@ def solve(
                 break
         if grad_inf <= opts.tol_grad_inf:
             status = SolveStatus.CONVERGED
+            if not iterations:
+                # u took no step, so uhat and g are its own spectrum and
+                # residual, the bits _residual would give
+                residual = (uhat, grad_inf, l2_norm(Field(grid, g, _check=False)))
             break
         if iterations >= opts.max_iters:
             status = SolveStatus.MAX_ITERS
@@ -389,7 +494,7 @@ def solve(
         trace=np.asarray(trace, dtype=float),
         line_search_failed=line_search_failed,
         message=message,
-        **_measured(op, u, _residual(u, grad_f, op), kinetic, potential_part, f),
+        **_measured(op, u, residual or _residual(u, grad_f, op), kinetic, potential_part, f),
     )
 
 

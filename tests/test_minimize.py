@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -544,11 +545,12 @@ def test_solve_makes_three_transforms_per_iteration_plus_four(count_transforms, 
     before = real(counts)
     res = solve(g, pot, op)
     assert (res.status, res.iterations, real(counts) - before) == (SolveStatus.CONVERGED, 1, 7)
-    # an initial field that already meets the tolerance takes no iteration
+    # an initial field that already meets the tolerance takes no iteration,
+    # and its first measurement is its result's
     before = real(counts)
     again = solve(g, pot, op, init=res.u)
     assert (again.status, again.iterations, real(counts) - before) == (
-        SolveStatus.CONVERGED, 0, 4)
+        SolveStatus.CONVERGED, 0, 2)
 
 
 def test_extra_line_search_trials_cost_no_transform(count_transforms):
@@ -942,9 +944,9 @@ def test_refine_of_a_result_that_meets_tol_makes_no_transform_and_no_potential_c
     assert counts == {"rfft": 0, "irfft": 0, "complex": 0}
 
 
-def _lse_square():
+def _lse_square(N=16, M=None):
     periods = (TWO_PI, TWO_PI)
-    g = TorusGrid(periods, (16, 16))
+    g = TorusGrid(periods, (N, M or N))
     S = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
     offs = [
         TrigPath(periods, 1, (TrigTerm("cos", freq, (c,)),))
@@ -1003,3 +1005,145 @@ def test_refine_forcing_term_is_never_tighter_than_1e_13(monkeypatch):
     assert tols[0] == 1e-13
     assert min(tols) >= 1e-13
     assert refined.residual_inf < rough.residual_inf
+
+
+# ---------------------------------------------------------------------------
+# coarse start on the half grid
+# ---------------------------------------------------------------------------
+
+def _solve_count(k):
+    # a run of k iterations makes 3k + 4 transforms, 2 when it takes no step
+    return 3 * k + 4 if k else 2
+
+
+def test_spectral_solve_starts_from_the_half_grid_minimizer(count_transforms):
+    g, pot = _lse_square(128)
+    op = DiffOperator(g, Scheme.SPECTRAL)
+    opts = SolverOptions(tol_grad_inf=1e-11)
+    init = minimize_module.default_init(g, pot.n, opts)
+    counts = count_transforms()
+    res = solve(g, pot, op, opts)
+    transforms = real(counts)
+    cold = minimize_module._descend(op, pot, opts, init.values.copy())
+    assert res.status is cold.status is SolveStatus.CONVERGED
+    assert res.residual_inf <= opts.tol_grad_inf
+    assert np.abs(res.u.values - cold.u.values).max() <= 1e-9
+    match = re.fullmatch(r"coarse start: (\d+) iterations on the 64x64 grid", res.message)
+    assert match
+    coarse_iterations = int(match.group(1))
+    assert coarse_iterations > 0
+    # iterations and the trace count the fine level alone
+    assert res.iterations < cold.iterations
+    assert len(res.trace) == res.iterations + 1
+    # the coarse level's own, and two transforms each way between the grids
+    assert transforms == _solve_count(coarse_iterations) + 4 + _solve_count(res.iterations)
+
+
+def test_coarse_start_recurses_down_to_the_smallest_half_grid():
+    g, pot = _lse_square(512)
+    res = solve(g, pot, DiffOperator(g, Scheme.SPECTRAL))
+    assert res.status is SolveStatus.CONVERGED
+    assert res.residual_inf <= SolverOptions().tol_grad_inf
+    # 32^2 has fewer than _MIN_COARSE_NODES nodes, so 64^2 is the coarsest
+    assert [grid for grid in re.findall(r"coarse start: \d+ iterations on the (\w+) grid",
+                                        res.message)] == ["64x64", "128x128", "256x256"]
+
+
+def _assert_same_run(res, cold):
+    assert np.array_equal(res.u.values, cold.u.values)
+    assert np.array_equal(res.trace, cold.trace)
+    assert (res.status, res.iterations, res.residual_inf, res.residual_l2, res.action,
+            res.message) == (cold.status, cold.iterations, cold.residual_inf,
+                             cold.residual_l2, cold.action, cold.message)
+
+
+def _aliased_on_the_half_grid():
+    g, pot = _lse_square(128)
+    # frequency 40 is below the Nyquist limit of 128 nodes, not of 64
+    high = TrigPath(g.periods, 1, (TrigTerm("sin", (40, 0), (0.1,)),))
+    return g, make_log_sum_exp(np.vstack([np.eye(2), -np.eye(2)]),
+                               [path for _, path in pot.paths[:3]] + [high])
+
+
+@pytest.mark.parametrize("problem, scheme", [
+    (lambda: _lse_square(128), Scheme.FD2),
+    (lambda: _lse_square(128, 126), Scheme.SPECTRAL),
+    (_aliased_on_the_half_grid, Scheme.SPECTRAL),
+    (lambda: _lse_square(128, 64), Scheme.SPECTRAL),
+], ids=["fd2", "N-not-divisible-by-4", "aliased-path", "half-grid-below-4096-nodes"])
+def test_solve_starts_cold_where_the_half_grid_does_not_serve(count_transforms, problem, scheme):
+    g, pot = problem()
+    op = DiffOperator(g, scheme)
+    opts = SolverOptions()
+    init = minimize_module.default_init(g, pot.n, opts)
+    counts = count_transforms()
+    res = solve(g, pot, op, opts)
+    transforms = real(counts)
+    assert res.status is SolveStatus.CONVERGED
+    assert res.iterations > 0
+    assert transforms == 3 * res.iterations + 4
+    assert res.message == ""
+    _assert_same_run(res, minimize_module._descend(op, pot, opts, init.values.copy()))
+
+
+def _drift_128():
+    periods = (TWO_PI, TWO_PI)
+    g = TorusGrid(periods, (128, 128))
+    drift = TrigPath(periods, 2, (TrigTerm("cos", (0, 0), (1.0, 0.5)),
+                                  TrigTerm("sin", (1, 0), (0.3, 0.0))))
+    return g, make_linear_drift(2, drift)
+
+
+def _lse_refused_on_the_half_grid():
+    # the gradient is NaN wherever it is sampled on fewer than 128 rows
+    g, pot = _lse_square(128)
+    gradient = pot.gradient
+
+    def fine_only(t, x):
+        out = np.array(gradient(t, x))
+        if x.shape[0] < 128:
+            out[:] = np.nan
+        return out
+
+    return g, replace(pot, gradient=fine_only)
+
+
+@pytest.mark.parametrize("problem, status", [
+    (_drift_128, SolveStatus.DIVERGED_NON_COERCIVE),
+    (_lse_refused_on_the_half_grid, SolveStatus.CONVERGED),
+], ids=["diverged", "refused"])
+def test_a_coarse_level_that_does_not_converge_is_thrown_away(problem, status):
+    g, pot = problem()
+    op = DiffOperator(g, Scheme.SPECTRAL)
+    opts = SolverOptions()
+    init = Field(g, minimize_module.default_init(g, pot.n, opts).values[::-1].copy())
+    res = solve(g, pot, op, opts, init=init)
+    assert res.status is status
+    assert "coarse start" not in res.message
+    _assert_same_run(res, minimize_module._descend(op, pot, opts, init.values.copy()))
+
+
+def test_resampling_between_a_grid_and_its_half_is_band_limited_interpolation():
+    periods = (TWO_PI, 3.0, 2.0)
+    fine = DiffOperator(TorusGrid(periods, (16, 8, 12)), Scheme.SPECTRAL)
+    coarse = DiffOperator(TorusGrid(periods, (8, 4, 6)), Scheme.SPECTRAL)
+
+    def sampled(op, terms):
+        return TrigPath(periods, 2, terms)(op.grid.coords())
+
+    # modes below the half grid's Nyquist limit on every axis, of either sign
+    band = (TrigTerm("cos", (0, 0, 0), (0.7, -0.2)), TrigTerm("sin", (3, 1, -2), (0.5, 0.1)),
+            TrigTerm("cos", (-2, 1, 1), (0.0, 0.4)), TrigTerm("sin", (1, 0, 2), (-0.3, 0.2)))
+    assert_allclose(minimize_module._resample(sampled(coarse, band), coarse, fine),
+                    sampled(fine, band), rtol=0.0, atol=1e-14)
+    assert_allclose(minimize_module._resample(sampled(fine, band), fine, coarse),
+                    sampled(coarse, band), rtol=0.0, atol=1e-14)
+    # the half grid's Nyquist planes and the modes above them are dropped
+    above = band + (TrigTerm("cos", (4, 0, 0), (1.0, 0.0)), TrigTerm("cos", (0, 2, 1), (0.0, 1.0)),
+                    TrigTerm("sin", (1, 3, 0), (0.5, 0.5)), TrigTerm("cos", (0, 0, 3), (1.0, 1.0)))
+    assert_allclose(minimize_module._resample(sampled(fine, above), fine, coarse),
+                    sampled(coarse, band), rtol=0.0, atol=1e-14)
+    # and so is the half grid's own Nyquist mode on the way up
+    nyquist = band + (TrigTerm("cos", (4, 2, 3), (1.0, -1.0)),)
+    assert_allclose(minimize_module._resample(sampled(coarse, nyquist), coarse, fine),
+                    sampled(fine, band), rtol=0.0, atol=1e-14)

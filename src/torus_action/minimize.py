@@ -11,6 +11,7 @@ exists, however far away, and the run goes on.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -94,6 +95,15 @@ class SolverOptions:
 
 @dataclass
 class SolveResult:
+    """What solve returns, and newton_krylov_refine from it.
+
+    A result is changed with dataclasses.replace, never in place: the
+    polish's early return shares the result's norms, and a result that solve
+    returned keeps its last measurement (the potential gradient and the half
+    spectrum at ``u``) for the polish to start from.  replace() drops that
+    measurement, so the polish recomputes it for a new ``u``.
+    """
+
     u: Field
     status: SolveStatus
     iterations: int
@@ -105,6 +115,11 @@ class SolveResult:
     trace: np.ndarray
     line_search_failed: bool = False
     message: str = ""
+    # solve's last measurement, (u, pot, op, grad F(t, u), _residual's
+    # (u-hat, residual_inf, residual_l2)), read by newton_krylov_refine.  A
+    # class attribute, not a field: replace() drops it, and neither the
+    # report nor == sees it.
+    _measurement = None
 
 
 def default_init(grid: TorusGrid, n: int, opts: SolverOptions) -> Field:
@@ -235,11 +250,15 @@ def solve(
     truncated to the half grid's modes, seeds that coarse solve, which
     follows the same rule, so a 512 x 512 grid starts on 64 x 64.  A
     converged coarse minimizer, zero-padded in the half spectrum, starts
-    the descent on the grid; ``message`` adds "coarse start: k iterations
-    on the 64x64 grid" for each such level.  Any other coarse outcome, a
-    refused iterate included, is thrown away, and the descent starts from
-    ``init``.  ``iterations`` and ``trace`` count the grid's own iterations
-    alone.
+    the descent on the grid; so does the iterate where a coarse level read
+    an escape ray, since the recession function does not depend on the
+    grid, and the grid's descent then reads the ray after one step.
+    ``message`` adds "coarse start: k iterations on the 64x64 grid" for
+    each such level.  A coarse level that hits max_iters, or whose iterate
+    is refused, is thrown away, and the descent starts from ``init``.
+    ``iterations`` and ``trace`` count the grid's own iterations alone.
+    The half-grid operator is built once per operator, so repeated solves
+    on one operator and potential sample no path again (TrigPath.__call__).
 
     The iterate is kept both as samples u and as its half spectrum, and
     steps update both.  Directions, preconditioning and inner products (by
@@ -253,10 +272,14 @@ def solve(
     3k + 4 in all, and 2 when the initial field meets the tolerance, whose
     first measurement is also its result's.  A coarse level adds its own
     count and two transforms each way between the grids, or two when it is
-    thrown away.  Each iterate, the initial field first, is measured once:
-    a gradient that is not finite there is refused with a ValueError naming
-    the iteration, and an iterate meets the tolerance when the action
-    gradient's largest sample is within tol_grad_inf.  Where a trial's
+    thrown away.  The result keeps its last measurement, the potential
+    gradient and half spectrum at ``u``, for newton_krylov_refine to start
+    from (see SolveResult).  Each iterate, the initial field first, is
+    measured once: a gradient that is not finite there is refused with a
+    ValueError naming the iteration, and an iterate meets the tolerance when
+    the action gradient's largest sample is within tol_grad_inf.  Where
+    <g, P g> underflows to zero no ray promises a decrease, and the run
+    stops as max_iters with line_search_failed set.  Where a trial's
     action ties with the current one to rounding, the slope along the ray
     decides instead, for one more potential gradient, unless the ray
     promised a decrease well above rounding: then the trial is past the
@@ -275,6 +298,13 @@ def solve(
     return result
 
 
+# Each operator's half-grid operator, or None where its scheme or grid rules
+# the coarse start out.  Built once per operator, so the half grid's cached
+# coordinates, and the path samples that TrigPath keeps for them, outlive a
+# solve.
+_HALF_OPERATORS = weakref.WeakKeyDictionary()
+
+
 def _coarse_operator(op: DiffOperator, pot: Potential) -> DiffOperator | None:
     """The operator on the grid of half op's resolution, if solve starts there.
 
@@ -282,19 +312,23 @@ def _coarse_operator(op: DiffOperator, pot: Potential) -> DiffOperator | None:
     and halves to a grid, that grid resolves every path of ``pot`` and it has
     at least _MIN_COARSE_NODES nodes.
     """
-    grid = op.grid
-    if (
-        op.scheme is not Scheme.SPECTRAL
-        or any(N % 4 or N < 2 * MIN_RESOLUTION for N in grid.resolutions)
-        or grid.node_count < _MIN_COARSE_NODES * 2**grid.p
-    ):
-        return None
-    coarse = TorusGrid(grid.periods, [N // 2 for N in grid.resolutions])
-    try:
-        check_potential(pot, coarse)
-    except ValueError:
-        return None
-    return DiffOperator(coarse, op.scheme)
+    if op not in _HALF_OPERATORS:
+        grid = op.grid
+        _HALF_OPERATORS[op] = None
+        if (
+            op.scheme is Scheme.SPECTRAL
+            and all(N % 4 == 0 and N >= 2 * MIN_RESOLUTION for N in grid.resolutions)
+            and grid.node_count >= _MIN_COARSE_NODES * 2**grid.p
+        ):
+            half = TorusGrid(grid.periods, [N // 2 for N in grid.resolutions])
+            _HALF_OPERATORS[op] = DiffOperator(half, op.scheme)
+    coarse = _HALF_OPERATORS[op]
+    if coarse is not None:
+        try:
+            check_potential(pot, coarse.grid)
+        except ValueError:
+            return None
+    return coarse
 
 
 def _resample(u: np.ndarray, src: DiffOperator, dst: DiffOperator) -> np.ndarray:
@@ -324,9 +358,10 @@ def _nested(op: DiffOperator, pot: Potential, opts: SolverOptions, u: np.ndarray
     """solve's result from the samples u, and the notes of its coarse levels.
 
     Where _coarse_operator gives a half grid, u truncated to it seeds a
-    coarse solve, itself nested; a converged coarse minimizer, zero-padded,
-    starts the descent here.  Any other coarse outcome, a refused iterate
-    included, is thrown away and the descent starts from u.
+    coarse solve, itself nested.  A converged coarse minimizer, or the
+    iterate where a diverged one read its escape ray, zero-padded, starts
+    the descent here.  A coarse level that hits max_iters or whose iterate
+    is refused is thrown away, and the descent starts from u.
     """
     notes = []
     coarse_op = _coarse_operator(op, pot)
@@ -335,7 +370,9 @@ def _nested(op: DiffOperator, pot: Potential, opts: SolverOptions, u: np.ndarray
             coarse, coarse_notes = _nested(coarse_op, pot, opts, _resample(u, op, coarse_op))
         except ValueError:
             coarse = None
-        if coarse is not None and coarse.status is SolveStatus.CONVERGED:
+        if coarse is not None and coarse.status in (
+            SolveStatus.CONVERGED, SolveStatus.DIVERGED_NON_COERCIVE
+        ):
             u = _resample(coarse.u.values, coarse_op, op)
             shape = "x".join(str(N) for N in coarse_op.grid.resolutions)
             notes = coarse_notes + [
@@ -422,8 +459,11 @@ def _descend(op: DiffOperator, pot: Potential, opts: SolverOptions, u: np.ndarra
             d = -precond(ghat)
             gd = inner(ghat, d)
             if not gd < 0.0:
-                status = SolveStatus.CONVERGED
-                message = "descent direction vanished"
+                # <g, P g> underflowed to zero: no ray promises a decrease,
+                # and searching one anyway lets the step grow to overflow
+                status = SolveStatus.MAX_ITERS
+                line_search_failed = True
+                message = "descent direction vanished: <g, P g> underflows"
                 break
 
         # Along u + alpha d the kinetic term is
@@ -488,14 +528,17 @@ def _descend(op: DiffOperator, pot: Potential, opts: SolverOptions, u: np.ndarra
         iterations += 1
 
     # the action is the carried one, the last value in the trace
-    return SolveResult(
+    residual = residual or _residual(u, grad_f, op)
+    result = SolveResult(
         status=status,
         iterations=iterations,
         trace=np.asarray(trace, dtype=float),
         line_search_failed=line_search_failed,
         message=message,
-        **_measured(op, u, residual or _residual(u, grad_f, op), kinetic, potential_part, f),
+        **_measured(op, u, residual, kinetic, potential_part, f),
     )
+    result._measurement = (result.u, pot, op, grad_f, residual)
+    return result
 
 
 def _residual(u: np.ndarray, grad_f: np.ndarray, op: DiffOperator):
@@ -580,10 +623,19 @@ def newton_krylov_refine(
     returned samples with the same operations as this polish, so they are
     the norms a recomputation would give; the action is the run's carried
     value, which may differ from a fresh evaluation by rounding (about
-    1e-15 relative).
+    1e-15 relative).  Otherwise the polish starts from the result's own
+    measurement at ``u``, the potential gradient and the half spectrum that
+    solve already took, where ``result`` is as solve returned it and
+    ``pot`` and ``op`` are the objects solve was given: one potential
+    gradient and two transforms fewer, and the same bits.  A result rebuilt
+    by dataclasses.replace, or polished with another potential or
+    operator, is measured afresh.  Both shortcuts assume that a result is
+    never changed in place.
 
     CG runs on half spectra, where the Laplacian and the preconditioner are
-    multiplications, so a CG iteration costs two transforms.  The
+    multiplications, so a CG iteration costs two transforms; each Newton
+    step adds two (the gradient's spectrum and the step's samples) and each
+    damping trial two, with its potential gradient.  The
     preconditioner is (lambda_k I + H-bar)^-1 with H-bar the box mean of the
     step's Hessian, so on a quadratic potential one CG iteration solves the
     Newton system.  CG stops at the inexact Newton forcing term (Dembo,
@@ -606,8 +658,12 @@ def newton_krylov_refine(
     lam = op._lam[..., None]
 
     u = result.u.values.copy()
-    grad_f = pot.gradient(coords, u)
-    residual = _residual(u, grad_f, op)
+    handed = result._measurement
+    if handed is not None and handed[0] is result.u and handed[1] is pot and handed[2] is op:
+        grad_f, residual = handed[3:]
+    else:
+        grad_f = pot.gradient(coords, u)
+        residual = _residual(u, grad_f, op)
     notes = [result.message]
     newton_steps = 0
     cg_failed = False

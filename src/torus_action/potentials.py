@@ -45,8 +45,9 @@ class TrigPath:
     periods: tuple[float, ...]
     n: int
     terms: tuple[TrigTerm, ...] = ()
-    # (coordinates, samples) of the last call on a frozen coordinate array
-    _sample: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    # (coordinates, samples) of the last call on a frozen coordinate array of
+    # each shape, so the grids of a coarse start keep theirs side by side
+    _samples: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "periods", tuple(float(T) for T in self.periods))
@@ -77,10 +78,14 @@ class TrigPath:
         """Evaluate at coordinates t of shape (..., p); returns (..., n).
 
         A read-only array that owns its data, such as ``grid.coords()``,
-        cannot change, so its samples are kept: calling again with the same
-        array returns the same read-only result.  Copy it to keep or modify it.
+        cannot change, so its samples are kept, those of the last such array
+        of each shape: calling again with the same array returns the same
+        read-only result.  Copy it to keep or modify it.  A grid caches its
+        coordinates and solve builds its half-grid operator once per operator,
+        so repeated solves, the polish and every level of a coarse start
+        sample each path once per grid.
         """
-        sample = self._sample
+        sample = self._samples.get(getattr(t, "shape", None))
         if sample is not None and sample[0] is t:
             return sample[1]
         key = t
@@ -95,7 +100,7 @@ class TrigPath:
             out += wave[..., None] * np.asarray(term.coeff)
         if isinstance(key, np.ndarray) and key.flags.owndata and not key.flags.writeable:
             out.setflags(write=False)
-            object.__setattr__(self, "_sample", (key, out))
+            self._samples[key.shape] = (key, out)
         return out
 
     def _angular_sq(self, term: TrigTerm) -> float:

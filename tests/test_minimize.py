@@ -1108,19 +1108,44 @@ def _lse_refused_on_the_half_grid():
     return g, replace(pot, gradient=fine_only)
 
 
-@pytest.mark.parametrize("problem, status", [
-    (_drift_128, SolveStatus.DIVERGED_NON_COERCIVE),
-    (_lse_refused_on_the_half_grid, SolveStatus.CONVERGED),
-], ids=["diverged", "refused"])
-def test_a_coarse_level_that_does_not_converge_is_thrown_away(problem, status):
+@pytest.mark.parametrize("problem, opts, status", [
+    (_lse_refused_on_the_half_grid, SolverOptions(), SolveStatus.CONVERGED),
+    (lambda: _lse_square(128), SolverOptions(max_iters=1), SolveStatus.MAX_ITERS),
+], ids=["refused", "max_iters"])
+def test_a_coarse_level_that_does_not_converge_is_thrown_away(problem, opts, status):
     g, pot = problem()
     op = DiffOperator(g, Scheme.SPECTRAL)
-    opts = SolverOptions()
     init = Field(g, minimize_module.default_init(g, pot.n, opts).values[::-1].copy())
     res = solve(g, pot, op, opts, init=init)
     assert res.status is status
     assert "coarse start" not in res.message
     _assert_same_run(res, minimize_module._descend(op, pot, opts, init.values.copy()))
+
+
+def test_a_coarse_escape_ray_starts_the_fine_level(count_transforms):
+    # the recession function does not depend on the grid, so the fine level
+    # started where the coarse one read its escape ray reads it after one step
+    g, pot = _drift_128()
+    op = DiffOperator(g, Scheme.SPECTRAL)
+    opts = SolverOptions()
+    init = Field(g, minimize_module.default_init(g, pot.n, opts).values[::-1].copy())
+    coarse_op = minimize_module._coarse_operator(op, pot)
+    coarse = minimize_module._descend(coarse_op, pot, opts,
+                                      minimize_module._resample(init.values, op, coarse_op))
+    cold = minimize_module._descend(op, pot, opts, init.values.copy())
+    counts = count_transforms()
+    res = solve(g, pot, op, opts, init=init)
+    transforms = real(counts)
+    assert coarse.status is res.status is cold.status is SolveStatus.DIVERGED_NON_COERCIVE
+    assert res.iterations == 1 < cold.iterations
+    assert transforms == _solve_count(coarse.iterations) + 4 + _solve_count(1)
+    warm = minimize_module._descend(op, pot, opts,
+                                    minimize_module._resample(coarse.u.values, coarse_op, op))
+    assert res.message == f"coarse start: {coarse.iterations} iterations on the 64x64 grid; " \
+        + warm.message
+    # the same escape ray as the cold run's
+    assert warm.message.split(";")[0] == cold.message.split(";")[0]
+    _assert_same_run(replace(res, message=warm.message), warm)
 
 
 def test_resampling_between_a_grid_and_its_half_is_band_limited_interpolation():
@@ -1147,3 +1172,69 @@ def test_resampling_between_a_grid_and_its_half_is_band_limited_interpolation():
     nyquist = band + (TrigTerm("cos", (4, 2, 3), (1.0, -1.0)),)
     assert_allclose(minimize_module._resample(sampled(coarse, nyquist), coarse, fine),
                     sampled(fine, band), rtol=0.0, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# what a solve keeps for the next call
+# ---------------------------------------------------------------------------
+
+def test_the_polish_starts_from_solves_last_measurement(count_transforms):
+    g, pot = _lse_square(128)
+    grads = []
+    pot = counting(pot, "gradient", grads)
+    op = DiffOperator(g, Scheme.SPECTRAL)
+    fresh = solve(g, pot, op, SolverOptions(tol_grad_inf=1e-6))
+    assert "coarse start" in fresh.message
+    assert fresh.residual_inf > 1e-12
+    counts = count_transforms()
+
+    def polish(result, potential=pot, operator=op):
+        grads.clear()
+        before = real(counts)
+        refined = newton_krylov_refine(result, potential, operator, tol=1e-12)
+        assert refined.status is SolveStatus.CONVERGED
+        return refined, len(grads), real(counts) - before
+
+    handed, handed_grads, handed_transforms = polish(fresh)
+    # a result rebuilt by replace() is measured again
+    rebuilt, rebuilt_grads, rebuilt_transforms = polish(replace(fresh, u=fresh.u.copy()))
+    assert (handed_grads, handed_transforms) == (rebuilt_grads - 1, rebuilt_transforms - 2)
+    _assert_same_run(handed, rebuilt)
+    # and so is a result polished with another potential or operator
+    for potential, operator in ((replace(pot), op),
+                                (pot, DiffOperator(g, Scheme.SPECTRAL))):
+        other, other_grads, other_transforms = polish(fresh, potential, operator)
+        assert (other_grads, other_transforms) == (rebuilt_grads, rebuilt_transforms)
+        _assert_same_run(other, rebuilt)
+
+
+def test_repeated_solves_sample_no_path_again(monkeypatch):
+    g, pot = _lse_square(128)
+    op = DiffOperator(g, Scheme.SPECTRAL)
+    first = solve(g, pot, op)
+    assert "coarse start" in first.message
+    # one sample per grid: the 128^2 grid's and its half grid's
+    for _, path in pot.paths:
+        assert set(path._samples) == {(128, 128, 2), (64, 64, 2)}
+    waves = []
+    for name in ("cos", "sin"):
+        wave = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda x, _wave=wave: waves.append(1) or _wave(x))
+    second = solve(g, pot, op)
+    assert waves == []
+    _assert_same_run(first, second)
+
+
+def test_a_descent_direction_that_underflows_stops_the_run_unconverged():
+    # <g, P g> of a gradient near 1e-170 underflows to zero, so no ray
+    # promises a decrease; a tolerance below it is out of reach
+    g = TorusGrid((TWO_PI,), (16,))
+    pot = make_quadratic_shift(1, TrigPath.zero((TWO_PI,), 1))
+    op = DiffOperator(g, Scheme.SPECTRAL)
+    init = Field(g, 1e-170 * np.random.default_rng(0).normal(size=(16, 1)))
+    res = solve(g, pot, op, SolverOptions(tol_grad_inf=1e-200), init=init)
+    assert res.status is SolveStatus.MAX_ITERS
+    assert res.line_search_failed
+    assert res.iterations == 0
+    assert res.message == "descent direction vanished: <g, P g> underflows"
+    assert res.residual_inf > 1e-200

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import Field, TorusGrid, check_seed, integrate
+from .grid import Field, TorusGrid, _box_sum, check_seed, integrate
 from .operators import DiffOperator, _check_operator, dirichlet_form, l2_norm, mean_decompose
 from .potentials import SUPERLINEAR, Potential, check_potential
 
@@ -74,14 +74,14 @@ class MeanPotentialG:
         x = np.asarray(x, dtype=float)
         frozen = np.broadcast_to(x, self.grid.shape + (self.n,))
         g = self.pot.gradient(self._coords, frozen)
-        return self.grid.cell_weight * g.reshape(-1, self.n).sum(axis=0)
+        return self.grid.cell_weight * _box_sum(g, self.grid)
 
     def hessian(self, x) -> np.ndarray:
         """The box integral of hess F(t, x)."""
         x = np.asarray(x, dtype=float)
         frozen = np.broadcast_to(x, self.grid.shape + (self.n,))
         h = self.pot.hessian(self._coords, frozen)
-        return self.grid.cell_weight * h.reshape(-1, self.n, self.n).sum(axis=0)
+        return self.grid.cell_weight * _box_sum(h, self.grid)
 
 
 def build_mean_potential(grid: TorusGrid, pot: Potential) -> MeanPotentialG:

@@ -150,6 +150,36 @@ def integrate(grid: TorusGrid, node_values) -> float:
     return grid.cell_weight * float(values.sum())
 
 
+def _box_sum(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Sum of per-node samples over the grid axes, with numpy's sum's bits.
+
+    numpy adds the nodes' rows of a short trailing axis one by one, several
+    times slower than einsum adding them in the same order, which gives the
+    same bits for any tail of two or more values, broadcast or not.  A tail
+    of one value numpy sums pairwise, fast, in an order einsum does not keep.
+    """
+    values = np.asarray(values)
+    if math.prod(values.shape[grid.p:]) < 2:
+        return values.sum(axis=tuple(range(grid.p)))
+    axes = list(range(values.ndim))
+    return np.einsum(values, axes, axes[grid.p:])
+
+
+def _box_mean(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Mean of per-node samples over the grid axes, as ``.mean`` gives it."""
+    return _box_sum(values, grid) / grid.node_count
+
+
+def _is_frozen(array) -> bool:
+    """Whether ``array`` is a read-only ndarray that owns its data.
+
+    Such an array changes only if its owner makes it writeable again, which
+    the package never does to an array it froze, so what is computed from it
+    can be kept for as long as it is alive.
+    """
+    return isinstance(array, np.ndarray) and array.flags.owndata and not array.flags.writeable
+
+
 class Field:
     """Samples of a map from the period box into R^n.
 

@@ -20,7 +20,8 @@ import numpy as np
 
 from .certify import _VALUE_ROUNDING, _above_floor, build_mean_potential, coercivity_probe
 from .grid import (
-    MIN_RESOLUTION, Field, TorusGrid, check_integer, check_seed, check_tolerance, integrate,
+    MIN_RESOLUTION, Field, TorusGrid, _box_mean, _is_frozen, check_integer, check_seed,
+    check_tolerance, integrate,
 )
 from .operators import (
     ActionReport, DiffOperator, Scheme, _check_field, _check_operator, _check_potential, l2_norm,
@@ -101,7 +102,8 @@ class SolveResult:
     polish's early return shares the result's norms, and a result that solve
     returned keeps its last measurement (the potential gradient and the half
     spectrum at ``u``) for the polish to start from.  replace() drops that
-    measurement, so the polish recomputes it for a new ``u``.
+    measurement, so the polish recomputes it for a new ``u``.  The values
+    of ``u`` are read-only; copy them to modify them.
     """
 
     u: Field
@@ -174,11 +176,6 @@ def _apply_rows(rows, w: np.ndarray) -> np.ndarray:
     for a, terms in enumerate(rows):
         _combine(columns, terms, out[..., a])
     return out
-
-
-def _box_mean(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """The mean of per-node samples over the grid axes."""
-    return values.mean(axis=tuple(range(grid.p)))
 
 
 def _gradient_samples(lam_uhat: np.ndarray, grad_f: np.ndarray, op: DiffOperator) -> np.ndarray:
@@ -259,6 +256,12 @@ def solve(
     ``iterations`` and ``trace`` count the grid's own iterations alone.
     The half-grid operator is built once per operator, so repeated solves
     on one operator and potential sample no path again (TrigPath.__call__).
+    The iterate and each line-search trial are frozen, read-only arrays that
+    own their data, so the potential's evaluations at one of them share
+    their work (see Potential): a log-sum-exp sweeps its exponentials once
+    for the start's Hessian, value and gradient, and once for a trial's
+    value and, where it is accepted, its gradient.  The returned field is
+    that frozen iterate.
 
     The iterate is kept both as samples u and as its half spectrum, and
     steps update both.  Directions, preconditioning and inner products (by
@@ -382,7 +385,12 @@ def _nested(op: DiffOperator, pot: Potential, opts: SolverOptions, u: np.ndarray
 
 
 def _descend(op: DiffOperator, pot: Potential, opts: SolverOptions, u: np.ndarray) -> SolveResult:
-    """solve's descent on op's grid from the samples u, which it may keep."""
+    """solve's descent on op's grid from the samples u, which it keeps.
+
+    u and each trial are frozen (grid._is_frozen), so the potential's
+    evaluations at one of them share their work.
+    """
+    u.setflags(write=False)
     grid = op.grid
     coords = grid.coords()
     lam = op._lam[..., None]
@@ -485,6 +493,7 @@ def _descend(op: DiffOperator, pot: Potential, opts: SolverOptions, u: np.ndarra
         for _bt in range(_MAX_BACKTRACKS + 1):
             u_try = alpha * d_samples
             u_try += u
+            u_try.setflags(write=False)
             kinetic_try = kinetic + alpha * slope + 0.5 * alpha * alpha * curvature
             potential_try = integrate(grid, pot.value(coords, u_try))
             f_try = kinetic_try + potential_try
@@ -630,7 +639,12 @@ def newton_krylov_refine(
     gradient and two transforms fewer, and the same bits.  A result rebuilt
     by dataclasses.replace, or polished with another potential or
     operator, is measured afresh.  Both shortcuts assume that a result is
-    never changed in place.
+    never changed in place.  A frozen field, as solve returns it, is read
+    without a copy, and every returned field, the early return's copy too,
+    is read-only.  Each point the polish evaluates is frozen, so its
+    potential evaluations share their work (see Potential): the first
+    Hessian at solve's result shares solve's last sweep, and the final value
+    the sweep of the accepted damping trial.
 
     CG runs on half spectra, where the Laplacian and the preconditioner are
     multiplications, so a CG iteration costs two transforms; each Newton
@@ -651,13 +665,20 @@ def newton_krylov_refine(
     _check_field(op, result.u)
     _check_potential(result.u, pot)
     if result.residual_inf <= tol:
-        # a copy, as on every other path: the result never shares its field
-        return replace(result, u=result.u.copy(), status=SolveStatus.CONVERGED)
+        # a copy of the field, read-only as every field the polish returns
+        u = result.u.copy()
+        u.values.setflags(write=False)
+        return replace(result, u=u, status=SolveStatus.CONVERGED)
     grid = op.grid
     coords = grid.coords()
     lam = op._lam[..., None]
 
-    u = result.u.values.copy()
+    # read in place where frozen, as solve returns it, so that its potential
+    # evaluations at u share their work with solve's last ones
+    u = result.u.values
+    if not _is_frozen(u):
+        u = u.copy()
+        u.setflags(write=False)
     handed = result._measurement
     if handed is not None and handed[0] is result.u and handed[1] is pot and handed[2] is op:
         grad_f, residual = handed[3:]
@@ -700,6 +721,7 @@ def newton_krylov_refine(
         alpha = 1.0
         for _ in range(_MAX_BACKTRACKS):
             u_try = u + alpha * step
+            u_try.setflags(write=False)
             grad_try = pot.gradient(coords, u_try)
             trial = _residual(u_try, grad_try, op)
             if trial[2] <= (1.0 - _ARMIJO_C1 * alpha) * res_l2:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Field, TorusGrid, integrate
+from .grid import Field, TorusGrid, _box_mean, integrate
 from .potentials import Potential, check_potential
 
 
@@ -215,7 +215,6 @@ def action_gradient(u: Field, pot: Potential, op: DiffOperator) -> Field:
 
 def mean_decompose(u: Field):
     """Split u into its box average (an n-vector) and the zero-mean remainder."""
-    axes = tuple(range(u.grid.p))
-    mean = u.values.mean(axis=axes)
+    mean = _box_mean(u.values, u.grid)
     fluct = Field(u.grid, u.values - mean, _check=False)
     return mean, fluct

@@ -7,12 +7,13 @@ integrable by the grid quadrature once resolved.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .grid import Field, TorusGrid, check_integer, check_seed, check_symmetric
+from .grid import Field, TorusGrid, _is_frozen, check_integer, check_seed, check_symmetric
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,7 @@ class TrigPath:
             phase = t @ omega
             wave = np.cos(phase) if term.trig == "cos" else np.sin(phase)
             out += wave[..., None] * np.asarray(term.coeff)
-        if isinstance(key, np.ndarray) and key.flags.owndata and not key.flags.writeable:
+        if _is_frozen(key):
             out.setflags(write=False)
             self._samples[key.shape] = (key, out)
         return out
@@ -174,6 +175,13 @@ class Potential:
     constant Hessian (quadratic_shift, quadratic_form, manufactured and
     linear_drift) broadcast their one n x n matrix over the batch, which
     writes nothing per point.  Copy it to modify it.
+
+    Evaluations at one frozen point share their work: a kind may keep what
+    it computed at a frozen x and t (grid._is_frozen: read-only arrays that
+    own their data), for the last such point alone and while x lives, and
+    return it again, read-only.  log_sum_exp does, so its value, gradient
+    and Hessian there take one sweep of exp; solve and the polish freeze
+    every point they evaluate.
 
     ``recession`` declares the recession function G_inf(d) = lim G(r d) / r
     of the averaged potential G(x) = integral of F(t, x) dt: a tuple of rows
@@ -374,7 +382,8 @@ def make_log_sum_exp(directions, offsets: list[TrigPath]) -> Potential:
     """F(t, x) = log sum_j exp(<s_j, x> + b_j(t)).
 
     The offsets do not change the growth at infinity, max_j <s_j, d>, so
-    the directions are the rows of the recession function.
+    the directions are the rows of the recession function.  At a frozen
+    point (see Potential) the value is a kept, read-only plane.
     """
     S = np.asarray(directions, dtype=float)
     if S.ndim != 2:
@@ -409,19 +418,57 @@ def make_log_sum_exp(directions, offsets: list[TrigPath]) -> Potential:
                 plane += offsets[j](t)[..., 0]
         return z
 
-    # value and _softmax work in place on their fresh logit planes
-    def value(t, x):
+    def _exps(t, x):
+        """(m, e, s): the logits' max m, the planes e = exp(z - m), written
+        over the fresh logit planes, and their sum s."""
         z = _logits(t, x)
         m = z.max(axis=0)
         z -= m
-        return m + np.log(np.exp(z, out=z).sum(axis=0))
+        np.exp(z, out=z)
+        return m, z, z.sum(axis=0)
+
+    # (t, weak reference to x, log-sum-exp, softmax) at the last frozen
+    # point, or None
+    kept = None
+
+    def _forget(ref):
+        # x died, and the planes kept for it go with it
+        nonlocal kept
+        if kept is not None and kept[1] is ref:
+            kept = None
+
+    def _at_frozen(t, x):
+        """The log-sum-exp m + log s and the softmax e / s at a frozen (t, x).
+
+        Both are made in place of _exps's planes, J + 1 planes in all, and
+        kept, read-only, for the last such point while x lives: the value,
+        gradient and Hessian there share one sweep of exp.
+        """
+        nonlocal kept
+        point = kept
+        if point is None or point[0] is not t or point[1]() is not x:
+            # the old point's planes go before the new sweep
+            point = kept = None
+            lse, prob, s = _exps(t, x)
+            prob /= s
+            lse += np.log(s, out=s)
+            lse.setflags(write=False)
+            prob.setflags(write=False)
+            point = kept = (t, weakref.ref(x, _forget), lse, prob)
+        return point[2], point[3]
+
+    def value(t, x):
+        if _is_frozen(x) and _is_frozen(t):
+            return _at_frozen(t, x)[0]
+        m, _, s = _exps(t, x)
+        return m + np.log(s)
 
     def _softmax(t, x):
-        z = _logits(t, x)
-        z -= z.max(axis=0)
-        np.exp(z, out=z)
-        z /= z.sum(axis=0)
-        return z
+        if _is_frozen(x) and _is_frozen(t):
+            return _at_frozen(t, x)[1]
+        _, e, s = _exps(t, x)
+        e /= s
+        return e
 
     def _gradient(prob):
         g = np.empty(prob.shape[1:] + (n,))

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,28 @@ def count_transforms(monkeypatch):
                     raise AssertionError("complex transform on the real-data path")
 
                 monkeypatch.setattr(mod, name, refused)
+        return counts
+
+    return start
+
+
+@pytest.fixture
+def count_exp(monkeypatch):
+    """Start counting the arrays that ``np.exp`` sweeps, by shape.
+
+    The log-sum-exp kind is the one built-in potential that calls
+    ``np.exp``, once over its J logit planes, shape ``(J,) + batch``, per
+    sweep.  Calling the fixture starts the count and returns its Counter.
+    """
+
+    def start():
+        counts = Counter()
+
+        def counted(x, *args, _exp=np.exp, **kwargs):
+            counts[np.shape(x)] += 1
+            return _exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counted)
         return counts
 
     return start

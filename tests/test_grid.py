@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from torus_action import Field, TorusGrid, build_grid, integrate
+from torus_action.grid import _box_mean, _box_sum
 
 TWO_PI = 2.0 * np.pi
 
@@ -101,6 +102,42 @@ def test_integrate_rejects_wrong_size():
     g = TorusGrid((1.0,), (8,))
     with pytest.raises(ValueError, match="node values"):
         integrate(g, np.ones(7))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+# grids of p = 1 to 4 axes of N nodes, with tails of n-vectors and of n x n
+# matrices, n = 1 to 3, of at most 2**20 values (32^4 takes n = 1 alone)
+_BOX_SHAPES = [
+    (p, N, tail)
+    for p in (1, 2, 3, 4)
+    for N in (4, 6, 8, 18, 32)
+    for tail in [(n,) for n in (1, 2, 3)] + [(n, n) for n in (1, 2, 3)]
+    if N**p * int(np.prod(tail)) <= 2**20
+]
+
+
+@pytest.mark.parametrize("broadcast", [False, True])
+@pytest.mark.parametrize("p, N, tail", _BOX_SHAPES)
+def test_box_sum_and_mean_keep_the_bits_of_numpys_reductions(p, N, tail, broadcast):
+    # every site that reduces over the grid axes summed by .mean(axis=grid
+    # axes) or by reshape(-1, ...).sum(axis=0); the helpers keep their bits
+    g = TorusGrid((TWO_PI,) * p, (N,) * p)
+    rng = np.random.default_rng([p, N, *tail])
+    if broadcast:
+        # a constant kind's Hessian, or MeanPotentialG's frozen x
+        values = np.broadcast_to(rng.normal(size=tail) * 10.0 ** rng.uniform(-3, 3, size=tail),
+                                 g.shape + tail)
+    else:
+        # magnitudes over six decades, so that another order of the sum shows
+        values = rng.normal(size=g.shape + tail) * 10.0 ** rng.uniform(-3, 3, size=g.shape + tail)
+    axes = tuple(range(p))
+    assert np.array_equal(_bits(_box_mean(values, g)), _bits(values.mean(axis=axes)))
+    assert np.array_equal(_bits(_box_sum(values, g)),
+                          _bits(values.reshape((-1,) + tail).sum(axis=0)))
+    assert _box_sum(values, g).shape == tail
 
 
 def test_field_construction_flat_and_shaped():

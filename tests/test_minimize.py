@@ -1225,6 +1225,83 @@ def test_repeated_solves_sample_no_path_again(monkeypatch):
     _assert_same_run(first, second)
 
 
+def _lse_16x2():
+    """The 16^4 grid and log-sum-exp of the large-grid benchmark: J = 4
+    directions +-e_i, three of them with an offset wave."""
+    periods = (TWO_PI,) * 4
+    g = TorusGrid(periods, (16,) * 4)
+    waves = [("cos", (1, 0, 0, 0), 0.5), ("sin", (0, 0, 1, 0), 0.4), None,
+             ("cos", (0, 1, 0, 1), 0.3)]
+    offs = [TrigPath(periods, 1, () if w is None else (TrigTerm(w[0], w[1], (w[2],)),))
+            for w in waves]
+    return g, make_log_sum_exp([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], offs)
+
+
+def test_solve_and_the_polish_sweep_exp_once_per_point_on_the_large_grid(count_exp):
+    g, pot = _lse_16x2()
+    op = DiffOperator(g, Scheme.SPECTRAL)
+    fine, coarse = (4,) + g.shape, (4, 8, 8, 8, 8)
+    counts = count_exp()
+    res = solve(g, pot, op, SolverOptions(max_iters=80, tol_grad_inf=1e-6))
+    assert res.message == "coarse start: 4 iterations on the 8x8x8x8 grid"
+    assert res.iterations == 1
+    # one sweep at the start, for its Hessian, value and gradient, and one
+    # at the trial, for its value and, accepted, its gradient
+    assert counts == {fine: 2, coarse: 8}
+    counts.clear()
+    refined = newton_krylov_refine(res, pot, op, tol=1e-12)
+    assert refined.status is SolveStatus.CONVERGED
+    assert refined.iterations == res.iterations + 1
+    # the Hessian at solve's last point takes solve's sweep, and the one
+    # damping trial's gradient and the final value share another
+    assert counts == {fine: 1}
+
+
+def test_every_field_that_solve_or_the_polish_returns_is_read_only():
+    g, pot = lse_problem()
+    op = DiffOperator(g, Scheme.SPECTRAL)
+    converged = solve(g, pot, op, SolverOptions(tol_grad_inf=1e-6))
+    writeable = replace(converged, u=converged.u.copy())
+    results = {
+        "converged": converged,
+        "max_iters": solve(g, pot, op, SolverOptions(max_iters=1)),
+        "initial field": solve(g, pot, op, SolverOptions(tol_grad_inf=1e-6), init=converged.u),
+        "polished": newton_krylov_refine(converged, pot, op, tol=1e-12),
+        "early return": newton_krylov_refine(converged, pot, op, tol=converged.residual_inf),
+        "writeable, polished": newton_krylov_refine(writeable, pot, op, tol=1e-12),
+        "diverged": solve(*fd2_drift()),
+    }
+    assert results["initial field"].iterations == 0
+    assert results["polished"].iterations > converged.iterations
+    assert results["diverged"].status is SolveStatus.DIVERGED_NON_COERCIVE
+    for name, result in results.items():
+        values = result.u.values
+        assert not values.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            values[(0,) * values.ndim] = 0.0
+    # a writeable field given to the polish is copied, not frozen
+    assert writeable.u.values.flags.writeable
+    assert not np.shares_memory(results["writeable, polished"].u.values, writeable.u.values)
+
+
+def test_the_polish_reads_solves_field_without_copying_it():
+    g, pot = lse_problem()
+    points = []
+    hessian = pot.hessian
+    pot = replace(pot, hessian=lambda t, x: points.append(x) or hessian(t, x))
+    op = DiffOperator(g, Scheme.SPECTRAL)
+    res = solve(g, pot, op, SolverOptions(tol_grad_inf=1e-6))
+    points.clear()
+    newton_krylov_refine(res, pot, op, tol=1e-12)
+    assert points[0] is res.u.values
+    # a writeable field is read from a frozen copy
+    writeable = replace(res, u=res.u.copy())
+    points.clear()
+    newton_krylov_refine(writeable, pot, op, tol=1e-12)
+    assert points[0] is not writeable.u.values
+    assert not points[0].flags.writeable and np.array_equal(points[0], res.u.values)
+
+
 def test_a_descent_direction_that_underflows_stops_the_run_unconverged():
     # <g, P g> of a gradient near 1e-170 underflows to zero, so no ray
     # promises a decrease; a tolerance below it is out of reach

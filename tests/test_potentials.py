@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from torus_action import (
     TrigPath,
     TrigTerm,
     Verdict,
+    build_mean_potential,
     certify,
     check_gradient,
     make_linear_drift,
@@ -429,6 +431,141 @@ def test_log_sum_exp_rank_deficient_is_only_convex():
     x = np.array([[0.3, -1.0], [2.0, 5.0]])
     assert_allclose(pot.hessian(t, x)[:, 1, :], 0.0, atol=0.0)
     assert pot.recession == ((1.0, 0.0), (1.0, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# log-sum-exp at a frozen point
+# ---------------------------------------------------------------------------
+
+LSE_GRID = TorusGrid((TWO_PI, 3.0), (16, 8))
+
+
+def _lse(scale=1.0):
+    S = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+    offs = [TrigPath(LSE_GRID.periods, 1, (TrigTerm("cos", (1, 1), (scale * c,)),))
+            for c in (0.5, -0.3, 0.2)]
+    return make_log_sum_exp(S, offs)
+
+
+def _frozen(x):
+    x = np.array(x)
+    x.setflags(write=False)
+    return x
+
+
+def _evaluations(pot, t, x):
+    return pot.value(t, x), pot.gradient(t, x), pot.hessian(t, x)
+
+
+def _assert_same_bits(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == b.shape
+        assert np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                              np.ascontiguousarray(b).view(np.uint64))
+
+
+# the J = 3 logit planes of an evaluation on LSE_GRID
+LSE_PLANES = (3,) + LSE_GRID.shape
+
+
+def test_log_sum_exp_sweeps_exp_once_per_frozen_point(count_exp):
+    pot = _lse()
+    t = LSE_GRID.coords()
+    x = _frozen(np.random.default_rng(0).normal(size=LSE_GRID.shape + (2,)))
+    want = _evaluations(pot, t, x.copy())
+    counts = count_exp()
+    _assert_same_bits(_evaluations(pot, t, x), want)
+    assert counts == {LSE_PLANES: 1}
+    # in any order, as often as asked
+    hessian, gradient, value = pot.hessian(t, x), pot.gradient(t, x), pot.value(t, x)
+    _assert_same_bits((value, gradient, hessian), want)
+    assert counts == {LSE_PLANES: 1}
+    # the value is the kept plane, read-only; the gradient and Hessian are fresh
+    assert not value.flags.writeable
+    assert gradient.flags.writeable and hessian.flags.writeable
+    # the same coordinates in another array are another point
+    _assert_same_bits(_evaluations(pot, _frozen(t), x), want)
+    assert counts == {LSE_PLANES: 2}
+
+
+def test_log_sum_exp_evaluates_a_writeable_point_afresh(count_exp):
+    pot = _lse()
+    t = LSE_GRID.coords()
+    x = np.random.default_rng(1).normal(size=LSE_GRID.shape + (2,))
+    counts = count_exp()
+    first = _evaluations(pot, t, x)
+    x += 0.5
+    second = _evaluations(pot, t, x)
+    assert counts == {LSE_PLANES: 6}
+    assert not np.array_equal(first[0], second[0])
+    _assert_same_bits(second, _evaluations(pot, t, _frozen(x)))
+
+
+def test_log_sum_exp_keeps_no_view_and_no_borrowed_array(count_exp):
+    pot = _lse()
+    t = LSE_GRID.coords()
+    base = _frozen(np.random.default_rng(2).normal(size=LSE_GRID.shape + (2,)))
+    view = base[...]
+    # MeanPotentialG's x, one mean held across the box
+    mean = np.broadcast_to(np.array([0.3, -0.2]), LSE_GRID.shape + (2,))
+    counts = count_exp()
+    for x in (view, mean):
+        assert not x.flags.writeable and not x.flags.owndata
+        _assert_same_bits(_evaluations(pot, t, x), _evaluations(pot, t, x.copy()))
+    assert counts == {LSE_PLANES: 12}
+    G = build_mean_potential(LSE_GRID, pot)
+    G.value([0.3, -0.2]), G.gradient([0.3, -0.2]), G.hessian([0.3, -0.2])
+    assert counts == {LSE_PLANES: 15}
+
+
+def test_two_log_sum_exp_potentials_keep_their_own_points(count_exp):
+    a, b = _lse(1.0), _lse(-2.0)
+    t = LSE_GRID.coords()
+    x = _frozen(np.random.default_rng(3).normal(size=LSE_GRID.shape + (2,)))
+    want_a, want_b = _evaluations(a, t, x.copy()), _evaluations(b, t, x.copy())
+    counts = count_exp()
+    got_a = [a.value(t, x)]
+    got_b = [b.value(t, x)]
+    got_a += [a.gradient(t, x), a.hessian(t, x)]
+    got_b += [b.gradient(t, x), b.hessian(t, x)]
+    assert counts == {LSE_PLANES: 2}
+    _assert_same_bits(got_a, want_a)
+    _assert_same_bits(got_b, want_b)
+    assert not np.array_equal(want_a[0], want_b[0])
+
+
+def test_log_sum_exp_keeps_j_plus_one_planes_of_one_frozen_point():
+    grid = TorusGrid((TWO_PI, 3.0), (256, 256))
+    # offsets without terms, so that no path keeps samples of its own
+    pot = make_log_sum_exp([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
+                           [TrigPath.zero(grid.periods, 1)] * 3)
+    t = grid.coords()
+    rng = np.random.default_rng(4)
+    x, y = (_frozen(rng.normal(size=grid.shape + (2,))) for _ in range(2))
+    plane = grid.node_count * 8
+    tracemalloc.start()
+    try:
+        pot.value(t, x)
+        kept, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        pot.gradient(t, y)
+        moved, peak_y = tracemalloc.get_traced_memory()
+        del y
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # the log-sum-exp and the J = 3 softmax planes, made in place of the
+    # logits and their sum, J + 2 planes at the peak, besides numpy's
+    # buffers of 8192 values
+    assert 4 * plane <= kept < 4 * plane + 4096
+    assert peak < 5.5 * plane
+    # a new point's planes replace the kept ones, which go first: at the
+    # peak the new point's J + 1 planes, the gradient's n = 2 and one
+    # temporary plane, where keeping the old ones through the sweep makes 9
+    assert kept - 4096 < moved < kept + 4096
+    assert peak_y < 7.5 * plane
+    # and they live no longer than their point
+    assert left < moved - 4 * plane + 4096
 
 
 def test_manufactured_gradient_hits_target():

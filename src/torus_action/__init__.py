@@ -17,7 +17,6 @@ from .certify import (
     coercivity_probe,
     find_stationary_mean,
     fluctuation_ratio,
-    wirtinger_audit,
     wirtinger_constant,
 )
 from .grid import Field, TorusGrid, build_grid, integrate
@@ -46,7 +45,6 @@ from .potentials import (
     Potential,
     TrigPath,
     TrigTerm,
-    check_gradient,
     make_linear_drift,
     make_log_sum_exp,
     make_manufactured,
@@ -65,7 +63,6 @@ __all__ = (
     "Potential",
     "TrigPath",
     "TrigTerm",
-    "check_gradient",
     "make_linear_drift",
     "make_log_sum_exp",
     "make_manufactured",
@@ -95,7 +92,6 @@ __all__ = (
     "coercivity_probe",
     "find_stationary_mean",
     "fluctuation_ratio",
-    "wirtinger_audit",
     "wirtinger_constant",
     # oracle
     "NotPositiveDefiniteError",

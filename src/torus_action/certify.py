@@ -19,7 +19,7 @@ import numpy as np
 
 from .grid import Field, TorusGrid, _box_sum, check_seed, integrate
 from .operators import DiffOperator, _check_operator, dirichlet_form, l2_norm, mean_decompose
-from .potentials import SUPERLINEAR, Potential, check_potential
+from .potentials import SUPERLINEAR, Potential, _Point, check_potential
 
 
 class Coercivity(str, Enum):
@@ -55,7 +55,9 @@ class MeanPotentialG:
     """The averaged potential G(x) = integral of F(t, x) over the box.
 
     x is held frozen across the box, so G is a plain function on R^n that
-    inherits convexity from F.
+    inherits convexity from F.  G's point at x, ``at(x)``, reads its value,
+    gradient and Hessian from one point of F across the box (see Potential),
+    so on a log-sum-exp a mean costs one sweep of exp.
     """
 
     def __init__(self, grid: TorusGrid, pot: Potential):
@@ -65,23 +67,26 @@ class MeanPotentialG:
         self.n = pot.n
         self._coords = grid.coords()
 
+    def at(self, x) -> _Point:
+        frozen = np.broadcast_to(np.asarray(x, dtype=float), self.grid.shape + (self.n,))
+        return _Point((self.grid, self.pot.at(self._coords, frozen)), _MEAN_READS)
+
     def value(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        frozen = np.broadcast_to(x, self.grid.shape + (self.n,))
-        return integrate(self.grid, self.pot.value(self._coords, frozen))
+        return self.at(x).value()
 
     def gradient(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        frozen = np.broadcast_to(x, self.grid.shape + (self.n,))
-        g = self.pot.gradient(self._coords, frozen)
-        return self.grid.cell_weight * _box_sum(g, self.grid)
+        return self.at(x).gradient()
 
     def hessian(self, x) -> np.ndarray:
-        """The box integral of hess F(t, x)."""
-        x = np.asarray(x, dtype=float)
-        frozen = np.broadcast_to(x, self.grid.shape + (self.n,))
-        h = self.pot.hessian(self._coords, frozen)
-        return self.grid.cell_weight * _box_sum(h, self.grid)
+        return self.at(x).hessian()
+
+
+# G's value, gradient and Hessian: the box integrals of F's at its point
+_MEAN_READS = (
+    lambda grid, point: integrate(grid, point.value()),
+    lambda grid, point: grid.cell_weight * _box_sum(point.gradient(), grid),
+    lambda grid, point: grid.cell_weight * _box_sum(point.hessian(), grid),
+)
 
 
 def build_mean_potential(grid: TorusGrid, pot: Potential) -> MeanPotentialG:
@@ -125,18 +130,20 @@ def find_stationary_mean(G: MeanPotentialG):
     null space G is affine, with that slope.  For every built-in kind the
     null space does not depend on x (empty for the quadratics, null(S - s_0)
     for the log-sum-exp, everything for a linear drift), so that ending is
-    exact there.
+    exact there.  The search holds one point of G per mean (see
+    MeanPotentialG), whose value, gradient and Hessian share F's evaluation.
 
     Returns (x, grad_norm) with x None when the search ends that way or the
     budget runs out.  certify runs it only where the declared recession
     function proves that a minimum exists, however far from the origin.
     """
     x = np.zeros(G.n)
-    f = G.value(x)
+    point = G.at(x)
+    f = point.value()
     for _ in range(_MEAN_MAX_ITERS):
-        g = G.gradient(x)
+        g = point.gradient()
         gnorm = float(np.linalg.norm(g))
-        mu, q = np.linalg.eigh(G.hessian(x))
+        mu, q = np.linalg.eigh(point.hessian())
         kept = _above_floor(mu)
         c = q.T @ g
         if np.linalg.norm(c[~kept]) > _MEAN_TOL:
@@ -150,7 +157,10 @@ def find_stationary_mean(G: MeanPotentialG):
         t = 1.0
         for _ in range(_NEWTON_HALVINGS):
             x_try = x + t * d
-            f_try = G.value(x_try)
+            # x's point, or the last trial's, goes before this one sweeps
+            point = None
+            point = G.at(x_try)
+            f_try = point.value()
             if np.isfinite(f_try) and (
                 f_try <= f - _NEWTON_ALPHA * t * decrement or not visible
             ):
@@ -159,7 +169,7 @@ def find_stationary_mean(G: MeanPotentialG):
         else:
             return None, gnorm
         x, f = x_try, f_try
-    return None, float(np.linalg.norm(G.gradient(x)))
+    return None, float(np.linalg.norm(point.gradient()))
 
 
 def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .certify import _VALUE_ROUNDING, _above_floor, build_mean_potential, coercivity_probe
 from .grid import (
-    MIN_RESOLUTION, Field, TorusGrid, _box_mean, _is_frozen, check_integer, check_seed,
+    MIN_RESOLUTION, Field, TorusGrid, _box_mean, check_integer, check_seed,
     check_tolerance, integrate,
 )
 from .operators import (
@@ -100,10 +100,11 @@ class SolveResult:
 
     A result is changed with dataclasses.replace, never in place: the
     polish's early return shares the result's norms, and a result that solve
-    returned keeps its last measurement (the potential gradient and the half
-    spectrum at ``u``) for the polish to start from.  replace() drops that
-    measurement, so the polish recomputes it for a new ``u``.  The values
-    of ``u`` are read-only; copy them to modify them.
+    returned holds its last point of the potential at ``u``, with the
+    potential gradient and the half spectrum there, for the polish to start
+    from.  replace() drops them, so the polish measures a new ``u`` afresh,
+    and a dropped result frees them.  The values of ``u`` are read-only;
+    copy them to modify them.
     """
 
     u: Field
@@ -117,11 +118,12 @@ class SolveResult:
     trace: np.ndarray
     line_search_failed: bool = False
     message: str = ""
-    # solve's last measurement, (u, pot, op, grad F(t, u), _residual's
-    # (u-hat, residual_inf, residual_l2)), read by newton_krylov_refine.  A
-    # class attribute, not a field: replace() drops it, and neither the
-    # report nor == sees it.
-    _measurement = None
+    # (pot, op, point, grad F(t, u), _residual's (u-hat, residual_inf,
+    # residual_l2)): the potential and operator solve was given, and its
+    # last point at u and what it measured there, read by
+    # newton_krylov_refine.  A class attribute, not a field: replace() drops
+    # it, and neither the report nor == sees it.
+    _last = None
 
 
 def default_init(grid: TorusGrid, n: int, opts: SolverOptions) -> Field:
@@ -256,12 +258,12 @@ def solve(
     ``iterations`` and ``trace`` count the grid's own iterations alone.
     The half-grid operator is built once per operator, so repeated solves
     on one operator and potential sample no path again (TrigPath.__call__).
-    The iterate and each line-search trial are frozen, read-only arrays that
-    own their data, so the potential's evaluations at one of them share
-    their work (see Potential): a log-sum-exp sweeps its exponentials once
-    for the start's Hessian, value and gradient, and once for a trial's
-    value and, where it is accepted, its gradient.  The returned field is
-    that frozen iterate.
+    The descent holds one point of the potential (see Potential) for the
+    iterate and one for each line-search trial, and drops the iterate's
+    before the first trial is evaluated: a log-sum-exp sweeps its
+    exponentials once for the start's Hessian, value and gradient, and once
+    for a trial's value and, where it is accepted, its gradient.  The
+    returned field is the last iterate, made read-only.
 
     The iterate is kept both as samples u and as its half spectrum, and
     steps update both.  Directions, preconditioning and inner products (by
@@ -275,18 +277,19 @@ def solve(
     3k + 4 in all, and 2 when the initial field meets the tolerance, whose
     first measurement is also its result's.  A coarse level adds its own
     count and two transforms each way between the grids, or two when it is
-    thrown away.  The result keeps its last measurement, the potential
+    thrown away.  The result holds its last point, with the potential
     gradient and half spectrum at ``u``, for newton_krylov_refine to start
-    from (see SolveResult).  Each iterate, the initial field first, is
-    measured once: a gradient that is not finite there is refused with a
-    ValueError naming the iteration, and an iterate meets the tolerance when
-    the action gradient's largest sample is within tol_grad_inf.  Where
-    <g, P g> underflows to zero no ray promises a decrease, and the run
-    stops as max_iters with line_search_failed set.  Where a trial's
-    action ties with the current one to rounding, the slope along the ray
-    decides instead, for one more potential gradient, unless the ray
-    promised a decrease well above rounding: then the trial is past the
-    ray's minimum and is halved.
+    from (see SolveResult); a run whose line search fails holds none.
+    Each iterate, the initial field first, is measured once: a gradient
+    that is not finite there is refused with a ValueError naming the
+    iteration, and an iterate meets the tolerance when the action
+    gradient's largest sample is within tol_grad_inf.  Where <g, P g>
+    underflows to zero no ray promises a decrease, and the run stops as
+    max_iters with line_search_failed set.  Where a trial's action ties
+    with the current one to rounding, the slope along the ray decides
+    instead, for one more potential gradient, unless the ray promised a
+    decrease well above rounding: then the trial is past the ray's minimum
+    and is halved.
     """
     opts = opts if opts is not None else SolverOptions()
     _check_operator(op, grid)
@@ -385,17 +388,13 @@ def _nested(op: DiffOperator, pot: Potential, opts: SolverOptions, u: np.ndarray
 
 
 def _descend(op: DiffOperator, pot: Potential, opts: SolverOptions, u: np.ndarray) -> SolveResult:
-    """solve's descent on op's grid from the samples u, which it keeps.
-
-    u and each trial are frozen (grid._is_frozen), so the potential's
-    evaluations at one of them share their work.
-    """
-    u.setflags(write=False)
+    """solve's descent on op's grid from the samples u, which it keeps."""
     grid = op.grid
     coords = grid.coords()
     lam = op._lam[..., None]
+    point = pot.at(coords, u)
     # fixed for the whole run, as L-BFGS needs
-    precond = _fitted_preconditioner(op, _box_mean(pot.hessian(coords, u), grid))
+    precond = _fitted_preconditioner(op, _box_mean(point.hessian(), grid))
     inner = op._inner
 
     # lam_uhat, lambda * u-hat, is formed once per iterate: the gradient's
@@ -403,11 +402,11 @@ def _descend(op: DiffOperator, pot: Potential, opts: SolverOptions, u: np.ndarra
     uhat = op._rfft(u)
     lam_uhat = lam * uhat
     kinetic = 0.5 * inner(lam_uhat, uhat)
-    potential_part = integrate(grid, pot.value(coords, u))
+    potential_part = integrate(grid, point.value())
     f = kinetic + potential_part
     if not np.isfinite(f):
         raise ValueError("action is not finite at the initial field")
-    grad_f = pot.gradient(coords, u)
+    grad_f = point.gradient()
 
     trace = []
     memory = _LbfgsMemory(_LBFGS_MEMORY, inner, precond)
@@ -493,9 +492,12 @@ def _descend(op: DiffOperator, pot: Potential, opts: SolverOptions, u: np.ndarra
         for _bt in range(_MAX_BACKTRACKS + 1):
             u_try = alpha * d_samples
             u_try += u
-            u_try.setflags(write=False)
+            # the iterate's point, or the last trial's, goes before this one
+            # is evaluated
+            point = None
+            point = pot.at(coords, u_try)
             kinetic_try = kinetic + alpha * slope + 0.5 * alpha * alpha * curvature
-            potential_try = integrate(grid, pot.value(coords, u_try))
+            potential_try = integrate(grid, point.value())
             f_try = kinetic_try + potential_try
             grad_try = None
             if abs(f_try - f) <= tie:
@@ -507,7 +509,7 @@ def _descend(op: DiffOperator, pot: Potential, opts: SolverOptions, u: np.ndarra
                 # J. Optim. 16(1), 2005), exact for a quadratic and free of the
                 # cancellation in f_try - f.
                 if -alpha * gd <= _MIRROR_PROMISE * tie:
-                    grad_try = pot.gradient(coords, u_try)
+                    grad_try = point.gradient()
                     ray_slope = slope + alpha * curvature + grid.cell_weight * float(
                         np.sum(grad_try * d_samples)
                     )
@@ -521,6 +523,7 @@ def _descend(op: DiffOperator, pot: Potential, opts: SolverOptions, u: np.ndarra
         if not accepted:
             status = SolveStatus.MAX_ITERS
             line_search_failed = True
+            point = None  # the last trial's, not u's
             message = (
                 f"line search failed after {_MAX_BACKTRACKS} halvings "
                 f"(directional derivative {gd:.3e})"
@@ -530,7 +533,7 @@ def _descend(op: DiffOperator, pot: Potential, opts: SolverOptions, u: np.ndarra
         s = alpha * d
         uhat += s
         u = u_try
-        grad_f = pot.gradient(coords, u) if grad_try is None else grad_try
+        grad_f = point.gradient() if grad_try is None else grad_try
         lam_uhat = lam * uhat
         f, kinetic, potential_part = f_try, kinetic_try, potential_try
         alpha_prev = alpha
@@ -546,7 +549,8 @@ def _descend(op: DiffOperator, pot: Potential, opts: SolverOptions, u: np.ndarra
         message=message,
         **_measured(op, u, residual, kinetic, potential_part, f),
     )
-    result._measurement = (result.u, pot, op, grad_f, residual)
+    if point is not None:
+        result._last = (pot, op, point, grad_f, residual)
     return result
 
 
@@ -562,8 +566,9 @@ def _residual(u: np.ndarray, grad_f: np.ndarray, op: DiffOperator):
 
 
 def _measured(op: DiffOperator, u, residual, kinetic, potential_part, f) -> dict:
-    """The SolveResult fields measured on u, from its _residual and action."""
+    """The SolveResult fields measured on u, made read-only as the result's field."""
     uhat, res_inf, res_l2 = residual
+    u.setflags(write=False)
     return dict(
         u=Field(op.grid, u, _check=False),
         action=ActionReport(kinetic, potential_part, f, res_inf),
@@ -632,19 +637,18 @@ def newton_krylov_refine(
     returned samples with the same operations as this polish, so they are
     the norms a recomputation would give; the action is the run's carried
     value, which may differ from a fresh evaluation by rounding (about
-    1e-15 relative).  Otherwise the polish starts from the result's own
-    measurement at ``u``, the potential gradient and the half spectrum that
-    solve already took, where ``result`` is as solve returned it and
-    ``pot`` and ``op`` are the objects solve was given: one potential
-    gradient and two transforms fewer, and the same bits.  A result rebuilt
-    by dataclasses.replace, or polished with another potential or
+    1e-15 relative).  Otherwise the polish starts from the point that the
+    result holds at ``u``, with the potential gradient and the half
+    spectrum that solve already took, where ``result`` is as solve returned
+    it and ``pot`` and ``op`` are the objects solve was given: one potential
+    evaluation and two transforms fewer, and the same bits.  A result
+    rebuilt by dataclasses.replace, or polished with another potential or
     operator, is measured afresh.  Both shortcuts assume that a result is
-    never changed in place.  A frozen field, as solve returns it, is read
-    without a copy, and every returned field, the early return's copy too,
-    is read-only.  Each point the polish evaluates is frozen, so its
-    potential evaluations share their work (see Potential): the first
-    Hessian at solve's result shares solve's last sweep, and the final value
-    the sweep of the accepted damping trial.
+    never changed in place.  The field is read without a copy, and every
+    returned field, the early return's copy too, is read-only.  The polish
+    holds one point of the potential (see Potential) for its iterate and
+    one for each damping trial: the first Hessian reads solve's last point,
+    and the final value the accepted trial's.
 
     CG runs on half spectra, where the Laplacian and the preconditioner are
     multiplications, so a CG iteration costs two transforms; each Newton
@@ -673,17 +677,13 @@ def newton_krylov_refine(
     coords = grid.coords()
     lam = op._lam[..., None]
 
-    # read in place where frozen, as solve returns it, so that its potential
-    # evaluations at u share their work with solve's last ones
     u = result.u.values
-    if not _is_frozen(u):
-        u = u.copy()
-        u.setflags(write=False)
-    handed = result._measurement
-    if handed is not None and handed[0] is result.u and handed[1] is pot and handed[2] is op:
-        grad_f, residual = handed[3:]
+    last = result._last
+    if last is not None and last[0] is pot and last[1] is op:
+        point, grad_f, residual = last[2:]
     else:
-        grad_f = pot.gradient(coords, u)
+        point = pot.at(coords, u)
+        grad_f = point.gradient()
         residual = _residual(u, grad_f, op)
     notes = [result.message]
     newton_steps = 0
@@ -692,7 +692,7 @@ def newton_krylov_refine(
     while residual[1] > tol and newton_steps < _MAX_NEWTON:
         uhat, _, res_l2 = residual
         ghat = lam * uhat + op._rfft(grad_f)
-        hess = pot.hessian(coords, u)
+        hess = point.hessian()
         rows = [[(b, hess[..., a, b]) for b in range(pot.n)] for a in range(pot.n)]
 
         def apply_j(v):
@@ -721,11 +721,11 @@ def newton_krylov_refine(
         alpha = 1.0
         for _ in range(_MAX_BACKTRACKS):
             u_try = u + alpha * step
-            u_try.setflags(write=False)
-            grad_try = pot.gradient(coords, u_try)
-            trial = _residual(u_try, grad_try, op)
-            if trial[2] <= (1.0 - _ARMIJO_C1 * alpha) * res_l2:
-                u, grad_f, residual = u_try, grad_try, trial
+            trial = pot.at(coords, u_try)
+            grad_try = trial.gradient()
+            residual_try = _residual(u_try, grad_try, op)
+            if residual_try[2] <= (1.0 - _ARMIJO_C1 * alpha) * res_l2:
+                u, point, grad_f, residual = u_try, trial, grad_try, residual_try
                 break
             alpha *= _BACKTRACK_FACTOR
         else:
@@ -737,7 +737,9 @@ def newton_krylov_refine(
         notes.append(f"newton refinement: {newton_steps} step(s)")
     uhat, res_inf, _ = residual
     kinetic = 0.5 * op._inner(lam * uhat, uhat)
-    potential_part = integrate(grid, pot.value(coords, u))
+    potential_part = integrate(grid, point.value())
+    if u is result.u.values and u.flags.writeable:
+        u = u.copy()  # no step was taken: the returned field is not the caller's
     return replace(
         result,
         status=SolveStatus.CONVERGED if res_inf <= tol else SolveStatus.MAX_ITERS,

@@ -7,7 +7,6 @@ integrable by the grid quadrature once resolved.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
@@ -169,19 +168,18 @@ SUPERLINEAR = "superlinear"
 class Potential:
     """A potential F(t, x) with its x-gradient and the growth of its box mean.
 
-    ``value``, ``gradient`` and ``hessian`` are batched: t has shape
-    (..., p), x has shape (..., n), and they return shapes (...,), (..., n)
-    and (..., n, n).  The Hessian may be a read-only view: the kinds with a
-    constant Hessian (quadratic_shift, quadratic_form, manufactured and
-    linear_drift) broadcast their one n x n matrix over the batch, which
-    writes nothing per point.  Copy it to modify it.
-
-    Evaluations at one frozen point share their work: a kind may keep what
-    it computed at a frozen x and t (grid._is_frozen: read-only arrays that
-    own their data), for the last such point alone and while x lives, and
-    return it again, read-only.  log_sum_exp does, so its value, gradient
-    and Hessian there take one sweep of exp; solve and the polish freeze
-    every point they evaluate.
+    ``at`` is F's one evaluation: ``at(t, x)`` returns a point, F at the
+    batch t of shape (..., p) and x of shape (..., n), whose ``value()``,
+    ``gradient()`` and ``hessian()`` give shapes (...,), (..., n) and
+    (..., n, n).  Each is computed when read, from the parts that the point
+    keeps, and lives as long as its caller holds the point: log_sum_exp's
+    point keeps its log-sum-exp plane and softmax, so its value, gradient and
+    Hessian share one sweep of exp; the other kinds keep nothing.  The
+    methods ``value``, ``gradient`` and ``hessian`` each read a fresh point.
+    The Hessian may be a read-only view: the kinds with a constant Hessian
+    (quadratic_shift, quadratic_form, manufactured and linear_drift)
+    broadcast their one n x n matrix over the batch, which writes nothing
+    per point.  Copy it to modify it.
 
     ``recession`` declares the recession function G_inf(d) = lim G(r d) / r
     of the averaged potential G(x) = integral of F(t, x) dt: a tuple of rows
@@ -192,23 +190,22 @@ class Potential:
     built from, named by their config keys and on F's periods, or () when F
     does not depend on t.
 
-    All three are required: the solver's preconditioner and polish and the
-    stationary-mean search read the Hessian, the recession decides whether
-    a minimizer exists, and check_potential reads the paths' frequencies.
+    ``at``, ``recession`` and ``paths`` are required: the solver's
+    preconditioner and polish and the stationary-mean search read the
+    Hessian, the recession decides whether a minimizer exists, and
+    check_potential reads the paths' frequencies.
     """
 
     n: int
     periods: tuple[float, ...]
-    value: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    gradient: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    hessian: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    at: Callable[[np.ndarray, np.ndarray], "_Point"]
     recession: Union[tuple[tuple[float, ...], ...], str]
     paths: tuple[tuple[str, TrigPath], ...]
     kind: str = ""
 
     def __post_init__(self):
         """Reject a missing declaration, a path off F's periods or malformed rows."""
-        for name in ("hessian", "recession", "paths"):
+        for name in ("at", "recession", "paths"):
             if getattr(self, name) is None:
                 raise ValueError(f"potential {self.kind!r} must declare its {name}")
         object.__setattr__(self, "paths", tuple(self.paths))
@@ -227,6 +224,41 @@ class Potential:
                 f"{SUPERLINEAR!r}, got {self.recession!r}"
             )
         object.__setattr__(self, "recession", _rows(rows))
+
+    def value(self, t, x) -> np.ndarray:
+        return self.at(t, x).value()
+
+    def gradient(self, t, x) -> np.ndarray:
+        return self.at(t, x).gradient()
+
+    def hessian(self, t, x) -> np.ndarray:
+        return self.at(t, x).hessian()
+
+
+class _Point:
+    """F at one point: its value, gradient and Hessian, each computed when
+    read by the kind's function of the parts that the point keeps."""
+
+    __slots__ = ("_parts", "_fns")
+
+    def __init__(self, parts: tuple, fns: tuple):
+        self._parts = parts
+        self._fns = fns
+
+    def value(self) -> np.ndarray:
+        return self._fns[0](*self._parts)
+
+    def gradient(self) -> np.ndarray:
+        return self._fns[1](*self._parts)
+
+    def hessian(self) -> np.ndarray:
+        return self._fns[2](*self._parts)
+
+
+def _pointwise(*fns):
+    """The ``at`` of a kind whose value, gradient and Hessian share nothing:
+    its point keeps (t, x) and reads the three functions there."""
+    return lambda t, x: _Point((t, x), fns)
 
 
 def check_potential(pot: Potential, grid: TorusGrid) -> None:
@@ -305,9 +337,7 @@ def make_quadratic_shift(n: int, shift: TrigPath) -> Potential:
     return Potential(
         n=int(n),
         periods=shift.periods,
-        value=value,
-        gradient=gradient,
-        hessian=hessian,
+        at=_pointwise(value, gradient, hessian),
         kind="quadratic_shift",
         recession=SUPERLINEAR,
         paths=(("shift", shift),),
@@ -334,9 +364,7 @@ def make_linear_drift(n: int, drift: TrigPath) -> Potential:
     return Potential(
         n=int(n),
         periods=drift.periods,
-        value=value,
-        gradient=gradient,
-        hessian=hessian,
+        at=_pointwise(value, gradient, hessian),
         kind="linear_drift",
         recession=_rows(drift.box_mean()),
         paths=(("drift", drift),),
@@ -369,9 +397,7 @@ def make_quadratic_form(matrix, drift: TrigPath) -> Potential:
     return Potential(
         n=n,
         periods=drift.periods,
-        value=value,
-        gradient=gradient,
-        hessian=hessian,
+        at=_pointwise(value, gradient, hessian),
         kind="quadratic_form",
         recession=SUPERLINEAR,
         paths=(("drift", drift),),
@@ -382,8 +408,10 @@ def make_log_sum_exp(directions, offsets: list[TrigPath]) -> Potential:
     """F(t, x) = log sum_j exp(<s_j, x> + b_j(t)).
 
     The offsets do not change the growth at infinity, max_j <s_j, d>, so
-    the directions are the rows of the recession function.  At a frozen
-    point (see Potential) the value is a kept, read-only plane.
+    the directions are the rows of the recession function.  A point (see
+    Potential) sweeps exp once, when it is made, and keeps the log-sum-exp
+    and the softmax, J + 1 planes: its value is the read-only log-sum-exp
+    plane, and its gradient and Hessian are assembled from the softmax.
     """
     S = np.asarray(directions, dtype=float)
     if S.ndim != 2:
@@ -418,70 +446,33 @@ def make_log_sum_exp(directions, offsets: list[TrigPath]) -> Potential:
                 plane += offsets[j](t)[..., 0]
         return z
 
-    def _exps(t, x):
-        """(m, e, s): the logits' max m, the planes e = exp(z - m), written
-        over the fresh logit planes, and their sum s."""
+    def at(t, x):
+        """F's point at (t, x): the log-sum-exp m + log s and the softmax
+        e / s, J + 1 read-only planes made in place of the logits' max m,
+        the planes e = exp(z - m) over the logits z and their sum s."""
         z = _logits(t, x)
-        m = z.max(axis=0)
-        z -= m
+        # arrays, 0-d at a single point, so that the log can be taken in place
+        lse = np.asarray(z.max(axis=0))
+        z -= lse
         np.exp(z, out=z)
-        return m, z, z.sum(axis=0)
+        s = np.asarray(z.sum(axis=0))
+        z /= s
+        lse += np.log(s, out=s)
+        lse.setflags(write=False)
+        z.setflags(write=False)
+        return _Point((lse, z), fns)
 
-    # (t, weak reference to x, log-sum-exp, softmax) at the last frozen
-    # point, or None
-    kept = None
+    def value(lse, prob):
+        return lse
 
-    def _forget(ref):
-        # x died, and the planes kept for it go with it
-        nonlocal kept
-        if kept is not None and kept[1] is ref:
-            kept = None
-
-    def _at_frozen(t, x):
-        """The log-sum-exp m + log s and the softmax e / s at a frozen (t, x).
-
-        Both are made in place of _exps's planes, J + 1 planes in all, and
-        kept, read-only, for the last such point while x lives: the value,
-        gradient and Hessian there share one sweep of exp.
-        """
-        nonlocal kept
-        point = kept
-        if point is None or point[0] is not t or point[1]() is not x:
-            # the old point's planes go before the new sweep
-            point = kept = None
-            lse, prob, s = _exps(t, x)
-            prob /= s
-            lse += np.log(s, out=s)
-            lse.setflags(write=False)
-            prob.setflags(write=False)
-            point = kept = (t, weakref.ref(x, _forget), lse, prob)
-        return point[2], point[3]
-
-    def value(t, x):
-        if _is_frozen(x) and _is_frozen(t):
-            return _at_frozen(t, x)[0]
-        m, _, s = _exps(t, x)
-        return m + np.log(s)
-
-    def _softmax(t, x):
-        if _is_frozen(x) and _is_frozen(t):
-            return _at_frozen(t, x)[1]
-        _, e, s = _exps(t, x)
-        e /= s
-        return e
-
-    def _gradient(prob):
+    def gradient(lse, prob):
         g = np.empty(prob.shape[1:] + (n,))
         for a, terms in enumerate(grad_terms):
             _combine(prob, terms, g[..., a])
         return g
 
-    def gradient(t, x):
-        return _gradient(_softmax(t, x))
-
-    def hessian(t, x):
-        prob = _softmax(t, x)
-        g = _gradient(prob)
+    def hessian(lse, prob):
+        g = gradient(lse, prob)
         h = np.empty(g.shape + (n,))
         for (a, b), terms in hess_terms.items():
             entry = _combine(prob, terms, h[..., a, b])
@@ -490,12 +481,12 @@ def make_log_sum_exp(directions, offsets: list[TrigPath]) -> Potential:
                 h[..., b, a] = entry
         return h
 
+    fns = (value, gradient, hessian)
+
     return Potential(
         n=n,
         periods=offsets[0].periods,
-        value=value,
-        gradient=gradient,
-        hessian=hessian,
+        at=at,
         kind="log_sum_exp",
         recession=_rows(S),
         paths=tuple((f"offsets[{j}]", b) for j, b in enumerate(offsets)),

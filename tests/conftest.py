@@ -1,4 +1,7 @@
 from collections import Counter
+from dataclasses import replace
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,8 +44,9 @@ def count_exp(monkeypatch):
     """Start counting the arrays that ``np.exp`` sweeps, by shape.
 
     The log-sum-exp kind is the one built-in potential that calls
-    ``np.exp``, once over its J logit planes, shape ``(J,) + batch``, per
-    sweep.  Calling the fixture starts the count and returns its Counter.
+    ``np.exp``: each of its points sweeps it once, when the point is made,
+    over its J logit planes, shape ``(J,) + batch``.  Calling the fixture
+    starts the count and returns its Counter.
     """
 
     def start():
@@ -56,3 +60,26 @@ def count_exp(monkeypatch):
         return counts
 
     return start
+
+
+def with_evaluations(pot, **evaluations):
+    """``pot`` rebuilt with some of its value, gradient and Hessian replaced.
+
+    Each replacement is a ``(t, x)`` callable, read at the (t, x) of each
+    point of the rebuilt potential; the rest are read from ``pot``'s own
+    point there.  Faulty and counting potentials are built this way.
+    """
+    names = ("value", "gradient", "hessian")
+    unknown = set(evaluations) - set(names)
+    if unknown:
+        raise TypeError(f"cannot replace {sorted(unknown)}; only {names}")
+
+    def at(t, x):
+        point = pot.at(t, x)
+        return SimpleNamespace(**{
+            name: partial(evaluations[name], t, x) if name in evaluations
+            else getattr(point, name)
+            for name in names
+        })
+
+    return replace(pot, at=at)

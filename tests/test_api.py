@@ -6,7 +6,7 @@ import torus_action
 
 # The public surface: what the CLI, the README quick start, the acceptance
 # suite and perfbench/worker.py call, the result types those calls return,
-# and the error dense_solve raises: 39 names.  Helpers that only the unit
+# and the error dense_solve raises: 37 names.  Helpers that only the unit
 # tests call are imported from their modules.
 PUBLIC_NAMES = {
     # grid
@@ -18,7 +18,6 @@ PUBLIC_NAMES = {
     "Potential",
     "TrigPath",
     "TrigTerm",
-    "check_gradient",
     "make_linear_drift",
     "make_log_sum_exp",
     "make_manufactured",
@@ -48,7 +47,6 @@ PUBLIC_NAMES = {
     "coercivity_probe",
     "find_stationary_mean",
     "fluctuation_ratio",
-    "wirtinger_audit",
     "wirtinger_constant",
     # oracle
     "NotPositiveDefiniteError",

@@ -1,5 +1,6 @@
-from dataclasses import replace
+from collections import Counter
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,10 +27,10 @@ from torus_action import (
     make_quadratic_form,
     make_quadratic_shift,
     solve,
-    wirtinger_audit,
     wirtinger_constant,
 )
-from torus_action.certify import MeanPotentialG, _nnls
+from conftest import with_evaluations
+from torus_action.certify import MeanPotentialG, _nnls, wirtinger_audit
 
 TWO_PI = 2.0 * np.pi
 
@@ -94,7 +95,7 @@ def test_stationary_mean_search_that_runs_out_of_halvings_misses_the_minimum():
     # G is inf everywhere off the origin, so no step length lowers it
     g, op, pot = drifted_unit_quadratic()
     value = pot.value
-    pot = replace(pot, value=lambda t, x: np.where(np.all(x == 0.0, axis=-1), value(t, x), np.inf))
+    pot = with_evaluations(pot, value=lambda t, x: np.where(np.all(x == 0.0, axis=-1), value(t, x), np.inf))
     x, gnorm = find_stationary_mean(build_mean_potential(g, pot))
     assert x is None
     assert_allclose(gnorm, 2.0 * TWO_PI, rtol=1e-12)
@@ -112,7 +113,7 @@ def test_stationary_mean_search_that_runs_out_of_steps_misses_the_minimum():
     # to x = 2, so the gradient is 4 pi (1 - 1e-6)^10000 after the budget
     g, _, pot = drifted_unit_quadratic()
     hessian = pot.hessian
-    pot = replace(pot, hessian=lambda t, x: 1e6 * hessian(t, x))
+    pot = with_evaluations(pot, hessian=lambda t, x: 1e6 * hessian(t, x))
     x, gnorm = find_stationary_mean(build_mean_potential(g, pot))
     assert x is None
     assert_allclose(gnorm, 2.0 * TWO_PI * (1.0 - 1e-6) ** 10000, rtol=1e-9)
@@ -327,11 +328,10 @@ def test_newton_takes_one_step_on_a_quadratic():
     A = _rotated_spd(np.pi / 6, (1.0, 0.01))
     drift = TrigPath((TWO_PI,), 2, (TrigTerm("cos", (0,), (1.0, 0.5)),))
     G = build_mean_potential(g, make_quadratic_form(A, drift))
-    hessians = []
-    hessian = G.hessian
-    G.hessian = lambda x: hessians.append(x) or hessian(x)
+    reads = Counter()
+    G.at = _counting_points(G.at, reads)
     x, _ = find_stationary_mean(G)
-    assert len(hessians) == 2  # the step, then the decrement that stops
+    assert reads["hessian"] == 2  # the step, then the decrement that stops
     assert_allclose(x, -np.linalg.solve(A, [1.0, 0.5]), rtol=1e-12)
 
 
@@ -443,7 +443,7 @@ def test_a_hessian_that_is_not_positive_definite_never_counts_as_converged():
     g, _ = grid_and_op()
     drift = TrigPath((TWO_PI,), 1, (TrigTerm("cos", (0,), (1.0,)),))
     base = make_linear_drift(1, drift)
-    lying = replace(base, hessian=lambda t, x: -np.ones(np.shape(x)[:-1] + (1, 1)))
+    lying = with_evaluations(base, hessian=lambda t, x: -np.ones(np.shape(x)[:-1] + (1, 1)))
     x, gnorm = find_stationary_mean(build_mean_potential(g, lying))
     assert x is None
     assert_allclose(gnorm, TWO_PI, rtol=1e-12)
@@ -457,6 +457,24 @@ SWEEP_PERIODS = (0.3, 1.0, TWO_PI, 10.0)
 SWEEP_G_CALLS = ("value", "gradient", "hessian")
 
 
+def _counting_points(at, reads):
+    """``at`` of a MeanPotentialG, bound or not, whose points count their
+    value, gradient and Hessian reads into ``reads`` by name."""
+
+    def counted(*args):
+        point = at(*args)
+
+        def read(name):
+            def method():
+                reads[name] += 1
+                return getattr(point, name)()
+            return method
+
+        return SimpleNamespace(**{name: read(name) for name in SWEEP_G_CALLS})
+
+    return counted
+
+
 # (seed, cases, offset scale): the first sweep has unit offsets; in the
 # second, offsets up to 10 across the box made the search stall at G's
 # rounding until its budget ran out, or step past a ridge of the log-sum-exp
@@ -466,7 +484,7 @@ SWEEPS = {"unit-offsets": (20, 120, 1.0), "large-offsets": (237, 40, 5.0)}
 
 @lru_cache(maxsize=None)
 def _recession_sweep(sweep):
-    """Seeded log_sum_exp cases, certified with a count of G's calls.
+    """Seeded log_sum_exp cases, certified with a count of G's reads.
 
     p = 1-2, n = 1-3, J = n+1 to n+3 Gaussian directions, periods drawn
     from SWEEP_PERIODS, 8 nodes per axis, and each offset a constant plus a
@@ -474,19 +492,11 @@ def _recession_sweep(sweep):
     """
     seed, count, scale = SWEEPS[sweep]
     rng = np.random.default_rng(seed)
-    calls = {name: 0 for name in SWEEP_G_CALLS}
-    plain = {name: getattr(MeanPotentialG, name) for name in SWEEP_G_CALLS}
-
-    def counted(name):
-        def method(self, x):
-            calls[name] += 1
-            return plain[name](self, x)
-        return method
-
+    calls = Counter()
+    plain = MeanPotentialG.at
     cases = []
     try:
-        for name in SWEEP_G_CALLS:
-            setattr(MeanPotentialG, name, counted(name))
+        MeanPotentialG.at = _counting_points(plain, calls)
         for _ in range(count):
             p, n = int(rng.integers(1, 3)), int(rng.integers(1, 4))
             J = int(rng.integers(n + 1, n + 4))
@@ -502,8 +512,7 @@ def _recession_sweep(sweep):
             cert = certify(g, pot, DiffOperator(g, Scheme.SPECTRAL))
             cases.append((g, S, pot, cert, sum(calls.values()) - before))
     finally:
-        for name in SWEEP_G_CALLS:
-            setattr(MeanPotentialG, name, plain[name])
+        MeanPotentialG.at = plain
     return cases
 
 
@@ -530,7 +539,7 @@ def test_recession_sweep_certificates_check_themselves(sweep):
 
 @pytest.mark.parametrize("sweep", SWEEPS)
 def test_recession_sweep_costs_few_G_calls(sweep):
-    # G value, gradient and Hessian calls per certify: a steepest-descent
+    # reads of G's value, gradient and Hessian per certify: a steepest-descent
     # fallback, or a Newton search stalled at G's rounding, spent tens of
     # thousands on some of these cases
     counts = [calls for *_, calls in _recession_sweep(sweep)]

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,9 +18,11 @@ from torus_action import (
     TorusGrid,
     TrigPath,
     TrigTerm,
+    Verdict,
     action_gradient,
     action_value,
     assemble_quadratic_system,
+    certify,
     dense_solve,
     integrate,
     l2_inner,
@@ -32,6 +35,7 @@ from torus_action import (
     potential_from_dict,
     solve,
 )
+from conftest import with_evaluations
 from torus_action.operators import dirichlet_form, l2_norm, mean_decompose
 
 TWO_PI = 2.0 * np.pi
@@ -222,7 +226,7 @@ def test_gradient_that_turns_nan_after_a_step_is_refused():
     shift = TrigPath((TWO_PI,), 1, (TrigTerm("cos", (0,), (1.0,)),
                                      TrigTerm("cos", (1,), (0.3,))))
     pot = make_quadratic_shift(1, shift)
-    pot = replace(pot, gradient=nan_where(pot.gradient, lambda x: x > 0.5))
+    pot = with_evaluations(pot, gradient=nan_where(pot.gradient, lambda x: x > 0.5))
     op = DiffOperator(g, Scheme.SPECTRAL)
     with pytest.raises(ValueError, match="^action gradient is not finite at iteration 1$"):
         solve(g, pot, op)
@@ -234,7 +238,7 @@ def test_gradient_that_turns_nan_after_a_step_is_refused():
 ], ids=["value", "gradient"])
 def test_initial_field_with_a_non_finite_action_or_gradient_is_refused(attr, message):
     g, pot = shift_problem()
-    pot = replace(pot, **{attr: nan_where(getattr(pot, attr), lambda x: x == x)})
+    pot = with_evaluations(pot, **{attr: nan_where(getattr(pot, attr), lambda x: x == x)})
     with pytest.raises(ValueError, match=message):
         solve(g, pot, DiffOperator(g, Scheme.SPECTRAL))
 
@@ -317,8 +321,6 @@ def test_refine_quadratic_in_one_newton_step():
 
 
 def test_refine_builds_the_hessian_once_per_newton_step():
-    from dataclasses import replace
-
     g = TorusGrid((TWO_PI,), (16,))
     S = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
     offs = [
@@ -332,7 +334,7 @@ def test_refine_builds_the_hessian_once_per_newton_step():
         calls.append(1)
         return pot.hessian(t, x)
 
-    counting = replace(pot, hessian=counted)
+    counting = with_evaluations(pot, hessian=counted)
     op = DiffOperator(g, Scheme.SPECTRAL)
     coarse = solve(g, pot, op, SolverOptions(tol_grad_inf=1e-4))
     refined = newton_krylov_refine(coarse, counting, op, tol=1e-12)
@@ -355,7 +357,7 @@ def test_a_line_search_that_finds_no_decrease_stops_and_says_so():
     # the ray delivers, so every one of the halvings is rejected
     g, pot = shift_problem()
     op = DiffOperator(g, Scheme.SPECTRAL)
-    steep = replace(pot, gradient=lambda t, x: 1e6 * pot.gradient(t, x))
+    steep = with_evaluations(pot, gradient=lambda t, x: 1e6 * pot.gradient(t, x))
     res = solve(g, steep, op)
     assert res.status is SolveStatus.MAX_ITERS
     assert res.line_search_failed
@@ -373,7 +375,7 @@ def test_refine_stops_where_cg_meets_non_positive_curvature():
     u = res.u + Field.constant(g, [1e-3])
     residual = float(np.abs(action_gradient(u, pot, op).values).max())
     perturbed = replace(res, u=u, residual_inf=residual)
-    concave = replace(pot, hessian=lambda t, x: -pot.hessian(t, x))
+    concave = with_evaluations(pot, hessian=lambda t, x: -pot.hessian(t, x))
     refined = newton_krylov_refine(perturbed, concave, op)
     assert refined.status is SolveStatus.MAX_ITERS
     assert refined.iterations == res.iterations
@@ -388,7 +390,7 @@ def test_refine_stops_where_damping_finds_no_residual_decrease(scheme, steps):
     op = DiffOperator(g, scheme)
     res = solve(g, pot, op, SolverOptions(tol_grad_inf=1e-3))
     assert res.status is SolveStatus.CONVERGED and res.message == ""
-    flat = replace(pot, hessian=lambda t, x: 1e-6 * pot.hessian(t, x))
+    flat = with_evaluations(pot, hessian=lambda t, x: 1e-6 * pot.hessian(t, x))
     refined = newton_krylov_refine(res, flat, op, tol=1e-12)
     assert refined.status is SolveStatus.MAX_ITERS
     assert refined.iterations == res.iterations + steps
@@ -455,7 +457,7 @@ def counting(pot, attr, calls):
         calls.append(1)
         return fn(t, x)
 
-    return replace(pot, **{attr: counted})
+    return with_evaluations(pot, **{attr: counted})
 
 
 @pytest.mark.parametrize("fitted", [True, False])
@@ -1105,7 +1107,7 @@ def _lse_refused_on_the_half_grid():
             out[:] = np.nan
         return out
 
-    return g, replace(pot, gradient=fine_only)
+    return g, with_evaluations(pot, gradient=fine_only)
 
 
 @pytest.mark.parametrize("problem, opts, status", [
@@ -1245,16 +1247,55 @@ def test_solve_and_the_polish_sweep_exp_once_per_point_on_the_large_grid(count_e
     res = solve(g, pot, op, SolverOptions(max_iters=80, tol_grad_inf=1e-6))
     assert res.message == "coarse start: 4 iterations on the 8x8x8x8 grid"
     assert res.iterations == 1
-    # one sweep at the start, for its Hessian, value and gradient, and one
+    # one point at the start, for its Hessian, value and gradient, and one
     # at the trial, for its value and, accepted, its gradient
     assert counts == {fine: 2, coarse: 8}
     counts.clear()
     refined = newton_krylov_refine(res, pot, op, tol=1e-12)
     assert refined.status is SolveStatus.CONVERGED
     assert refined.iterations == res.iterations + 1
-    # the Hessian at solve's last point takes solve's sweep, and the one
+    # the Hessian reads the point that solve's result holds, and the one
     # damping trial's gradient and the final value share another
     assert counts == {fine: 1}
+
+
+def test_certify_sweeps_exp_once_per_mean_on_the_large_grid(count_exp):
+    g, pot = _lse_16x2()
+    counts = count_exp()
+    cert = certify(g, pot, DiffOperator(g, Scheme.SPECTRAL))
+    assert cert.verdict is Verdict.SOLVABLE
+    # the origin and two accepted Newton steps, each mean one point of G
+    # whose value, gradient and Hessian share its sweep
+    assert counts == {(4,) + g.shape: 3}
+
+
+def test_a_result_holds_its_last_point_until_it_is_dropped_or_replaced():
+    g, pot = _lse_16x2()
+    op = DiffOperator(g, Scheme.SPECTRAL)
+    opts = SolverOptions(max_iters=80, tol_grad_inf=1e-6)
+    # the half-grid operator, the coordinates and the path samples outlive
+    # a solve, so a first one makes them before the count
+    solve(g, pot, op, opts)
+    plane = g.node_count * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = solve(g, pot, op, opts)
+        held = tracemalloc.get_traced_memory()[0] - base
+        rebuilt = replace(res, message="rebuilt")
+        del res
+        replaced = tracemalloc.get_traced_memory()[0] - base
+        del rebuilt
+        left = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    # u and the potential gradient (n = 2 planes each), the half spectrum
+    # (2.25 planes) and the point's J + 1 = 5 planes: 5.63 MiB, besides the
+    # trace and the small fields
+    assert held < (2 + 2 + 2.25 + 5) * plane + 16384
+    # replace() keeps the field alone, and a dropped result frees the rest
+    assert replaced < 2 * plane + 16384
+    assert left < 16384
 
 
 def test_every_field_that_solve_or_the_polish_returns_is_read_only():
@@ -1269,8 +1310,12 @@ def test_every_field_that_solve_or_the_polish_returns_is_read_only():
         "polished": newton_krylov_refine(converged, pot, op, tol=1e-12),
         "early return": newton_krylov_refine(converged, pot, op, tol=converged.residual_inf),
         "writeable, polished": newton_krylov_refine(writeable, pot, op, tol=1e-12),
+        # measured afresh, u already meets the tolerance: no step is taken
+        "writeable, no step": newton_krylov_refine(
+            replace(writeable, residual_inf=1.0), pot, op, tol=1e-6),
         "diverged": solve(*fd2_drift()),
     }
+    assert results["writeable, no step"].iterations == converged.iterations
     assert results["initial field"].iterations == 0
     assert results["polished"].iterations > converged.iterations
     assert results["diverged"].status is SolveStatus.DIVERGED_NON_COERCIVE
@@ -1279,27 +1324,28 @@ def test_every_field_that_solve_or_the_polish_returns_is_read_only():
         assert not values.flags.writeable, name
         with pytest.raises(ValueError, match="read-only"):
             values[(0,) * values.ndim] = 0.0
-    # a writeable field given to the polish is copied, not frozen
+    # a writeable field given to the polish stays writeable and is not returned
     assert writeable.u.values.flags.writeable
-    assert not np.shares_memory(results["writeable, polished"].u.values, writeable.u.values)
+    for name in ("writeable, polished", "writeable, no step"):
+        assert not np.shares_memory(results[name].u.values, writeable.u.values)
 
 
 def test_the_polish_reads_solves_field_without_copying_it():
     g, pot = lse_problem()
     points = []
     hessian = pot.hessian
-    pot = replace(pot, hessian=lambda t, x: points.append(x) or hessian(t, x))
+    pot = with_evaluations(pot, hessian=lambda t, x: points.append(x) or hessian(t, x))
     op = DiffOperator(g, Scheme.SPECTRAL)
     res = solve(g, pot, op, SolverOptions(tol_grad_inf=1e-6))
     points.clear()
     newton_krylov_refine(res, pot, op, tol=1e-12)
     assert points[0] is res.u.values
-    # a writeable field is read from a frozen copy
+    # and so is a writeable field, which stays writeable
     writeable = replace(res, u=res.u.copy())
     points.clear()
     newton_krylov_refine(writeable, pot, op, tol=1e-12)
-    assert points[0] is not writeable.u.values
-    assert not points[0].flags.writeable and np.array_equal(points[0], res.u.values)
+    assert points[0] is writeable.u.values
+    assert points[0].flags.writeable
 
 
 def test_a_descent_direction_that_underflows_stops_the_run_unconverged():

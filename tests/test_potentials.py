@@ -17,7 +17,6 @@ from torus_action import (
     Verdict,
     build_mean_potential,
     certify,
-    check_gradient,
     make_linear_drift,
     make_log_sum_exp,
     make_manufactured,
@@ -27,7 +26,8 @@ from torus_action import (
     potential_from_dict,
     solve,
 )
-from torus_action.potentials import SUPERLINEAR, check_potential
+from conftest import with_evaluations
+from torus_action.potentials import SUPERLINEAR, check_gradient, check_potential
 
 TWO_PI = 2.0 * np.pi
 
@@ -236,16 +236,17 @@ def test_malformed_recession_is_rejected_when_the_potential_is_built(recession):
         replace(pot, recession=recession)
 
 
-@pytest.mark.parametrize("missing", ["hessian", "recession", "paths"])
+@pytest.mark.parametrize("missing", ["at", "recession", "paths"])
 def test_potential_without_a_hessian_or_a_recession_is_rejected_when_built(missing):
-    # the preconditioner, the polish and the mean search read the Hessian,
-    # the recession decides whether a minimizer exists, and the paths
-    # decide which grids can carry the potential
+    # the preconditioner, the polish and the mean search read the Hessian
+    # of the points that ``at`` makes, the recession decides whether a
+    # minimizer exists, and the paths decide which grids can carry the
+    # potential
     pot = make_linear_drift(2, cos_path(n=2, freq=(1,), coeff=(1.0, 0.5)))
     with pytest.raises(ValueError, match=f"'linear_drift' must declare its {missing}"):
         replace(pot, **{missing: None})
-    fields = {"n": 2, "periods": pot.periods, "value": pot.value, "gradient": pot.gradient,
-              "hessian": pot.hessian, "recession": pot.recession, "paths": pot.paths}
+    fields = {"n": 2, "periods": pot.periods, "at": pot.at,
+              "recession": pot.recession, "paths": pot.paths}
     with pytest.raises(TypeError, match=f"'{missing}'"):
         Potential(**{k: v for k, v in fields.items() if k != missing})
 
@@ -434,7 +435,7 @@ def test_log_sum_exp_rank_deficient_is_only_convex():
 
 
 # ---------------------------------------------------------------------------
-# log-sum-exp at a frozen point
+# log-sum-exp points
 # ---------------------------------------------------------------------------
 
 LSE_GRID = TorusGrid((TWO_PI, 3.0), (16, 8))
@@ -447,14 +448,8 @@ def _lse(scale=1.0):
     return make_log_sum_exp(S, offs)
 
 
-def _frozen(x):
-    x = np.array(x)
-    x.setflags(write=False)
-    return x
-
-
-def _evaluations(pot, t, x):
-    return pot.value(t, x), pot.gradient(t, x), pot.hessian(t, x)
+def _evaluations(point):
+    return point.value(), point.gradient(), point.hessian()
 
 
 def _assert_same_bits(got, want):
@@ -464,28 +459,38 @@ def _assert_same_bits(got, want):
                               np.ascontiguousarray(b).view(np.uint64))
 
 
+def _assert_apart(*evaluations):
+    """No two of the evaluations' arrays share memory."""
+    arrays = [a for evaluation in evaluations for a in evaluation]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
 # the J = 3 logit planes of an evaluation on LSE_GRID
 LSE_PLANES = (3,) + LSE_GRID.shape
 
 
-def test_log_sum_exp_sweeps_exp_once_per_frozen_point(count_exp):
+def test_log_sum_exp_sweeps_exp_once_per_point(count_exp):
     pot = _lse()
     t = LSE_GRID.coords()
-    x = _frozen(np.random.default_rng(0).normal(size=LSE_GRID.shape + (2,)))
-    want = _evaluations(pot, t, x.copy())
+    x = np.random.default_rng(0).normal(size=LSE_GRID.shape + (2,))
     counts = count_exp()
-    _assert_same_bits(_evaluations(pot, t, x), want)
+    point = pot.at(t, x)
+    want = _evaluations(point)
     assert counts == {LSE_PLANES: 1}
     # in any order, as often as asked
-    hessian, gradient, value = pot.hessian(t, x), pot.gradient(t, x), pot.value(t, x)
+    hessian, gradient, value = point.hessian(), point.gradient(), point.value()
     _assert_same_bits((value, gradient, hessian), want)
     assert counts == {LSE_PLANES: 1}
-    # the value is the kept plane, read-only; the gradient and Hessian are fresh
-    assert not value.flags.writeable
+    # the value is the point's plane, read-only; the gradient and Hessian
+    # are made afresh at each read
+    assert value is want[0] and not value.flags.writeable
     assert gradient.flags.writeable and hessian.flags.writeable
-    # the same coordinates in another array are another point
-    _assert_same_bits(_evaluations(pot, _frozen(t), x), want)
-    assert counts == {LSE_PLANES: 2}
+    _assert_apart(want[1:], (gradient, hessian))
+    # each call of the potential's methods reads a point of its own
+    _assert_same_bits((pot.value(t, x), pot.gradient(t, x), pot.hessian(t, x)), want)
+    assert counts == {LSE_PLANES: 4}
 
 
 def test_log_sum_exp_evaluates_a_writeable_point_afresh(count_exp):
@@ -493,64 +498,74 @@ def test_log_sum_exp_evaluates_a_writeable_point_afresh(count_exp):
     t = LSE_GRID.coords()
     x = np.random.default_rng(1).normal(size=LSE_GRID.shape + (2,))
     counts = count_exp()
-    first = _evaluations(pot, t, x)
+    first = pot.at(t, x)
+    before = _evaluations(first)
     x += 0.5
-    second = _evaluations(pot, t, x)
-    assert counts == {LSE_PLANES: 6}
-    assert not np.array_equal(first[0], second[0])
-    _assert_same_bits(second, _evaluations(pot, t, _frozen(x)))
+    # a point keeps what it computed when it was made
+    _assert_same_bits(_evaluations(first), before)
+    second = _evaluations(pot.at(t, x))
+    assert counts == {LSE_PLANES: 2}
+    assert not np.array_equal(before[0], second[0])
+    _assert_same_bits(second, _evaluations(pot.at(t, x.copy())))
 
 
 def test_log_sum_exp_keeps_no_view_and_no_borrowed_array(count_exp):
     pot = _lse()
     t = LSE_GRID.coords()
-    base = _frozen(np.random.default_rng(2).normal(size=LSE_GRID.shape + (2,)))
+    base = np.random.default_rng(2).normal(size=LSE_GRID.shape + (2,))
+    base.setflags(write=False)
     view = base[...]
     # MeanPotentialG's x, one mean held across the box
     mean = np.broadcast_to(np.array([0.3, -0.2]), LSE_GRID.shape + (2,))
     counts = count_exp()
     for x in (view, mean):
         assert not x.flags.writeable and not x.flags.owndata
-        _assert_same_bits(_evaluations(pot, t, x), _evaluations(pot, t, x.copy()))
-    assert counts == {LSE_PLANES: 12}
-    G = build_mean_potential(LSE_GRID, pot)
-    G.value([0.3, -0.2]), G.gradient([0.3, -0.2]), G.hessian([0.3, -0.2])
-    assert counts == {LSE_PLANES: 15}
+        got = _evaluations(pot.at(t, x))
+        _assert_same_bits(got, _evaluations(pot.at(t, x.copy())))
+        assert not any(np.shares_memory(a, x) for a in got)
+    assert counts == {LSE_PLANES: 4}
+    # G's point at a mean is one point of F across the box
+    point = build_mean_potential(LSE_GRID, pot).at([0.3, -0.2])
+    point.value(), point.gradient(), point.hessian()
+    assert counts == {LSE_PLANES: 5}
 
 
 def test_two_log_sum_exp_potentials_keep_their_own_points(count_exp):
     a, b = _lse(1.0), _lse(-2.0)
     t = LSE_GRID.coords()
-    x = _frozen(np.random.default_rng(3).normal(size=LSE_GRID.shape + (2,)))
-    want_a, want_b = _evaluations(a, t, x.copy()), _evaluations(b, t, x.copy())
+    x = np.random.default_rng(3).normal(size=LSE_GRID.shape + (2,))
     counts = count_exp()
-    got_a = [a.value(t, x)]
-    got_b = [b.value(t, x)]
-    got_a += [a.gradient(t, x), a.hessian(t, x)]
-    got_b += [b.gradient(t, x), b.hessian(t, x)]
-    assert counts == {LSE_PLANES: 2}
-    _assert_same_bits(got_a, want_a)
-    _assert_same_bits(got_b, want_b)
-    assert not np.array_equal(want_a[0], want_b[0])
+    points = a.at(t, x), b.at(t, x), a.at(t, x)
+    got = [_evaluations(point) for point in points]
+    assert counts == {LSE_PLANES: 3}
+    # two points never share their parts, even of one potential at one x
+    _assert_apart(*got)
+    _assert_same_bits(got[0], got[2])
+    assert not np.array_equal(got[0][0], got[1][0])
 
 
-def test_log_sum_exp_keeps_j_plus_one_planes_of_one_frozen_point():
+def test_log_sum_exp_keeps_j_plus_one_planes_of_one_point():
     grid = TorusGrid((TWO_PI, 3.0), (256, 256))
     # offsets without terms, so that no path keeps samples of its own
     pot = make_log_sum_exp([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
                            [TrigPath.zero(grid.periods, 1)] * 3)
     t = grid.coords()
     rng = np.random.default_rng(4)
-    x, y = (_frozen(rng.normal(size=grid.shape + (2,))) for _ in range(2))
+    x, y = (rng.normal(size=grid.shape + (2,)) for _ in range(2))
     plane = grid.node_count * 8
     tracemalloc.start()
     try:
-        pot.value(t, x)
+        first = pot.at(t, x)
         kept, peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        pot.gradient(t, y)
-        moved, peak_y = tracemalloc.get_traced_memory()
-        del y
+        second = pot.at(t, y)
+        both = tracemalloc.get_traced_memory()[0]
+        del first
+        one = tracemalloc.get_traced_memory()[0]
+        gradient = second.gradient()
+        read = tracemalloc.get_traced_memory()[0]
+        del gradient
+        after_read = tracemalloc.get_traced_memory()[0]
+        del second
         left = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -559,13 +574,13 @@ def test_log_sum_exp_keeps_j_plus_one_planes_of_one_frozen_point():
     # buffers of 8192 values
     assert 4 * plane <= kept < 4 * plane + 4096
     assert peak < 5.5 * plane
-    # a new point's planes replace the kept ones, which go first: at the
-    # peak the new point's J + 1 planes, the gradient's n = 2 and one
-    # temporary plane, where keeping the old ones through the sweep makes 9
-    assert kept - 4096 < moved < kept + 4096
-    assert peak_y < 7.5 * plane
-    # and they live no longer than their point
-    assert left < moved - 4 * plane + 4096
+    # each point held keeps its own J + 1 planes, and frees them when dropped
+    assert 8 * plane <= both < 8 * plane + 8192
+    assert abs(one - kept) < 4096
+    # a read makes its result, the gradient's n = 2 planes, and keeps nothing
+    assert 2 * plane <= read - one < 2 * plane + 4096
+    assert abs(after_read - one) < 4096
+    assert left < 4096
 
 
 def test_manufactured_gradient_hits_target():
@@ -609,8 +624,7 @@ def test_check_gradient_accepts_correct_potentials():
 
 def test_check_gradient_flags_corrupted_gradient():
     base = make_quadratic_shift(1, TrigPath.zero((TWO_PI,), 1))
-    from dataclasses import replace
-    bad = replace(base, gradient=lambda t, x: 0.9 * base.gradient(t, x))
+    bad = with_evaluations(base, gradient=lambda t, x: 0.9 * base.gradient(t, x))
     assert check_gradient(bad, seed=0) > 0.05
 
 
@@ -647,8 +661,7 @@ def test_check_midpoint_convexity_no_violation_for_convex():
 
 def test_check_midpoint_convexity_flags_concave():
     base = make_quadratic_shift(1, TrigPath.zero((TWO_PI,), 1))
-    from dataclasses import replace
-    bad = replace(base, value=lambda t, x: -base.value(t, x))
+    bad = with_evaluations(base, value=lambda t, x: -base.value(t, x))
     assert check_midpoint_convexity(bad, triples=500, seed=1) > 0.1
 
 

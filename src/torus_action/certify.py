@@ -93,13 +93,21 @@ def build_mean_potential(grid: TorusGrid, pot: Potential) -> MeanPotentialG:
     return MeanPotentialG(grid, pot)
 
 
-# A damped Newton step must lower G by this share of t times the decrement
-# (Boyd & Vandenberghe's alpha); its step t halves at most this many times.
-# Half the decrement is what a full step gains on the quadratic model, so a
-# step that lands where G bends away from that model, as beyond a ridge of
-# the log-sum-exp, is cut back.
+# The damping of the three searches: each multiplies a rejected trial step by
+# _BACKTRACK_FACTOR.  find_stationary_mean and minimize's polish try at most
+# _MAX_BACKTRACKS steps, minimize.solve's line search one more.  solve and the
+# polish ask a step for _ARMIJO_C1 of its first-order decrease (Armijo), of
+# the action and of the residual norm.
+_ARMIJO_C1 = 1e-4
+_BACKTRACK_FACTOR = 0.5
+_MAX_BACKTRACKS = 60
+# find_stationary_mean asks a step t for _NEWTON_ALPHA of t times the Newton
+# decrement (Boyd & Vandenberghe's alpha).  Half the decrement is what a full
+# step gains on the quadratic model, so a step that lands where G bends away
+# from it, as beyond a ridge of the log-sum-exp, is cut back.  With _ARMIJO_C1
+# here, a solvable case of tests/test_certify.py's large-offsets sweep ends
+# inconclusive at |grad G| = 5.1.
 _NEWTON_ALPHA = 0.25
-_NEWTON_HALVINGS = 60
 # Computed values are trusted to this share of their size: G's values here,
 # the action's kinetic and potential parts in minimize.solve's line search.
 _VALUE_ROUNDING = 1e-13
@@ -155,7 +163,7 @@ def find_stationary_mean(G: MeanPotentialG):
         d = -q[:, kept] @ step
         visible = decrement > _VALUE_ROUNDING * abs(f)
         t = 1.0
-        for _ in range(_NEWTON_HALVINGS):
+        for _ in range(_MAX_BACKTRACKS):
             x_try = x + t * d
             # x's point, or the last trial's, goes before this one sweeps
             point = None
@@ -165,7 +173,7 @@ def find_stationary_mean(G: MeanPotentialG):
                 f_try <= f - _NEWTON_ALPHA * t * decrement or not visible
             ):
                 break
-            t *= 0.5
+            t *= _BACKTRACK_FACTOR
         else:
             return None, gnorm
         x, f = x_try, f_try

@@ -384,9 +384,9 @@ def run(config_path, command: str, out_dir=None, seed: int | None = None) -> int
 
     elif command == "oracle-compare":
         # F = <A x, x> / 2 + <g(t), x>: A is the Hessian, g the gradient at x = 0
-        origin = np.zeros(grid.shape + (pot.n,))
-        A = pot.hessian(grid.coords(), origin)[(0,) * grid.p]
-        g_field = Field(grid, pot.gradient(grid.coords(), origin))
+        origin = pot.at(grid.coords(), np.zeros(grid.shape + (pot.n,)))
+        A = origin.hessian()[(0,) * grid.p]
+        g_field = Field(grid, origin.gradient())
         dense = dense_solve(assemble_quadratic_system(grid, op, A, g_field))
         opts = SolverOptions(seed=seed, tol_grad_inf=1e-10)
         result = solve(grid, pot, op, opts)

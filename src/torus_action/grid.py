@@ -170,16 +170,6 @@ def _box_mean(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return _box_sum(values, grid) / grid.node_count
 
 
-def _is_frozen(array) -> bool:
-    """Whether ``array`` is a read-only ndarray that owns its data.
-
-    Such an array changes only if its owner makes it writeable again, which
-    the package never does to an array it froze, so what is computed from it
-    can be kept for as long as it is alive.
-    """
-    return isinstance(array, np.ndarray) and array.flags.owndata and not array.flags.writeable
-
-
 class Field:
     """Samples of a map from the period box into R^n.
 

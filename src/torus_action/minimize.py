@@ -18,7 +18,10 @@ from enum import Enum
 
 import numpy as np
 
-from .certify import _VALUE_ROUNDING, _above_floor, build_mean_potential, coercivity_probe
+from .certify import (
+    _ARMIJO_C1, _BACKTRACK_FACTOR, _MAX_BACKTRACKS, _VALUE_ROUNDING, _above_floor,
+    build_mean_potential, coercivity_probe,
+)
 from .grid import (
     MIN_RESOLUTION, Field, TorusGrid, _box_mean, check_integer, check_seed,
     check_tolerance, integrate,
@@ -35,12 +38,6 @@ class SolveStatus(str, Enum):
     DIVERGED_NON_COERCIVE = "diverged_non_coercive"
 
 
-# Sufficient decrease (Armijo) constant of the line search; a rejected trial
-# step is multiplied by the factor, at most the given number of times.  The
-# polish damps its Newton steps by the same rules.
-_ARMIJO_C1 = 1e-4
-_BACKTRACK_FACTOR = 0.5
-_MAX_BACKTRACKS = 60
 # (s, y) pairs that L-BFGS keeps.
 _LBFGS_MEMORY = 10
 # Standard deviation of the seeded noise in the default initial field.
@@ -178,11 +175,6 @@ def _apply_rows(rows, w: np.ndarray) -> np.ndarray:
     for a, terms in enumerate(rows):
         _combine(columns, terms, out[..., a])
     return out
-
-
-def _gradient_samples(lam_uhat: np.ndarray, grad_f: np.ndarray, op: DiffOperator) -> np.ndarray:
-    """Samples of the action gradient -laplacian(u) + grad F(t, u), from lambda * u-hat."""
-    return op._irfft(lam_uhat) + grad_f
 
 
 class _LbfgsMemory:
@@ -422,7 +414,7 @@ def _descend(op: DiffOperator, pot: Potential, opts: SolverOptions, u: np.ndarra
     while True:
         # of the gradient's samples only the largest is kept: the descent
         # works on spectra
-        g = _gradient_samples(lam_uhat, grad_f, op)
+        g = op._irfft(lam_uhat) + grad_f
         grad_inf = float(np.abs(g).max())
         if not np.isfinite(grad_inf):
             raise ValueError(f"action gradient is not finite at iteration {iterations}")
@@ -561,7 +553,7 @@ def _residual(u: np.ndarray, grad_f: np.ndarray, op: DiffOperator):
     cancels far below the size of its terms, so it is taken from u's own.
     """
     uhat = op._rfft(u)
-    g = _gradient_samples(op._lam[..., None] * uhat, grad_f, op)
+    g = op._irfft(op._lam[..., None] * uhat) + grad_f
     return uhat, float(np.abs(g).max()), l2_norm(Field(op.grid, g, _check=False))
 
 
@@ -716,8 +708,7 @@ def newton_krylov_refine(
             notes.append("newton refinement stopped: CG met non-positive curvature")
             break
         step = op._irfft(step)
-        # damped by solve's Armijo constant and factor, in _MAX_BACKTRACKS
-        # trials: one fewer than solve's line search takes
+        # damped as certify's constant block states
         alpha = 1.0
         for _ in range(_MAX_BACKTRACKS):
             u_try = u + alpha * step

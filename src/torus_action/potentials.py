@@ -12,7 +12,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .grid import Field, TorusGrid, _is_frozen, check_integer, check_seed, check_symmetric
+from .grid import Field, TorusGrid, check_integer, check_seed, check_symmetric
 
 
 @dataclass(frozen=True)
@@ -77,13 +77,14 @@ class TrigPath:
     def __call__(self, t) -> np.ndarray:
         """Evaluate at coordinates t of shape (..., p); returns (..., n).
 
-        A read-only array that owns its data, such as ``grid.coords()``,
-        cannot change, so its samples are kept, those of the last such array
-        of each shape: calling again with the same array returns the same
-        read-only result.  Copy it to keep or modify it.  A grid caches its
-        coordinates and solve builds its half-grid operator once per operator,
-        so repeated solves, the polish and every level of a coarse start
-        sample each path once per grid.
+        A read-only ndarray that owns its data, such as ``grid.coords()``, is
+        frozen: it changes only if its owner makes it writeable again, which
+        the package never does to an array it froze.  The samples of the last
+        frozen t of each shape are kept, so calling again with the same array
+        returns the same read-only result.  Copy it to keep or modify it.  A
+        grid caches its coordinates and solve builds its half-grid operator
+        once per operator, so repeated solves, the polish and every level of a
+        coarse start sample each path once per grid.
         """
         sample = self._samples.get(getattr(t, "shape", None))
         if sample is not None and sample[0] is t:
@@ -98,7 +99,7 @@ class TrigPath:
             phase = t @ omega
             wave = np.cos(phase) if term.trig == "cos" else np.sin(phase)
             out += wave[..., None] * np.asarray(term.coeff)
-        if _is_frozen(key):
+        if isinstance(key, np.ndarray) and key.flags.owndata and not key.flags.writeable:
             out.setflags(write=False)
             self._samples[key.shape] = (key, out)
         return out
@@ -257,8 +258,9 @@ class _Point:
 
 def _pointwise(*fns):
     """The ``at`` of a kind whose value, gradient and Hessian share nothing:
-    its point keeps (t, x) and reads the three functions there."""
-    return lambda t, x: _Point((t, x), fns)
+    its point keeps t and x, converted to a float array once, and reads the
+    three functions there, so they take x as that array."""
+    return lambda t, x: _Point((t, np.asarray(x, dtype=float)), fns)
 
 
 def check_potential(pot: Potential, grid: TorusGrid) -> None:
@@ -312,9 +314,11 @@ def _combine(planes, terms, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _constant_hessian(matrix: np.ndarray, x) -> np.ndarray:
-    """The n x n ``matrix`` at every point of x, as a read-only view."""
-    return np.broadcast_to(matrix, np.shape(x)[:-1] + matrix.shape)
+def _constant_hessian(matrix: np.ndarray):
+    """The Hessian of a kind whose Hessian is the n x n ``matrix`` everywhere:
+    at (t, x), x a float array (see _pointwise), it gives ``matrix`` at every
+    point of x as one read-only view, which writes nothing per point."""
+    return lambda t, x: np.broadcast_to(matrix, x.shape[:-1] + matrix.shape)
 
 
 def make_quadratic_shift(n: int, shift: TrigPath) -> Potential:
@@ -323,21 +327,16 @@ def make_quadratic_shift(n: int, shift: TrigPath) -> Potential:
         raise ValueError(f"shift path has {shift.n} components, expected {n}")
 
     def value(t, x):
-        d = np.asarray(x, dtype=float) - shift(t)
+        d = x - shift(t)
         return 0.5 * _column_dot(d, d)
 
     def gradient(t, x):
-        return np.asarray(x, dtype=float) - shift(t)
-
-    eye = np.eye(shift.n)
-
-    def hessian(t, x):
-        return _constant_hessian(eye, x)
+        return x - shift(t)
 
     return Potential(
         n=int(n),
         periods=shift.periods,
-        at=_pointwise(value, gradient, hessian),
+        at=_pointwise(value, gradient, _constant_hessian(np.eye(shift.n))),
         kind="quadratic_shift",
         recession=SUPERLINEAR,
         paths=(("shift", shift),),
@@ -350,21 +349,15 @@ def make_linear_drift(n: int, drift: TrigPath) -> Potential:
         raise ValueError(f"drift path has {drift.n} components, expected {n}")
 
     def value(t, x):
-        return _column_dot(drift(t), np.asarray(x, dtype=float))
+        return _column_dot(drift(t), x)
 
     def gradient(t, x):
-        x = np.asarray(x, dtype=float)
         return np.broadcast_to(drift(t), x.shape).copy()
-
-    zero = np.zeros((drift.n, drift.n))
-
-    def hessian(t, x):
-        return _constant_hessian(zero, x)
 
     return Potential(
         n=int(n),
         periods=drift.periods,
-        at=_pointwise(value, gradient, hessian),
+        at=_pointwise(value, gradient, _constant_hessian(np.zeros((drift.n, drift.n)))),
         kind="linear_drift",
         recession=_rows(drift.box_mean()),
         paths=(("drift", drift),),
@@ -385,19 +378,15 @@ def make_quadratic_form(matrix, drift: TrigPath) -> Potential:
     A = 0.5 * (A + A.T)
 
     def value(t, x):
-        x = np.asarray(x, dtype=float)
         return 0.5 * _column_dot(x @ A, x) + _column_dot(drift(t), x)
 
     def gradient(t, x):
-        return np.asarray(x, dtype=float) @ A + drift(t)
-
-    def hessian(t, x):
-        return _constant_hessian(A, x)
+        return x @ A + drift(t)
 
     return Potential(
         n=n,
         periods=drift.periods,
-        at=_pointwise(value, gradient, hessian),
+        at=_pointwise(value, gradient, _constant_hessian(A)),
         kind="quadratic_form",
         recession=SUPERLINEAR,
         paths=(("drift", drift),),

@@ -30,7 +30,7 @@ from torus_action import (
     wirtinger_constant,
 )
 from conftest import with_evaluations
-from torus_action.certify import MeanPotentialG, _nnls, wirtinger_audit
+from torus_action.certify import _MAX_BACKTRACKS, MeanPotentialG, _nnls, wirtinger_audit
 
 TWO_PI = 2.0 * np.pi
 
@@ -96,8 +96,15 @@ def test_stationary_mean_search_that_runs_out_of_halvings_misses_the_minimum():
     g, op, pot = drifted_unit_quadratic()
     value = pot.value
     pot = with_evaluations(pot, value=lambda t, x: np.where(np.all(x == 0.0, axis=-1), value(t, x), np.inf))
-    x, gnorm = find_stationary_mean(build_mean_potential(g, pot))
+    G = build_mean_potential(g, pot)
+    at, points = G.at, []
+    G.at = lambda x: points.append(x) or at(x)
+    x, gnorm = find_stationary_mean(G)
     assert x is None
+    # the origin's point, then one per trial step, each half the last
+    assert len(points) == 1 + _MAX_BACKTRACKS == 61
+    assert_allclose([np.linalg.norm(p) for p in points[2:]],
+                    [0.5 * np.linalg.norm(p) for p in points[1:-1]], rtol=1e-12)
     assert_allclose(gnorm, 2.0 * TWO_PI, rtol=1e-12)
     cert = certify(g, pot, op)
     assert cert.verdict is Verdict.INCONCLUSIVE and cert.coercivity is Coercivity.COERCIVE

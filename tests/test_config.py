@@ -279,7 +279,7 @@ def test_loading_a_config_does_not_import_jsonschema():
         f"load_config({str(CONFIGS / 'manufactured_2d.json')!r})\n"
         "print('jsonschema' in sys.modules)\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    out = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True,
                          env={"PYTHONPATH": str(SRC), "PATH": ""}, check=True)
     assert out.stdout.strip() == "False"
 

@@ -707,6 +707,21 @@ def test_constant_hessian_is_a_read_only_view_of_its_matrix(kind):
 
 
 @pytest.mark.parametrize("kind", sorted(CONSTANT_HESSIANS))
+def test_constant_hessian_kinds_read_a_nested_list_x_as_its_float_array(kind):
+    pot, _ = _constant_hessian_potential(kind)
+    rng = np.random.default_rng(2)
+    t = rng.uniform(0.0, TWO_PI, size=(5, 3))
+    x = rng.normal(size=(5, 2))
+    whole = np.array([[1, -2], [0, 3], [4, 1], [-1, -1], [2, 0]])
+    for nested, floats in ((x.tolist(), x), (whole.tolist(), whole.astype(float))):
+        point, expected = pot.at(t, nested), pot.at(t, floats)
+        for name in ("value", "gradient", "hessian"):
+            got, want = getattr(point, name)(), getattr(expected, name)()
+            assert got.dtype == want.dtype == float
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", sorted(CONSTANT_HESSIANS))
 def test_certify_and_the_polish_take_a_constant_hessian_view(kind):
     pot, _ = _constant_hessian_potential(kind)
     op = DiffOperator(CUBE, Scheme.SPECTRAL)

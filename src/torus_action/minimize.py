@@ -66,7 +66,7 @@ _TIE_DECREASE = 0.1
 _MIRROR_PROMISE = 8.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverOptions:
     """Descent configuration; defaults suit desk-scale convex problems.
 
@@ -91,17 +91,14 @@ class SolverOptions:
         check_tolerance("tol_grad_inf", self.tol_grad_inf)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveResult:
     """What solve returns, and newton_krylov_refine from it.
 
-    A result is changed with dataclasses.replace, never in place: the
-    polish's early return shares the result's norms, and a result that solve
-    returned holds its last point of the potential at ``u``, with the
-    potential gradient and the half spectrum there, for the polish to start
-    from.  replace() drops them, so the polish measures a new ``u`` afresh,
-    and a dropped result frees them.  The values of ``u`` are read-only;
-    copy them to modify them.
+    A result that solve returned holds its last point of the potential at
+    ``u``, with the potential gradient and the half spectrum there, for the
+    polish to start from; dataclasses.replace drops them, and a dropped
+    result frees them.  The values of ``u`` are read-only.
     """
 
     u: Field
@@ -118,8 +115,8 @@ class SolveResult:
     # (pot, op, point, grad F(t, u), _residual's (u-hat, residual_inf,
     # residual_l2)): the potential and operator solve was given, and its
     # last point at u and what it measured there, read by
-    # newton_krylov_refine.  A class attribute, not a field: replace() drops
-    # it, and neither the report nor == sees it.
+    # newton_krylov_refine.  A class attribute, not a field, that _descend
+    # attaches: replace() drops it, and neither the report nor == sees it.
     _last = None
 
 
@@ -291,9 +288,7 @@ def solve(
         _check_field(op, init)
         u = Field(grid, init.values.copy())
     _check_potential(u, pot)
-    result, notes = _nested(op, pot, opts, u.values)
-    result.message = "; ".join(note for note in notes + [result.message] if note)
-    return result
+    return _nested(op, pot, opts, u.values)[0]
 
 
 # Each operator's half-grid operator, or None where its scheme or grid rules
@@ -376,11 +371,13 @@ def _nested(op: DiffOperator, pot: Potential, opts: SolverOptions, u: np.ndarray
             notes = coarse_notes + [
                 f"coarse start: {coarse.iterations} iterations on the {shape} grid"
             ]
-    return _descend(op, pot, opts, u), notes
+    return _descend(op, pot, opts, u, notes), notes
 
 
-def _descend(op: DiffOperator, pot: Potential, opts: SolverOptions, u: np.ndarray) -> SolveResult:
-    """solve's descent on op's grid from the samples u, which it keeps."""
+def _descend(op: DiffOperator, pot: Potential, opts: SolverOptions, u: np.ndarray,
+             notes=()) -> SolveResult:
+    """solve's descent on op's grid from the samples u, which it keeps; its
+    message follows the coarse levels' ``notes``."""
     grid = op.grid
     coords = grid.coords()
     lam = op._lam[..., None]
@@ -538,11 +535,11 @@ def _descend(op: DiffOperator, pot: Potential, opts: SolverOptions, u: np.ndarra
         iterations=iterations,
         trace=np.asarray(trace, dtype=float),
         line_search_failed=line_search_failed,
-        message=message,
+        message="; ".join(note for note in (*notes, message) if note),
         **_measured(op, u, residual, kinetic, potential_part, f),
     )
     if point is not None:
-        result._last = (pot, op, point, grad_f, residual)
+        object.__setattr__(result, "_last", (pot, op, point, grad_f, residual))
     return result
 
 
@@ -555,6 +552,13 @@ def _residual(u: np.ndarray, grad_f: np.ndarray, op: DiffOperator):
     uhat = op._rfft(u)
     g = op._irfft(op._lam[..., None] * uhat) + grad_f
     return uhat, float(np.abs(g).max()), l2_norm(Field(op.grid, g, _check=False))
+
+
+def _measure(pot: Potential, op: DiffOperator, coords, u: np.ndarray):
+    """The point of ``pot`` at the samples u, its gradient and _residual there."""
+    point = pot.at(coords, u)
+    grad_f = point.gradient()
+    return point, grad_f, _residual(u, grad_f, op)
 
 
 def _measured(op: DiffOperator, u, residual, kinetic, potential_part, f) -> dict:
@@ -624,23 +628,22 @@ def newton_krylov_refine(
     input run not to have diverged.
 
     A result whose ``residual_inf`` already meets ``tol`` is returned as
-    converged, with a copy of its field and nothing recomputed: no transform
-    and no potential call.  ``solve`` takes its residual norms from the
-    returned samples with the same operations as this polish, so they are
-    the norms a recomputation would give; the action is the run's carried
-    value, which may differ from a fresh evaluation by rounding (about
-    1e-15 relative).  Otherwise the polish starts from the point that the
-    result holds at ``u``, with the potential gradient and the half
-    spectrum that solve already took, where ``result`` is as solve returned
-    it and ``pot`` and ``op`` are the objects solve was given: one potential
-    evaluation and two transforms fewer, and the same bits.  A result
-    rebuilt by dataclasses.replace, or polished with another potential or
-    operator, is measured afresh.  Both shortcuts assume that a result is
-    never changed in place.  The field is read without a copy, and every
-    returned field, the early return's copy too, is read-only.  The polish
-    holds one point of the potential (see Potential) for its iterate and
-    one for each damping trial: the first Hessian reads solve's last point,
-    and the final value the accepted trial's.
+    converged, with a copy of its field and nothing recomputed: solve takes
+    its norms from the returned samples with the same operations as this
+    polish, and the action is the run's carried value, which may differ from
+    a fresh evaluation by rounding (about 1e-15 relative).  Otherwise the
+    polish starts from the point that the result holds at ``u``, with the
+    potential gradient and the half spectrum that solve already took, where
+    ``result`` is as solve returned it and ``pot`` and ``op`` are the objects
+    solve was given: one potential evaluation and two transforms fewer, and
+    the same bits; any other result is measured afresh.  The early return
+    reads the norms the result carries, so a result rebuilt by
+    dataclasses.replace with a new ``u`` is measured only where its old
+    ``residual_inf`` is above ``tol``.  The field is read without a copy,
+    and every returned field, the early return's copy too, is read-only.
+    The polish holds one point of the potential (see Potential) for its
+    iterate and one for each damping trial: the first Hessian reads solve's
+    last point, and the final value the accepted trial's.
 
     CG runs on half spectra, where the Laplacian and the preconditioner are
     multiplications, so a CG iteration costs two transforms; each Newton
@@ -674,9 +677,7 @@ def newton_krylov_refine(
     if last is not None and last[0] is pot and last[1] is op:
         point, grad_f, residual = last[2:]
     else:
-        point = pot.at(coords, u)
-        grad_f = point.gradient()
-        residual = _residual(u, grad_f, op)
+        point, grad_f, residual = _measure(pot, op, coords, u)
     notes = [result.message]
     newton_steps = 0
     cg_failed = False
@@ -712,9 +713,7 @@ def newton_krylov_refine(
         alpha = 1.0
         for _ in range(_MAX_BACKTRACKS):
             u_try = u + alpha * step
-            trial = pot.at(coords, u_try)
-            grad_try = trial.gradient()
-            residual_try = _residual(u_try, grad_try, op)
+            trial, grad_try, residual_try = _measure(pot, op, coords, u_try)
             if residual_try[2] <= (1.0 - _ARMIJO_C1 * alpha) * res_l2:
                 u, point, grad_f, residual = u_try, trial, grad_try, residual_try
                 break

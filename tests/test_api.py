@@ -1,4 +1,7 @@
+import dataclasses
+import importlib
 import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -70,6 +73,19 @@ def test_all_is_the_pinned_names_and_holds_no_module():
     assert set(torus_action.__all__) == PUBLIC_NAMES
     assert not [name for name in torus_action.__all__
                 if inspect.ismodule(getattr(torus_action, name))]
+
+
+def test_every_dataclass_the_package_defines_is_frozen():
+    # a frozen value is changed by dataclasses.replace alone, never in place
+    frozen = {}
+    for info in pkgutil.iter_modules(torus_action.__path__):
+        module = importlib.import_module(f"torus_action.{info.name}")
+        for name, obj in vars(module).items():
+            if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                    and obj.__module__ == module.__name__):
+                frozen[f"{info.name}.{name}"] = obj.__dataclass_params__.frozen
+    assert len(frozen) == 9, sorted(frozen)
+    assert [name for name, is_frozen in frozen.items() if not is_frozen] == []
 
 
 def test_readme_python_quick_start_runs(capsys):

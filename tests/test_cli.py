@@ -296,6 +296,9 @@ def test_payload_is_little_endian_node_major(tmp_path):
     (b"TORUSFIELD v1 p=1 n=1 N=4 T=1.0 layout=node-major stray",
      "entry 'stray' is not key=value"),
     (b"TORUSFIELD v1 p=1 n=one N=4 T=1.0 layout=node-major", "malformed n='one'"),
+    (b"TORUSFIELD v2 p=1 n=1 N=4 T=1.0 layout=node-major", "not a TORUSFIELD v1 dump"),
+    (b"TORUSFIELD v1 p=1 n=1 N=4 T=1.0 layout=axis-major", "unsupported layout 'axis-major'"),
+    (b"TORUSFIELD v1 p=1 n=1 N=8 T=1.0 layout=node-major", "dump holds 4 values, expected 8"),
 ])
 def test_field_dump_header_errors_name_the_key(tmp_path, header, message):
     path = tmp_path / "field.bin"

@@ -167,6 +167,24 @@ def test_field_rejects_nonfinite():
         Field(g, bad)
 
 
+_FIELD_GRID = TorusGrid((1.0, 2.0), (8, 4))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Field(_FIELD_GRID, np.zeros(63), n=2), "flat values have length 63, expected 64"),
+    (lambda: Field(_FIELD_GRID, np.zeros((8, 6, 2))),
+     r"values shape \(8, 6, 2\) does not match grid shape \(8, 4\)"),
+    (lambda: Field(_FIELD_GRID, np.zeros((8, 4, 2)), n=3), "values carry 2 components, expected 3"),
+    (lambda: Field.zeros(_FIELD_GRID, 2) + Field.zeros(_FIELD_GRID, 1),
+     "fields live on different grids or component counts"),
+    (lambda: Field.zeros(_FIELD_GRID, 2) - Field.zeros(TorusGrid((1.0, 2.0), (8, 8)), 2),
+     "fields live on different grids or component counts"),
+], ids=["flat-length", "shape", "components", "add-components", "subtract-grids"])
+def test_field_rejects_values_or_fields_that_do_not_match(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_field_zeros_constant_from_function():
     g = TorusGrid((TWO_PI,), (8,))
     z = Field.zeros(g, 2)

@@ -1,7 +1,7 @@
 import json
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -1361,3 +1361,112 @@ def test_a_descent_direction_that_underflows_stops_the_run_unconverged():
     assert res.iterations == 0
     assert res.message == "descent direction vanished: <g, P g> underflows"
     assert res.residual_inf > 1e-200
+
+
+# ---------------------------------------------------------------------------
+# results and options are frozen values
+# ---------------------------------------------------------------------------
+
+def test_no_field_of_a_result_or_of_the_options_can_be_assigned():
+    g, pot = lse_problem()
+    op = DiffOperator(g, Scheme.SPECTRAL)
+    opts = SolverOptions()
+    res = solve(g, pot, op, SolverOptions(max_iters=3))
+    for value in (opts, res):
+        for f in fields(value):
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, f.name, getattr(value, f.name))
+    # so a zero budget cannot slip past the options' own check ...
+    with pytest.raises(FrozenInstanceError):
+        opts.max_iters = 0
+    assert solve(g, pot, op, opts).iterations > 0
+    # ... and a result's field cannot change under its norms and its point
+    with pytest.raises(FrozenInstanceError):
+        res.u = Field(g, res.u.values + 1.0)
+
+
+def test_a_result_rebuilt_with_a_new_field_polishes_to_that_fields_residual():
+    # 3 iterations in, the result's norms and its last point belong to its
+    # own field, not to the one it is rebuilt with
+    g, pot = _lse_square()
+    op = DiffOperator(g, Scheme.SPECTRAL)
+    res = solve(g, pot, op, SolverOptions(max_iters=3))
+    assert res.residual_inf > 1e-9
+    moved = replace(res, u=Field(g, res.u.values + 1.0))
+    refined = newton_krylov_refine(moved, pot, op, tol=1e-9)
+    assert refined.status is SolveStatus.CONVERGED
+    grad = action_gradient(refined.u, pot, op)
+    assert refined.residual_inf == float(np.abs(grad.values).max())
+    assert refined.residual_inf <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the solver's rare exits
+# ---------------------------------------------------------------------------
+
+def _pcg_setup():
+    g = TorusGrid((TWO_PI, 4.0), (16, 8))
+    op = DiffOperator(g, Scheme.SPECTRAL)
+    b = op._rfft(np.random.default_rng(3).normal(size=g.shape + (2,)))
+    return op, b, lambda r: r
+
+
+def test_pcg_returns_zero_for_a_zero_right_hand_side_without_applying_j():
+    op, b, precond = _pcg_setup()
+    applied = []
+    x, ok = minimize_module._pcg(lambda v: applied.append(v) or v, np.zeros_like(b), op,
+                                 precond, rel_tol=1e-10, max_iters=10)
+    assert ok
+    assert applied == []
+    assert not np.any(x)
+
+
+def test_pcg_that_diverges_settles_for_its_best_iterate():
+    # J v = (1 + 1e6 i) v is positive along v, but its residual leaves the
+    # ray: after one step it is 1e6 times the right-hand side
+    op, b, precond = _pcg_setup()
+    applied = []
+    x, ok = minimize_module._pcg(lambda v: applied.append(v) or (1.0 + 1e6j) * v, b, op,
+                                 precond, rel_tol=1e-10, max_iters=10)
+    assert ok
+    assert len(applied) == 1
+    # no iterate beat the start, so the best one is zero
+    assert not np.any(x)
+
+
+def test_pcg_that_runs_out_of_iterations_returns_its_best_iterate():
+    op, b, precond = _pcg_setup()
+    scale = 1.0 + op._lam[..., None]
+    applied = []
+
+    def apply_j(v):
+        applied.append(v)
+        return scale * v
+
+    x, ok = minimize_module._pcg(apply_j, b, op, precond, rel_tol=1e-14, max_iters=2)
+    assert ok
+    assert len(applied) == 2
+    r = b - scale * x
+    rel = np.sqrt(op._inner(r, r) / op._inner(b, b))
+    assert 1e-14 < rel < 1.0
+
+
+def test_steepest_descent_takes_over_from_an_lbfgs_direction_that_ascends(monkeypatch):
+    g, pot = lse_problem()
+    op = DiffOperator(g, Scheme.SPECTRAL)
+    direction = minimize_module._LbfgsMemory.direction
+    flipped = []
+
+    def ascending_once(memory, grad):
+        d = direction(memory, grad)
+        if memory.pairs and not flipped:
+            flipped.append(len(memory.pairs))
+            return -d
+        return d
+
+    monkeypatch.setattr(minimize_module._LbfgsMemory, "direction", ascending_once)
+    res = solve(g, pot, op, SolverOptions(tol_grad_inf=1e-8))
+    assert flipped == [1]
+    # without the fallback the run would stop there, its line search failed
+    assert not res.line_search_failed
+    assert res.status is SolveStatus.CONVERGED

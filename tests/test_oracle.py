@@ -182,6 +182,16 @@ def test_assembly_refuses_a_drift_field_on_another_grid():
         assemble_quadratic_system(g, op, [[1.0]], Field.zeros(_box(1, 16), 1))
 
 
+
+@pytest.mark.parametrize("matrix", [np.eye(3), np.eye(2)[:1]], ids=["3x3", "1x2"])
+def test_assembly_rejects_a_matrix_that_does_not_fit_the_drift(matrix):
+    g = _box(2, 8)
+    drift = Field.zeros(g, 2)
+    with pytest.raises(ValueError, match=rf"matrix shape \({matrix.shape[0]}, {matrix.shape[1]}\) "
+                                         r"does not match n=2"):
+        assemble_quadratic_system(g, DiffOperator(g, Scheme.SPECTRAL), matrix, drift)
+
+
 def test_dense_solve_recovers_analytic_solution():
     # (-lap + 1) u = 2 sin t has the exact solution u = sin t on the
     # spectral grid
@@ -457,4 +467,3 @@ def test_fd_directional_derivative_agrees_with_pairing():
         an = l2_inner(action_gradient(u, pot, op), v)
         worst = max(worst, abs(fd - an) / max(1.0, abs(an)))
     assert worst < 1e-6
-

@@ -803,6 +803,37 @@ def test_quadratic_data_is_the_hessian_and_the_gradient_at_the_origin(spec, A, d
     assert_allclose(pot.gradient(coords, origin), drift(coords), rtol=0, atol=1e-14)
 
 
+_LINE = (TWO_PI,)
+
+
+def _wave(n):
+    return TrigPath(_LINE, n, (TrigTerm("cos", (1,), (0.5,) * n),))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: TrigPath(_LINE, 1, (TrigTerm("cos", (1, 0), (1.0,)),)),
+     r"term frequency \(1, 0\) does not match 1 axes"),
+    (lambda: TrigPath(_LINE, 2, (TrigTerm("cos", (1,), (1.0,)),)),
+     r"term coefficient \(1.0,\) does not have 2 components"),
+    (lambda: _wave(1).plus(_wave(2)), "paths live on different boxes or component counts"),
+    (lambda: make_quadratic_shift(2, _wave(1)), "shift path has 1 components, expected 2"),
+    (lambda: make_linear_drift(2, _wave(1)), "drift path has 1 components, expected 2"),
+    (lambda: make_quadratic_form(np.eye(3), _wave(2)), r"matrix shape \(3, 3\) does not match n=2"),
+    (lambda: make_log_sum_exp([1.0, 0.0], [_wave(1)]), r"directions must be a \(terms, n\) array"),
+    (lambda: make_log_sum_exp(np.eye(2), [_wave(1)]), "got 1 offset paths for 2 directions"),
+    (lambda: make_log_sum_exp(np.eye(2), [_wave(1), _wave(2)]),
+     r"offset paths must be scalar \(n=1\)"),
+    (lambda: make_manufactured(TorusGrid(_LINE, (16,)), 2, _wave(1)),
+     "target path has 1 components, expected 2"),
+    (lambda: potential_from_dict({"kind": "quadratic_shift", "n": 0}, TorusGrid(_LINE, (16,))),
+     "potential needs a positive component count, got n=0"),
+], ids=["path-axes", "path-components", "plus", "shift", "drift", "matrix", "directions",
+        "offset-count", "offset-components", "target", "component-count"])
+def test_paths_and_kinds_reject_parts_that_do_not_fit(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_potential_from_dict_rejects_unknown_kind():
     g = TorusGrid((TWO_PI,), (16,))
     with pytest.raises(ValueError, match="kind"):

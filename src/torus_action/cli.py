@@ -339,7 +339,7 @@ def run(config_path, command: str, out_dir=None, seed: int | None = None) -> int
         report.update(
             (f.name, getattr(result, f.name))
             for f in dataclasses.fields(result)
-            if f.name not in ("u", "trace")
+            if f.name not in ("u", "trace") and not f.name.startswith("_")
         )
         if bundle.exact is not None:
             report["exact_max_error"] = float(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import weakref
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -112,6 +112,8 @@ class SolveResult:
     trace: np.ndarray
     line_search_failed: bool = False
     message: str = ""
+    # the samples the norms were measured on, which replace() keeps
+    _measured_on: np.ndarray | None = field(default=None, repr=False, compare=False)
     # (pot, op, point, grad F(t, u), _residual's (u-hat, residual_inf,
     # residual_l2)): the potential and operator solve was given, and its
     # last point at u and what it measured there, read by
@@ -572,6 +574,7 @@ def _measured(op: DiffOperator, u, residual, kinetic, potential_part, f) -> dict
         residual_l2=res_l2,
         mean=_box_mean(u, op.grid),
         fluctuation_h1_norm=_fluctuation_h1(uhat, op),
+        _measured_on=u,
     )
 
 
@@ -627,20 +630,19 @@ def newton_krylov_refine(
     preconditioned CG and damps until the residual norm drops.  Requires the
     input run not to have diverged.
 
-    A result whose ``residual_inf`` already meets ``tol`` is returned as
-    converged, with a copy of its field and nothing recomputed: solve takes
-    its norms from the returned samples with the same operations as this
-    polish, and the action is the run's carried value, which may differ from
-    a fresh evaluation by rounding (about 1e-15 relative).  Otherwise the
-    polish starts from the point that the result holds at ``u``, with the
-    potential gradient and the half spectrum that solve already took, where
-    ``result`` is as solve returned it and ``pot`` and ``op`` are the objects
-    solve was given: one potential evaluation and two transforms fewer, and
-    the same bits; any other result is measured afresh.  The early return
-    reads the norms the result carries, so a result rebuilt by
-    dataclasses.replace with a new ``u`` is measured only where its old
-    ``residual_inf`` is above ``tol``.  The field is read without a copy,
-    and every returned field, the early return's copy too, is read-only.
+    A result whose ``residual_inf`` already meets ``tol``, measured on its own
+    ``u``, is returned as converged, with a copy of its field and nothing
+    recomputed: solve takes its norms from the returned samples with the same
+    operations as this polish, and the action is the run's carried value,
+    which may differ from a fresh evaluation by rounding (about 1e-15
+    relative).  Otherwise the polish starts from the point that the result
+    holds at ``u``, with the potential gradient and the half spectrum that
+    solve already took, where ``result`` is as solve returned it and ``pot``
+    and ``op`` are the objects solve was given: one potential evaluation and
+    two transforms fewer, and the same bits; any other result is measured
+    afresh, and so is one rebuilt by dataclasses.replace with a new ``u``,
+    whatever norms it carries.  The field is read without a copy, and every
+    returned field, the early return's copy too, is read-only.
     The polish holds one point of the potential (see Potential) for its
     iterate and one for each damping trial: the first Hessian reads solve's
     last point, and the final value the accepted trial's.
@@ -663,11 +665,11 @@ def newton_krylov_refine(
         raise ValueError("cannot refine a diverged run; no stationary point exists")
     _check_field(op, result.u)
     _check_potential(result.u, pot)
-    if result.residual_inf <= tol:
+    if result.residual_inf <= tol and result._measured_on is result.u.values:
         # a copy of the field, read-only as every field the polish returns
         u = result.u.copy()
         u.values.setflags(write=False)
-        return replace(result, u=u, status=SolveStatus.CONVERGED)
+        return replace(result, u=u, status=SolveStatus.CONVERGED, _measured_on=u.values)
     grid = op.grid
     coords = grid.coords()
     lam = op._lam[..., None]

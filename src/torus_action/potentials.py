@@ -39,7 +39,7 @@ class TrigPath:
     """Vector-valued trigonometric polynomial on the period box.
 
     Evaluates to R^n; the empty term list is the zero path.  Paths know their
-    periods so they can be sampled, differentiated, and averaged analytically.
+    periods so they can be sampled and averaged analytically.
     """
 
     periods: tuple[float, ...]
@@ -103,34 +103,6 @@ class TrigPath:
             out.setflags(write=False)
             self._samples[key.shape] = (key, out)
         return out
-
-    def _angular_sq(self, term: TrigTerm) -> float:
-        return sum(
-            (2.0 * np.pi * k / T) ** 2 for k, T in zip(term.freq, self.periods)
-        )
-
-    def laplacian(self) -> "TrigPath":
-        """Analytic sum of second derivatives over the time axes."""
-        terms = tuple(
-            TrigTerm(
-                term.trig,
-                term.freq,
-                tuple(-self._angular_sq(term) * c for c in term.coeff),
-            )
-            for term in self.terms
-        )
-        return TrigPath(self.periods, self.n, terms)
-
-    def scaled(self, s: float) -> "TrigPath":
-        terms = tuple(
-            TrigTerm(t.trig, t.freq, tuple(s * c for c in t.coeff)) for t in self.terms
-        )
-        return TrigPath(self.periods, self.n, terms)
-
-    def plus(self, other: "TrigPath") -> "TrigPath":
-        if other.periods != self.periods or other.n != self.n:
-            raise ValueError("paths live on different boxes or component counts")
-        return TrigPath(self.periods, self.n, self.terms + other.terms)
 
     def box_mean(self) -> np.ndarray:
         """Average over the box; only zero-frequency cosine terms survive."""
@@ -491,7 +463,15 @@ def make_manufactured(grid: TorusGrid, n: int, target: TrigPath):
     """
     if target.n != int(n):
         raise ValueError(f"target path has {target.n} components, expected {n}")
-    g_path = target.laplacian().plus(target.scaled(-1.0))
+    # g = lap(target) - target: the Laplacian multiplies each mode by minus
+    # its squared angular frequency w, then each mode comes again, negated
+    terms = []
+    for term in target.terms:
+        w = sum((2.0 * np.pi * k / T) ** 2 for k, T in zip(term.freq, target.periods))
+        terms.append(TrigTerm(term.trig, term.freq, tuple(-w * c for c in term.coeff)))
+    for term in target.terms:
+        terms.append(TrigTerm(term.trig, term.freq, tuple(-1.0 * c for c in term.coeff)))
+    g_path = TrigPath(target.periods, target.n, terms)
     # the drift has the target's frequencies, so the target stands for both
     base = make_quadratic_form(np.eye(int(n)), g_path)
     pot = replace(base, kind="manufactured", paths=(("target", target),))

@@ -111,26 +111,26 @@ def test_path_from_dict_rejects_a_frequency_that_is_not_an_integer():
         TrigPath.from_dict(data, (2.0 * np.pi,), 1)
 
 
-def test_trig_path_laplacian_multiplies_by_symbol():
-    # d^2/dt^2 cos(k t) = -k^2 cos(k t) on period 2*pi
-    path = cos_path(freq=(3,))
-    lap = path.laplacian()
-    t = np.array([0.7])
-    assert_allclose(lap(t), -9.0 * path(t), rtol=1e-14)
-    # mixed frequencies on an anisotropic box
-    path2 = TrigPath((TWO_PI, 4.0), 1, (TrigTerm("sin", (1, 2), (1.0,)),))
-    lap2 = path2.laplacian()
-    sym = (2 * np.pi * 1 / TWO_PI) ** 2 + (2 * np.pi * 2 / 4.0) ** 2
-    t2 = np.array([0.3, 0.9])
-    assert_allclose(lap2(t2), -sym * path2(t2), rtol=1e-13)
+@pytest.mark.parametrize("target, drift", [
+    # d^2/dt^2 cos(3 t) = -9 cos(3 t) on period 2*pi, so g = -10 cos(3 t)
+    (cos_path(freq=(3,)), lambda t: -10.0 * np.cos(3.0 * t)),
+    # mixed frequencies on an anisotropic box: sin(t_0 + pi t_1) has symbol
+    # 1 + pi^2, in each of its two components
+    (TrigPath((TWO_PI, 4.0), 2, (TrigTerm("sin", (1, 2), (1.0, -0.5)),)),
+     lambda t: -(2.0 + np.pi**2) * np.sin(t[..., :1] + np.pi * t[..., 1:])
+     * np.array([1.0, -0.5])),
+], ids=["line", "anisotropic"])
+def test_manufactured_drift_is_the_targets_laplacian_minus_the_target(target, drift):
+    # F = |x|^2 / 2 + <g(t), x>, so g is the gradient at the origin
+    grid = TorusGrid(target.periods, (16,) * len(target.periods))
+    pot, _ = make_manufactured(grid, target.n, target)
+    t = np.random.default_rng(5).uniform(0.0, 1.0, size=(20, grid.p)) * grid.periods
+    assert_allclose(pot.gradient(t, np.zeros((20, target.n))), drift(t), rtol=1e-13,
+                    atol=1e-13)
 
 
-def test_trig_path_algebra_and_mean():
-    a = cos_path()
-    b = a.scaled(-2.0)
-    t = np.array([1.2])
-    assert_allclose(a.plus(b)(t), -a(t), rtol=1e-14)
-    assert_allclose(a.box_mean(), [0.0], atol=1e-15)
+def test_trig_path_box_mean():
+    assert_allclose(cos_path().box_mean(), [0.0], atol=1e-15)
     const = TrigPath.constant((TWO_PI,), [4.0])
     assert_allclose(const.box_mean(), [4.0], rtol=1e-15)
     assert_allclose(TrigPath.zero((TWO_PI,), 2).box_mean(), [0.0, 0.0])
@@ -601,7 +601,8 @@ def test_manufactured_gradient_hits_target():
     rng = np.random.default_rng(2)
     for _ in range(10):
         t = rng.uniform(0.0, TWO_PI, size=2)
-        lap_t = target.laplacian()(t)
+        # lap of sin(t_0) is -sin(t_0), of cos(t_0 + 2 t_1) is -5 cos(t_0 + 2 t_1)
+        lap_t = [-np.sin(t[0]), -5.0 * 0.5 * np.cos(t[0] + 2.0 * t[1])]
         assert_allclose(pot.gradient(t, target(t)), lap_t, atol=1e-12)
 
 
@@ -815,7 +816,6 @@ def _wave(n):
      r"term frequency \(1, 0\) does not match 1 axes"),
     (lambda: TrigPath(_LINE, 2, (TrigTerm("cos", (1,), (1.0,)),)),
      r"term coefficient \(1.0,\) does not have 2 components"),
-    (lambda: _wave(1).plus(_wave(2)), "paths live on different boxes or component counts"),
     (lambda: make_quadratic_shift(2, _wave(1)), "shift path has 1 components, expected 2"),
     (lambda: make_linear_drift(2, _wave(1)), "drift path has 1 components, expected 2"),
     (lambda: make_quadratic_form(np.eye(3), _wave(2)), r"matrix shape \(3, 3\) does not match n=2"),
@@ -827,7 +827,7 @@ def _wave(n):
      "target path has 1 components, expected 2"),
     (lambda: potential_from_dict({"kind": "quadratic_shift", "n": 0}, TorusGrid(_LINE, (16,))),
      "potential needs a positive component count, got n=0"),
-], ids=["path-axes", "path-components", "plus", "shift", "drift", "matrix", "directions",
+], ids=["path-axes", "path-components", "shift", "drift", "matrix", "directions",
         "offset-count", "offset-components", "target", "component-count"])
 def test_paths_and_kinds_reject_parts_that_do_not_fit(make, message):
     with pytest.raises(ValueError, match=message):
